@@ -5,7 +5,8 @@ The pipeline: parse a domain (parser), ground schematic laws over their
 sorts with external geometry evaluated on the spot (grounding, grid),
 translate to completion form and clauses (compiler), solve with the
 embedded CDCL engine (sat), and answer planning, prediction, and
-consistency queries on top (planner).  domains bundles ready-made
+consistency queries on top (planner).  oracle cross-checks the SAT
+route by brute enumeration.  domains bundles ready-made
 sample instances and cli exposes everything as a command-line tool.
 """
 
@@ -22,10 +23,10 @@ from .model import (BOOLEAN, Atom, AtomF, Caused, Causes, Constant,
 from .parser import (ParseError, parse_domain, parse_problem, parse_query,
                      pretty_print)
 from .planfile import PlanfileError, emit_plan, parse_plan
+from .oracle import oracle_paths, oracle_states, oracle_transitions
 from .planner import (ActionArg, ActionCost, Consistent, FluentRef,
                       Inconsistent, NoPlanUpTo, Plan, PlanFound, Predicted,
-                      check_consistency, oracle_paths, oracle_states,
-                      oracle_transitions, parse_cost_spec, plan, plan_cost,
+                      check_consistency, parse_cost_spec, plan, plan_cost,
                       predict, validate_plan)
 from .sat import (DimacsError, ResourceLimit, SolveResult, Solver,
                   emit_dimacs, enumerate_models, parse_dimacs,

@@ -127,7 +127,6 @@ def _require_valid_problem(problem, domain) -> None:
 def cmd_check(args) -> int:
     domain = _load_domain(args)
     registry = registry_for(_world_of(args)) if args.world else None
-    ground(domain, registry)  # surfaces signature diagnostics
     verdict = run_check(domain, registry, seed=_seed_of(args))
     if isinstance(verdict, Consistent):
         print("consistent")
@@ -151,16 +150,24 @@ def cmd_ground(args) -> int:
     return 0
 
 
-def _solve_and_report(domain, problem, registry, *, costs, seed,
-                      plan_out=None, dimacs_out=None) -> int:
+def _encode_at_hi(domain, problem, registry, dimacs_out=None):
+    """Ground the problem and encode it at its largest horizon; with
+    dimacs_out, also write that encoding there.  Returns (gd, cnf, hi)."""
+    gd = ground(domain, registry)
+    init, goal, extras, _, hi = close_problem(domain, problem, registry)
+    cnf = encode_problem(gd, init, goal, extras, hi,
+                         noconcurrency=problem.noconcurrency).cnf()
     if dimacs_out:
-        gd = ground(domain, registry)
-        init, goal, extras, lo, hi = close_problem(domain, problem, registry)
-        cnf = encode_problem(gd, init, goal, extras, hi,
-                             noconcurrency=problem.noconcurrency).cnf()
         _write(dimacs_out, emit_dimacs(cnf))
         print(f"wrote horizon-{hi} encoding to {dimacs_out} "
               f"({cnf.var_count} variables, {len(cnf.clauses)} clauses)")
+    return gd, cnf, hi
+
+
+def _solve_and_report(domain, problem, registry, *, costs, seed,
+                      plan_out=None, dimacs_out=None) -> int:
+    if dimacs_out:
+        _encode_at_hi(domain, problem, registry, dimacs_out)
     outcome = plan(domain, problem, registry, costs=costs, seed=seed)
     if isinstance(outcome, NoPlanUpTo):
         print(f"no plan up to horizon {outcome.max_horizon}")
@@ -192,22 +199,13 @@ def cmd_plan(args) -> int:
     if mode[0] == "dimacs-out":
         if len(mode) != 2:
             raise _UsageError("--solver dimacs-out needs a file name")
-        gd = ground(domain, registry)
-        init, goal, extras, lo, hi = close_problem(domain, problem, registry)
-        cnf = encode_problem(gd, init, goal, extras, hi,
-                             noconcurrency=problem.noconcurrency).cnf()
-        _write(mode[1], emit_dimacs(cnf))
-        print(f"wrote horizon-{hi} encoding to {mode[1]} "
-              f"({cnf.var_count} variables, {len(cnf.clauses)} clauses)")
+        _encode_at_hi(domain, problem, registry, mode[1])
         return 0
     if mode != ["internal"]:
         raise _UsageError(f"unknown solver mode {' '.join(mode)!r}")
 
     if args.model_in:
-        gd = ground(domain, registry)
-        init, goal, extras, lo, hi = close_problem(domain, problem, registry)
-        cnf = encode_problem(gd, init, goal, extras, hi,
-                             noconcurrency=problem.noconcurrency).cnf()
+        gd, cnf, hi = _encode_at_hi(domain, problem, registry)
         res = read_dimacs_model(_read(args.model_in), cnf)
         if not res.is_sat:
             print("the supplied assignment reports unsatisfiable")

@@ -5,7 +5,8 @@ Pipeline (each stage is exposed for testing):
     desugar   ground laws -> (head literal, if-part, after-part) triples
     unroll    triples -> time-stamped definite rules, bodies in DNF
     complete  rules -> support biconditionals + nogoods + exactly-one
-    clausify  completion formulas -> CNF with a stable atom table
+    clausify  Encoder: completion (plus asserted query formulas) -> CNF
+              with a stable atom table; compile_cnf is the query-free case
 
 Semantics in brief: a rule ``head <- body`` says the head literal is
 caused whenever the body holds.  The completion asserts that a literal
@@ -28,12 +29,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .grounding import GroundDomain
 from .model import (
     TRUE, Atom, AtomF, And, Caused, Causes, Constraint, Exogenous, FalseF,
     Formula, Inertial, Kind, Nonexecutable, Not, Or, TrueF, formula_atoms,
+    mentions_action,
 )
 
 
@@ -193,10 +194,7 @@ def _dedup(disjuncts: list[frozenset[Lit]]) -> list[frozenset[Lit]]:
 def _mentions_action(rule: Desugared) -> bool:
     if rule.head and rule.head[0].constant.is_action:
         return True
-    for f in (rule.cond, rule.after):
-        if f is not None and any(a.constant.is_action for a in formula_atoms(f)):
-            return True
-    return False
+    return any(f is not None and mentions_action(f) for f in (rule.cond, rule.after))
 
 
 def _stamp(lits: frozenset[Lit], step: int) -> frozenset[TimedLit]:
@@ -357,22 +355,24 @@ def eval_completion(formulas: list[CompletionFormula], lit_truth) -> CompletionF
     return None
 
 
+def completion_for(ground: GroundDomain, horizon: int,
+                   *, noconcurrency: bool = False) -> list[CompletionFormula]:
+    rules = unroll(desugar(ground), ground, horizon, noconcurrency=noconcurrency)
+    return complete(rules, ground, horizon)
+
+
 # --- CNF ---------------------------------------------------------------------
 
 @dataclass
 class CnfFormula:
     """Plain CNF with the TimedAtom table.  Variables 1..len(atoms) are real
     atoms following the table order; variables >= aux_start are definition
-    variables introduced by clausification."""
+    variables introduced by the Encoder."""
 
     var_count: int
     clauses: list[tuple[int, ...]]
     atoms: tuple[TimedAtom, ...]
-    index: dict[TimedAtom, int] = field(repr=False, default_factory=dict)
-
-    def __post_init__(self):
-        if not self.index:
-            self.index = {ta: i + 1 for i, ta in enumerate(self.atoms)}
+    index: dict[TimedAtom, int] = field(repr=False)
 
     @property
     def aux_start(self) -> int:
@@ -381,33 +381,36 @@ class CnfFormula:
     def var_of(self, ta: TimedAtom) -> int:
         return self.index[ta]
 
-    def lit_of(self, lit: TimedLit) -> int:
-        v = self.index[TimedAtom(lit.atom, lit.step)]
-        return v if lit.positive else -v
 
-    def is_aux(self, var: int) -> bool:
-        return var >= self.aux_start
+class Encoder:
+    """The clause builder: completion CNF for one horizon plus whatever query
+    formulas the caller asserts on top (initial/goal/observation constraints).
 
+    Definition variables are introduced only for multi-literal bodies inside
+    multi-body supports and asserted disjunctions; they are numbered after
+    every real atom."""
 
-class _ClauseBuilder:
-    def __init__(self, atoms: list[TimedAtom]):
-        self.atoms = tuple(atoms)
-        self.index = {ta: i + 1 for i, ta in enumerate(atoms)}
-        self.var_count = len(atoms)
+    def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False):
+        self.horizon = horizon
+        self.table = tuple(atom_table(ground, horizon))
+        self.index = {ta: i + 1 for i, ta in enumerate(self.table)}
+        self.var_count = len(self.table)
         self.clauses: list[tuple[int, ...]] = []
+        for f in completion_for(ground, horizon, noconcurrency=noconcurrency):
+            self._add_formula(f)
 
-    def lit(self, l: TimedLit) -> int:
+    def _lit(self, l: TimedLit) -> int:
         try:
             v = self.index[TimedAtom(l.atom, l.step)]
         except KeyError:
             raise CompileError(f"{l.atom}@{l.step} is outside the encoding horizon") from None
         return v if l.positive else -v
 
-    def fresh(self) -> int:
+    def _fresh(self) -> int:
         self.var_count += 1
         return self.var_count
 
-    def add(self, lits) -> None:
+    def _add(self, lits) -> None:
         c = tuple(lits)
         if len(set(abs(x) for x in c)) != len(c):
             seen = set(c)
@@ -416,85 +419,52 @@ class _ClauseBuilder:
             c = tuple(dict.fromkeys(c))
         if not c:
             # an always-false formula: encode falsum on a fresh variable
-            v = self.fresh()
+            v = self._fresh()
             self.clauses.append((v,))
             self.clauses.append((-v,))
             return
         self.clauses.append(c)
 
-    def define_conj(self, lits: list[int]) -> int:
-        """Fresh d with d <-> AND(lits)."""
-        d = self.fresh()
-        for l in lits:
-            self.add((-d, l))
-        self.add([d] + [-l for l in lits])
-        return d
+    def _arms(self, bodies: list[list[int]]) -> list[int]:
+        """One literal per body: the literal itself, or a fresh d <-> AND(body)."""
+        arms = []
+        for b in bodies:
+            if len(b) == 1:
+                arms.append(b[0])
+                continue
+            d = self._fresh()
+            for l in b:
+                self._add((-d, l))
+            self._add([d] + [-l for l in b])
+            arms.append(d)
+        return arms
 
-    def add_support(self, head: int, bodies: list[list[int]]) -> None:
+    def _add_support(self, head: int, bodies: list[list[int]]) -> None:
         if not bodies:
-            self.add((-head,))
+            self._add((-head,))
             return
         if len(bodies) == 1:
             b = bodies[0]
             for l in b:
-                self.add((-head, l))
-            self.add([head] + [-l for l in b])
+                self._add((-head, l))
+            self._add([head] + [-l for l in b])
             return
-        arms = [b[0] if len(b) == 1 else self.define_conj(b) for b in bodies]
-        self.add([-head] + arms)
+        arms = self._arms(bodies)
+        self._add([-head] + arms)
         for a in arms:
-            self.add((head, -a))
+            self._add((head, -a))
 
-    def add_formula(self, f: CompletionFormula) -> None:
+    def _add_formula(self, f: CompletionFormula) -> None:
         if isinstance(f, Support):
-            self.add_support(self.lit(f.head),
-                             [sorted(self.lit(l) for l in body) for body in f.bodies])
+            self._add_support(self._lit(f.head),
+                              [sorted(self._lit(l) for l in body) for body in f.bodies])
         elif isinstance(f, Nogood):
-            self.add(sorted(-self.lit(l) for l in f.body))
+            self._add(sorted(-self._lit(l) for l in f.body))
         else:
             vars_ = [self.index[ta] for ta in f.atoms]
-            self.add(vars_)
+            self._add(vars_)
             for a, b in itertools.combinations(vars_, 2):
-                self.add((-a, -b))
-
-    def build(self) -> CnfFormula:
-        return CnfFormula(self.var_count, list(self.clauses), self.atoms, dict(self.index))
-
-
-def clausify(formulas: list[CompletionFormula], table: list[TimedAtom]) -> CnfFormula:
-    """CNF over the given atom table.  Definition variables are introduced only
-    for multi-literal bodies inside multi-body supports; they are numbered
-    after every real atom and flagged via CnfFormula.is_aux."""
-    b = _ClauseBuilder(table)
-    for f in formulas:
-        b.add_formula(f)
-    return b.build()
-
-
-def compile_cnf(ground: GroundDomain, horizon: int,
-                *, noconcurrency: bool = False) -> CnfFormula:
-    rules = unroll(desugar(ground), ground, horizon, noconcurrency=noconcurrency)
-    return clausify(complete(rules, ground, horizon), atom_table(ground, horizon))
-
-
-def completion_for(ground: GroundDomain, horizon: int,
-                   *, noconcurrency: bool = False) -> list[CompletionFormula]:
-    rules = unroll(desugar(ground), ground, horizon, noconcurrency=noconcurrency)
-    return complete(rules, ground, horizon)
-
-
-class Encoder:
-    """Completion CNF for one horizon plus whatever query formulas the caller
-    asserts on top (initial/goal/observation constraints)."""
-
-    def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False):
-        self.ground = ground
-        self.horizon = horizon
-        self.formulas = completion_for(ground, horizon, noconcurrency=noconcurrency)
-        self.table = atom_table(ground, horizon)
-        self._b = _ClauseBuilder(self.table)
-        for f in self.formulas:
-            self._b.add_formula(f)
+                self._add((-a, -b))
 
     def assert_formula(self, f: Formula, step: int) -> None:
         """Add clauses forcing the ground formula to hold at the given step."""
@@ -503,18 +473,23 @@ class Encoder:
                 raise CompileError(f"action atom {atom} cannot be asserted at step {step}")
         disjuncts = _dnf(f)
         if disjuncts is None:
-            self._b.add(())  # unsatisfiable
+            self._add(())  # unsatisfiable
             return
-        bodies = [sorted(self._b.lit(TimedLit(a, step, pos)) for a, pos in d)
+        bodies = [sorted(self._lit(TimedLit(a, step, pos)) for a, pos in d)
                   for d in disjuncts]
         if any(not b for b in bodies):
             return  # trivially true
         if len(bodies) == 1:
             for l in bodies[0]:
-                self._b.add((l,))
+                self._add((l,))
             return
-        arms = [b[0] if len(b) == 1 else self._b.define_conj(b) for b in bodies]
-        self._b.add(arms)
+        self._add(self._arms(bodies))
 
     def cnf(self) -> CnfFormula:
-        return self._b.build()
+        return CnfFormula(self.var_count, list(self.clauses), self.table, dict(self.index))
+
+
+def compile_cnf(ground: GroundDomain, horizon: int,
+                *, noconcurrency: bool = False) -> CnfFormula:
+    """The completion CNF for one horizon, with no query formulas."""
+    return Encoder(ground, horizon, noconcurrency=noconcurrency).cnf()

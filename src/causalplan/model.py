@@ -245,6 +245,11 @@ def formula_atoms(f: Formula):
             yield from formula_atoms(p)
 
 
+def mentions_action(f: Formula) -> bool:
+    """Whether some atom of f belongs to an action constant."""
+    return any(a.constant.is_action for a in formula_atoms(f))
+
+
 def eval_formula(f: Formula, atom_truth: Callable[[Atom], bool]) -> bool:
     """Evaluate a ground, external-free formula against an atom valuation."""
     if isinstance(f, TrueF):
@@ -570,14 +575,11 @@ def validate_problem(problem: PlanningProblem, domain: DomainDescription) -> lis
     scope: dict[str, Sort] = {}
     hi = problem.horizon[1]
 
-    def acts(f: Formula) -> bool:
-        return any(a.constant.is_action for a in formula_atoms(f))
-
     # :init may mention actions (the first step is then forced to exist);
     # the goal sits at the final step, after the last action
     _check_formula(problem.init, scope, domain, None, ":init", out, allow_actions=True)
     _check_formula(problem.goal, scope, domain, None, ":goal", out, allow_actions=False)
-    if acts(problem.init) and hi < 1:
+    if mentions_action(problem.init) and hi < 1:
         out.append(Diagnostic(":init mentions actions but the horizon is fixed at 0"))
     for tag, f in problem.extra:
         if isinstance(tag, int) and tag < 0:
@@ -587,10 +589,10 @@ def validate_problem(problem: PlanningProblem, domain: DomainDescription) -> lis
         _check_formula(f, scope, domain, None, f":at {tag}", out, allow_actions=True)
         if isinstance(tag, int) and tag > hi:
             out.append(Diagnostic(f":at {tag}: beyond the horizon bound {hi}"))
-        elif isinstance(tag, int) and tag == hi and acts(f):
+        elif isinstance(tag, int) and tag == hi and mentions_action(f):
             out.append(Diagnostic(
                 f":at {tag}: actions cannot occur at the final step of the horizon"))
-        elif tag == FINAL and acts(f):
+        elif tag == FINAL and mentions_action(f):
             out.append(Diagnostic(":at final: may not mention actions"))
     return out
 

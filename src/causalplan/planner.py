@@ -5,37 +5,31 @@ completion encoding for some horizon, asserts its own formulas on top
 (initial state, goal, observations), and hands the CNF to the embedded
 solver.  Planning deepens the horizon one step at a time; a cost
 deadline turns the inner loop into solve, price the plan, block that
-action schedule, repeat.
-
-The module also contains the slow direct-evaluation routes used to
-cross-check the SAT route: validate_plan checks a trajectory against
-the completion formulas without any solver, and oracle_states /
-oracle_transitions enumerate value-complete assignments outright.
+action schedule, repeat.  validate_plan checks a trajectory against the
+completion formulas without any solver.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .compiler import (CompileError, Encoder, ExactlyOne, Nogood, Support,
-                       TimedAtom, TimedLit, atom_table, compile_cnf,
-                       completion_for, desugar, eval_completion)
+from .compiler import (Encoder, TimedAtom, compile_cnf, completion_for,
+                       eval_completion)
 from .grounding import ExternalRegistry, GroundDomain, close_formula, ground
 from .model import (FINAL, Atom, AtomF, DomainDescription, Formula,
-                    GroundInstance, Kind, PlanningProblem, State, conj,
-                    eval_formula, formula_atoms, freeze_state, instance_str)
-from .sat import ResourceLimit, Solver, enumerate_models
+                    GroundInstance, PlanningProblem, State, conj,
+                    eval_formula, instance_str, mentions_action)
+from .oracle import window_truth
+from .sat import Solver, enumerate_models
 from .sat import solve as sat_solve
 
 __all__ = [
     "ActionArg", "ActionCost", "Consistent", "FluentRef", "Inconsistent",
     "NoPlanUpTo", "Plan", "PlanFound", "Predicted", "check_consistency",
-    "close_problem", "decode_model", "encode_problem", "oracle_paths",
-    "oracle_states", "oracle_transitions", "parse_cost_spec", "plan",
-    "plan_cost", "predict", "validate_plan",
+    "close_problem", "decode_model", "encode_problem", "parse_cost_spec",
+    "plan", "plan_cost", "predict", "validate_plan",
 ]
 
 
@@ -211,10 +205,6 @@ def decode_model(gd: GroundDomain, cnf, model, horizon: int) -> Plan:
     return Plan(steps, trajectory)
 
 
-def _mentions_action(f: Formula) -> bool:
-    return any(a.constant.is_action for a in formula_atoms(f))
-
-
 def _state_formula(domain: DomainDescription, state: State) -> Formula:
     parts = []
     for (name, args), value in sorted(state.items()):
@@ -250,17 +240,17 @@ def close_problem(domain: DomainDescription, problem: PlanningProblem,
     init = close_formula(problem.init, domain, registry)
     goal = close_formula(problem.goal, domain, registry)
     extras = [(when, close_formula(f, domain, registry)) for when, f in problem.extra]
-    if _mentions_action(goal):
+    if mentions_action(goal):
         raise ValueError("the goal may not mention actions")
     lo, hi = problem.horizon
-    if _mentions_action(init):
+    if mentions_action(init):
         lo = max(lo, 1)
     for when, f in extras:
         if when == FINAL:
-            if _mentions_action(f):
+            if mentions_action(f):
                 raise ValueError("a final-step constraint may not mention actions")
         else:
-            lo = max(lo, when + 1 if _mentions_action(f) else when)
+            lo = max(lo, when + 1 if mentions_action(f) else when)
     return init, goal, extras, lo, hi
 
 
@@ -337,6 +327,8 @@ def predict(domain: DomainDescription, init, actions,
     action schedule.  init is a formula (possibly partial) or a state dict;
     actions is one collection of ground action instances per step, empty
     for a wait step.  No outcomes means the schedule is not executable."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"the outcome limit must be at least 1, got {limit}")
     gd = ground(domain, registry)
     if isinstance(init, dict):
         init = _state_formula(domain, init)
@@ -361,23 +353,11 @@ def predict(domain: DomainDescription, init, actions,
         enc.assert_formula(conj(fixed), t)
     cnf = enc.cnf()
 
-    fluent_vars = [cnf.var_of(TimedAtom(a, t))
-                   for t in range(h + 1) for a in gd.fluent_atoms]
-    outcomes: list[list[State]] = []
-    for proj in enumerate_models(cnf, fluent_vars, seed=seed, limit=limit):
-        truth = dict(zip(fluent_vars, proj))
-        trajectory: list[State] = []
-        for t in range(h + 1):
-            state: State = {}
-            for c, args in gd.fluent_instances:
-                if c.is_boolean:
-                    v = "true" if truth[cnf.var_of(TimedAtom(Atom(c, args, "true"), t))] else "false"
-                else:
-                    v = next(val for val in c.value_sort.members
-                             if truth[cnf.var_of(TimedAtom(Atom(c, args, val), t))])
-                state[(c.name, args)] = v
-            trajectory.append(state)
-        outcomes.append(trajectory)
+    # the schedule fixes every action variable, so projecting onto all real
+    # atoms blocks exactly the fluent values already seen
+    real = range(1, len(cnf.atoms) + 1)
+    outcomes = [decode_model(gd, cnf, (False,) + proj, h).trajectory
+                for proj in enumerate_models(cnf, real, seed=seed, limit=limit)]
     outcomes.sort(key=lambda tr: [sorted(s.items()) for s in tr])
     return Predicted(steps, outcomes)
 
@@ -415,14 +395,14 @@ def validate_plan(domain: DomainDescription, problem: PlanningProblem, p: Plan,
     if issues:
         return False, issues
 
-    truth = _window_truth(p.trajectory, step_sets)
+    truth = window_truth(p.trajectory, step_sets)
     bad = eval_completion(
         completion_for(gd, h, noconcurrency=problem.noconcurrency), truth)
     if bad is not None:
         issues.append(f"causal semantics violated: {bad}")
 
     def holds(f: Formula, step: int, label: str) -> bool:
-        if _mentions_action(f) and step >= h:
+        if mentions_action(f) and step >= h:
             issues.append(f"{label} mentions actions but lands on the final state")
             return True
 
@@ -456,186 +436,3 @@ def validate_plan(domain: DomainDescription, problem: PlanningProblem, p: Plan,
                 issues.append(f"plan cost {price} exceeds the deadline {problem.cost_deadline}")
 
     return (not issues), issues
-
-
-# --- brute-force oracles --------------------------------------------------------
-
-def _window_truth(trajectory, step_actions):
-    def truth(l: TimedLit) -> bool:
-        a = l.atom
-        if a.constant.is_action:
-            held = (a.constant.name, a.args) in step_actions[l.step]
-            v = held if a.value == "true" else not held
-        else:
-            v = trajectory[l.step][(a.constant.name, a.args)] == a.value
-        return v if l.positive else not v
-    return truth
-
-
-def _value_complete_states(gd: GroundDomain, limit: int):
-    keys = []
-    value_lists = []
-    combos = 1
-    for c, args in gd.fluent_instances:
-        vals = ("false", "true") if c.is_boolean else tuple(c.value_sort.members)
-        keys.append((c.name, args))
-        value_lists.append(vals)
-        combos *= len(vals)
-    if combos > limit:
-        raise ValueError(f"state space too large to enumerate ({combos} assignments)")
-    for choice in itertools.product(*value_lists):
-        yield dict(zip(keys, choice))
-
-
-def oracle_states(gd: GroundDomain, *, limit: int = 1 << 18) -> list[State]:
-    """Every value-complete assignment satisfying the single-step completion,
-    found by brute enumeration and direct evaluation."""
-    formulas = completion_for(gd, 0)
-    out = []
-    for state in _value_complete_states(gd, limit):
-        if eval_completion(formulas, _window_truth([state], [])) is None:
-            out.append(state)
-    out.sort(key=lambda s: sorted(s.items()))
-    return out
-
-
-def _compile_window(formulas, table):
-    """Index completion formulas over the window's atom table so the inner
-    enumeration loop runs on plain ints."""
-    index = {ta: i + 1 for i, ta in enumerate(table)}
-
-    def lid(l: TimedLit) -> int:
-        v = index[TimedAtom(l.atom, l.step)]
-        return v if l.positive else -v
-
-    compiled = []
-    for f in formulas:
-        if isinstance(f, Support):
-            compiled.append(("S", lid(f.head),
-                             tuple(tuple(sorted(lid(l) for l in b)) for b in f.bodies)))
-        elif isinstance(f, Nogood):
-            compiled.append(("N", tuple(sorted(lid(l) for l in f.body)), ()))
-        else:
-            compiled.append(("X", tuple(index[ta] for ta in f.atoms), ()))
-    return index, compiled
-
-
-def _eval_compiled(compiled, bits) -> bool:
-    for kind, a, b in compiled:
-        if kind == "S":
-            hv = bits[a] if a > 0 else not bits[-a]
-            fires = False
-            for body in b:
-                for l in body:
-                    if not (bits[l] if l > 0 else not bits[-l]):
-                        break
-                else:
-                    fires = True
-                    break
-            if hv != fires:
-                return False
-        elif kind == "N":
-            for l in a:
-                if not (bits[l] if l > 0 else not bits[-l]):
-                    break
-            else:
-                return False
-        else:
-            if sum(bits[v] for v in a) != 1:
-                return False
-    return True
-
-
-def oracle_transitions(gd: GroundDomain, *, noconcurrency: bool = False,
-                       max_window_atoms: int = 26,
-                       max_triples: int = 2_000_000):
-    """All one-step transitions (state, action set, successor) by exhaustive
-    enumeration against the horizon-1 completion.  Purely evaluative; shares
-    nothing with the SAT route.  Guarded against combinatorial blowup."""
-    n_window = 2 * len(gd.fluent_atoms) + len(gd.action_atoms)
-    if n_window > max_window_atoms:
-        raise ValueError(f"window has {n_window} atoms; enumeration refused")
-
-    states0 = oracle_states(gd)
-    statics = [f for f in completion_for(gd, 0) if isinstance(f, Nogood)]
-    cand1 = [s for s in _value_complete_states(gd, 1 << 18)
-             if eval_completion(statics, _window_truth([s], [])) is None]
-    action_insts = [(a.constant.name, a.args) for a in gd.action_atoms]
-    n_subsets = 2 ** len(action_insts)
-    if len(states0) * len(cand1) * n_subsets > max_triples:
-        raise ValueError("too many candidate transitions; enumeration refused")
-
-    table = atom_table(gd, 1)
-    index, compiled = _compile_window(completion_for(gd, 1, noconcurrency=noconcurrency), table)
-    n_step0 = len(gd.fluent_atoms) + len(gd.action_atoms)
-
-    def lits_of(c):
-        if c[0] == "S":
-            return [c[1]] + [l for body in c[2] for l in body]
-        return list(c[1])
-
-    # formulas confined to step 0 prune (state, actions) pairs before the
-    # successor loop runs
-    comp_a: list = []
-    comp_b: list = []
-    for c in compiled:
-        (comp_a if all(abs(l) <= n_step0 for l in lits_of(c)) else comp_b).append(c)
-
-    flu0, act0, flu1 = [], [], []
-    for ta, i in index.items():
-        a = ta.atom
-        if a.constant.is_action:
-            act0.append((i, (a.constant.name, a.args)))
-        elif ta.step == 0:
-            flu0.append((i, (a.constant.name, a.args), a.value))
-        else:
-            flu1.append((i, (a.constant.name, a.args), a.value))
-
-    subsets = [frozenset(inst for inst, on in zip(action_insts, mask) if on)
-               for mask in itertools.product((False, True), repeat=len(action_insts))]
-    if noconcurrency:
-        subsets = [s for s in subsets if len(s) <= 1]
-
-    bits = [False] * (len(table) + 1)
-    out = []
-    for s0 in states0:
-        for i, key, val in flu0:
-            bits[i] = s0[key] == val
-        for acts in subsets:
-            for i, key in act0:
-                bits[i] = key in acts
-            if not _eval_compiled(comp_a, bits):
-                continue
-            for s1 in cand1:
-                for i, key, val in flu1:
-                    bits[i] = s1[key] == val
-                if _eval_compiled(comp_b, bits):
-                    out.append((freeze_state(s0), acts, freeze_state(s1)))
-    out.sort(key=lambda tr: (sorted(tr[0]), sorted(tr[1]), sorted(tr[2])))
-    return out
-
-
-def oracle_paths(gd: GroundDomain, horizon: int, *, noconcurrency: bool = False):
-    """Length-h trajectories (state, actions, state, actions, ..., state)
-    built by chaining one-step windows.  Chaining is only sound when no
-    dynamically caused fluent bypasses the static closure at intermediate
-    steps, so every after-law head must be an inertial fluent."""
-    for r in desugar(gd):
-        if r.after is not None and r.head is not None:
-            const = r.head[0].constant
-            if const.is_fluent and const.kind is not Kind.INERTIAL_FLUENT:
-                raise ValueError(
-                    f"'{const.name}' is dynamically caused but not inertial; "
-                    "window chaining would be unsound")
-    if horizon == 0:
-        return [(freeze_state(s),) for s in oracle_states(gd)]
-    transitions = oracle_transitions(gd, noconcurrency=noconcurrency)
-    by_source: dict = {}
-    for s0, acts, s1 in transitions:
-        by_source.setdefault(s0, []).append((acts, s1))
-    paths = [(s0, acts, s1) for s0, acts, s1 in transitions]
-    for _ in range(horizon - 1):
-        paths = [p + (acts, s2)
-                 for p in paths
-                 for acts, s2 in by_source.get(p[-1], ())]
-    return paths

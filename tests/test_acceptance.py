@@ -23,8 +23,8 @@ from causalplan.compiler import TimedAtom, compile_cnf
 from causalplan.domains import build_mapp, build_robot_boxes, build_toh
 from causalplan.grounding import ground
 from causalplan.model import TRUE, Atom, freeze_state
-from causalplan.planner import (encode_problem, oracle_paths, oracle_states,
-                                parse_cost_spec)
+from causalplan.oracle import oracle_paths, oracle_states
+from causalplan.planner import encode_problem, parse_cost_spec
 from causalplan.sat import enumerate_models, solve
 
 from oracles import (boxes_optimal, mapp_optimal, php_clauses, toh_optimal,

@@ -6,6 +6,7 @@ import pytest
 import toy_domains
 from causalplan.cli import main
 from causalplan.sat import parse_dimacs, solve
+from sample_files import samples_dir
 
 TOGGLE_PROBLEM = ":init ~b;\n:goal b;\n:horizon 0..3;\n"
 
@@ -31,6 +32,12 @@ def test_check_static_contradiction(tmp_path, capsys):
     d.write_text(":constants p :: simpleFluent;\n:laws\n caused p;\n constraint ~p;\n")
     assert main(["check", str(d)]) == 2
     assert "static" in capsys.readouterr().err
+
+
+def test_check_without_world_reports_missing_external(capsys):
+    domain = str(samples_dir() / "boxes-grid.cp")
+    assert main(["check", domain]) == 2
+    assert "no external registered for 'pathExists/2'" in capsys.readouterr().err
 
 
 def test_check_dynamic_contradiction(tmp_path, capsys):
@@ -107,6 +114,16 @@ def test_predict_impossible_actions(tmp_path, capsys):
     assert "no consistent outcome" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_predict_nonpositive_limit_is_exit_3(limit, capsys):
+    samples = samples_dir()
+    assert main(["predict", str(samples / "boxes.cp"), str(samples / "boxes.query"),
+                 "--limit", limit]) == 3
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "limit" in captured.err
+    assert "no consistent outcome" not in captured.out
+
+
 def test_domain_parse_error_is_exit_2(tmp_path, capsys):
     d = tmp_path / "broken.cp"
     d.write_text(":constants p :: simpleFluent\n")  # missing semicolon
@@ -152,6 +169,46 @@ def test_dimacs_out_then_model_in_round_trip(toggle, tmp_path, capsys):
     assert "plan:" in out
     assert plan_file.exists()
     assert main(["validate", domain, problem, str(plan_file)]) == 0
+
+
+def test_model_in_prices_the_decoded_plan(tmp_path, capsys):
+    samples = samples_dir()
+    domain, problem = str(samples / "boxes-grid.cp"), str(samples / "boxes-grid.prob")
+    grid = ["--world", str(samples / "corridor.world"),
+            "--cost", "goto=timeEstimate(@atRobo,$0)"]
+    cnf_file = tmp_path / "enc.cnf"
+    assert main(["plan", domain, problem, *grid, "--solver", "dimacs-out", str(cnf_file)]) == 0
+    assert "wrote horizon-8 encoding" in capsys.readouterr().out
+    n, clauses = parse_dimacs(cnf_file.read_text())
+    res = solve((n, clauses))
+    assert res.is_sat
+    lits = [v if res.model[v] else -v for v in range(1, n + 1)]
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("s SATISFIABLE\nv " + " ".join(map(str, lits)) + " 0\n")
+
+    plan_file = tmp_path / "decoded.plan"
+    assert main(["plan", domain, problem, *grid, "--model-in", str(model_file),
+                 "--plan-out", str(plan_file)]) == 0
+    out = capsys.readouterr().out
+
+    # price the written plan by hand: corridor "1.2...3" puts L1, L2, L3 at
+    # x = 0, 2, 6, and a goto costs the distance the robot travels
+    x = {"L1": 0, "L2": 2, "L3": 6}
+    lines = plan_file.read_text().splitlines()
+    robot = {}
+    expected = 0
+    for line in lines:
+        head, _, rest = line.partition(": ")
+        if head.startswith("state "):
+            robot[int(head.split()[1])] = next(
+                w.split("=")[1] for w in rest.split() if w.startswith("atRobo="))
+        elif head.startswith("step ") and rest.startswith("goto("):
+            t = int(head.split()[1])
+            expected += abs(x[robot[t]] - x[rest[len("goto("):-1]])
+    assert expected >= 12  # L3 -> L1 for the box, then back to L3
+    assert out.splitlines()[0] == f"plan: 8 step(s), cost {expected}"
+    assert f"cost: {expected}" in lines
+    assert main(["validate", domain, problem, str(plan_file), *grid]) == 0
 
 
 def test_demo_toh_reports_expected(tmp_path, capsys):

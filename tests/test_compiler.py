@@ -79,7 +79,7 @@ def test_desugar_rejects_simple_fluent_after_head():
   a causes p;
 """)
     with pytest.raises(ValueError):
-        from causalplan.planner import oracle_paths
+        from causalplan.oracle import oracle_paths
         oracle_paths(gd, 2)
 
 

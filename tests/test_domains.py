@@ -9,7 +9,8 @@ from causalplan import (PlanFound, check_consistency, parse_problem,
 from causalplan.domains import build_mapp, build_robot_boxes, build_toh
 from causalplan.grounding import ground
 from causalplan.model import Caused, Causes, Nonexecutable
-from causalplan.planner import Consistent, oracle_transitions
+from causalplan.oracle import oracle_transitions
+from causalplan.planner import Consistent
 
 from oracles import boxes_optimal, mapp_optimal, toh_optimal
 

@@ -13,10 +13,10 @@ from causalplan import (NoPlanUpTo, Plan, PlanFound, check_consistency,
 from causalplan.domains import build_robot_boxes
 from causalplan.grounding import ground
 from causalplan.model import freeze_state
+from causalplan.oracle import oracle_paths, oracle_states, oracle_transitions
 from causalplan.planner import (ActionCost, Consistent, FluentRef,
-                                Inconsistent, ActionArg, oracle_paths,
-                                oracle_states, oracle_transitions,
-                                parse_cost_spec, plan_cost)
+                                Inconsistent, ActionArg, parse_cost_spec,
+                                plan_cost)
 
 
 def domain_of(text):
@@ -229,6 +229,13 @@ def test_predict_rejects_unknown_action():
     gd = toy_domains.load("toggle")
     with pytest.raises(ValueError):
         predict(gd.domain, {("b", ()): "false"}, [[("warp", ())]])
+
+
+@pytest.mark.parametrize("limit", [0, -2])
+def test_predict_rejects_nonpositive_limit(limit):
+    gd = toy_domains.load("toggle")
+    with pytest.raises(ValueError, match="limit"):
+        predict(gd.domain, {("b", ()): "false"}, [[("flip", ())]], limit=limit)
 
 
 # --- validate_plan ----------------------------------------------------------------
