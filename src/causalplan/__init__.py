@@ -3,7 +3,8 @@ descriptions to propositional satisfiability.
 
 The pipeline: parse a domain (parser), ground schematic laws over their
 sorts with external geometry evaluated on the spot (grounding, grid),
-translate to completion form and clauses (compiler), solve with the
+translate to completion form and shift its per-step integer clause
+template over the horizon (compiler), solve with the
 embedded CDCL engine (sat), and answer planning, prediction, and
 consistency queries on top (planner).  oracle cross-checks the SAT
 route by brute enumeration.  domains bundles ready-made

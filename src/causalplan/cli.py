@@ -164,11 +164,12 @@ def _encode_at_hi(domain, problem, registry, dimacs_out=None):
     return gd, cnf, hi
 
 
-def _solve_and_report(domain, problem, registry, *, costs, seed,
+def _solve_and_report(domain, problem, registry, args, *, costs,
                       plan_out=None, dimacs_out=None) -> int:
     if dimacs_out:
         _encode_at_hi(domain, problem, registry, dimacs_out)
-    outcome = plan(domain, problem, registry, costs=costs, seed=seed)
+    outcome = plan(domain, problem, registry, costs=costs, seed=_seed_of(args),
+                   max_conflicts=args.max_conflicts, max_seconds=args.max_seconds)
     if isinstance(outcome, NoPlanUpTo):
         print(f"no plan up to horizon {outcome.max_horizon}")
         return 1
@@ -193,7 +194,6 @@ def cmd_plan(args) -> int:
     _require_valid_problem(problem, domain)
     registry = registry_for(_world_of(args)) if args.world else None
     costs = _costs_of(args)
-    seed = _seed_of(args)
 
     mode = args.solver
     if mode[0] == "dimacs-out":
@@ -225,8 +225,8 @@ def cmd_plan(args) -> int:
             print(f"wrote plan to {args.plan_out}")
         return 0
 
-    return _solve_and_report(domain, problem, registry, costs=costs,
-                             seed=seed, plan_out=args.plan_out)
+    return _solve_and_report(domain, problem, registry, args, costs=costs,
+                             plan_out=args.plan_out)
 
 
 def cmd_predict(args) -> int:
@@ -286,9 +286,9 @@ def cmd_demo(args) -> int:
         problem = dataclasses.replace(problem, noconcurrency=True)
     if bundle.expected is not None:
         print(f"expected optimal makespan: {bundle.expected}")
-    return _solve_and_report(bundle.domain, problem, bundle.registry,
-                             costs=(), seed=_seed_of(args),
-                             plan_out=args.plan_out, dimacs_out=args.dimacs_out)
+    return _solve_and_report(bundle.domain, problem, bundle.registry, args,
+                             costs=(), plan_out=args.plan_out,
+                             dimacs_out=args.dimacs_out)
 
 
 # --- argument wiring -----------------------------------------------------------
@@ -300,6 +300,33 @@ def _add_world(p):
 def _add_seed(p):
     p.add_argument("--seed", type=int, default=None,
                    help="solver seed (default: $CAUSALPLAN_SEED or 0)")
+
+
+def _at_least_one(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def _positive_seconds(text: str) -> float:
+    try:
+        s = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number of seconds, got {text!r}") from None
+    if not s > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return s
+
+
+def _add_limits(p):
+    p.add_argument("--max-conflicts", type=_at_least_one, metavar="N",
+                   help="stop a solver call after N conflicts (exit 3)")
+    p.add_argument("--max-seconds", type=_positive_seconds, metavar="S",
+                   help="stop a solver call after about S seconds (exit 3)")
 
 
 def _build_parser() -> _Parser:
@@ -337,6 +364,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--noconcurrency", action="store_true",
                    help="at most one action per step")
     _add_seed(p)
+    _add_limits(p)
     p.add_argument("--plan-out", metavar="FILE", help="write the plan file here")
     p.add_argument("--cost", action="append", metavar="SPEC",
                    help="action cost, e.g. 'goto=timeEstimate(@atRobo,$0)'")
@@ -365,6 +393,7 @@ def _build_parser() -> _Parser:
     for kind in ("toh", "boxes", "mapp"):
         p = dsub.add_parser(kind)
         _add_seed(p)
+        _add_limits(p)
         p.add_argument("--plan-out", metavar="FILE")
         p.add_argument("--dimacs-out", metavar="FILE",
                        help="also dump the max-horizon problem encoding")

@@ -5,8 +5,16 @@ Pipeline (each stage is exposed for testing):
     desugar   ground laws -> (head literal, if-part, after-part) triples
     unroll    triples -> time-stamped definite rules, bodies in DNF
     complete  rules -> support biconditionals + nogoods + exactly-one
-    clausify  Encoder: completion (plus asserted query formulas) -> CNF
-              with a stable atom table; compile_cnf is the query-free case
+    template  StepTemplate: the completion of a reference horizon (0, 1
+              or 2), clausified once per ground domain into integer
+              clause blocks per step class (only, first, middle, final)
+    shift     Encoder: horizon h = the blocks moved to steps 0..h by
+              adding t * (fluent + action atoms) to each variable, plus
+              asserted query formulas; compile_cnf is the query-free case
+
+The shifted CNF is clause for clause the clausified completion_for(h);
+completion_for and eval_completion stay symbolic, so validate_plan and
+the oracles check plans without touching the template.
 
 Semantics in brief: a rule ``head <- body`` says the head literal is
 caused whenever the body holds.  The completion asserts that a literal
@@ -29,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .grounding import GroundDomain
 from .model import (
@@ -201,37 +210,43 @@ def _stamp(lits: frozenset[Lit], step: int) -> frozenset[TimedLit]:
     return frozenset(TimedLit(a, step, pos) for a, pos in lits)
 
 
+def _stamp_rule(rule: Desugared, horizon: int):
+    """Yield (step, CausalRule) for one desugared rule over 0..horizon.  The
+    step is the rule's own step for a static rule and the step of the
+    after-part for an after-rule."""
+    cond_dnf = _dnf(rule.cond)
+    head = rule.head
+    if rule.after is None:
+        if cond_dnf is None:
+            return
+        # static: every step where the mentioned atoms exist
+        last = horizon - 1 if _mentions_action(rule) else horizon
+        for t in range(0, last + 1):
+            h = TimedLit(head[0], t, head[1]) if head is not None else None
+            for d in cond_dnf:
+                yield t, CausalRule(h, _stamp(d, t))
+        return
+    if head is not None and head[0].constant.is_action:
+        raise CompileError(f"after-rule head {head[0]} is an action atom")
+    after_dnf = _dnf(rule.after)
+    if after_dnf is None or cond_dnf is None:
+        return
+    for t in range(0, horizon):
+        h = TimedLit(head[0], t + 1, head[1]) if head is not None else None
+        for ad in after_dnf:
+            extra = _stamp(ad, t)
+            for d in cond_dnf:
+                yield t, CausalRule(h, _stamp(d, t + 1) | extra)
+
+
 def unroll(rules: list[Desugared], ground: GroundDomain, horizon: int,
            *, noconcurrency: bool = False) -> list[CausalRule]:
     """Stamp rules over 0..horizon and add the implicit exogeneity rules."""
     if horizon < 0:
         raise CompileError("horizon must be nonnegative")
     out: list[CausalRule] = []
-
-    def emit(head: Lit | None, body_disjuncts, head_step: int, body_step: int,
-             extra: frozenset[TimedLit] = frozenset()):
-        if body_disjuncts is None:
-            return
-        h = TimedLit(head[0], head_step, head[1]) if head is not None else None
-        for d in body_disjuncts:
-            out.append(CausalRule(h, _stamp(d, body_step) | extra))
-
     for rule in rules:
-        cond_dnf = _dnf(rule.cond)
-        if rule.after is None:
-            # static: every step where the mentioned atoms exist
-            last = horizon - 1 if _mentions_action(rule) else horizon
-            for t in range(0, last + 1):
-                emit(rule.head, cond_dnf, t, t)
-        else:
-            if rule.head is not None and rule.head[0].constant.is_action:
-                raise CompileError(f"after-rule head {rule.head[0]} is an action atom")
-            after_dnf = _dnf(rule.after)
-            if after_dnf is None or cond_dnf is None:
-                continue
-            for t in range(0, horizon):
-                for ad in after_dnf:
-                    emit(rule.head, cond_dnf, t + 1, t + 1, extra=_stamp(ad, t))
+        out.extend(r for _, r in _stamp_rule(rule, horizon))
 
     # actions choose their own values at every step they exist
     for atom in ground.action_atoms:
@@ -330,11 +345,15 @@ def complete(rules: list[CausalRule], ground: GroundDomain,
         if const.is_boolean:
             continue
         for t in range(0, horizon + 1):
-            out.append(ExactlyOne(tuple(
-                TimedAtom(Atom(const, args, v), t) for v in const.value_sort.members)))
+            out.append(_exactly_one(const, args, t))
 
     out.extend(nogoods)
     return out
+
+
+def _exactly_one(const, args, step: int) -> ExactlyOne:
+    return ExactlyOne(tuple(TimedAtom(Atom(const, args, v), step)
+                            for v in const.value_sort.members))
 
 
 def eval_completion(formulas: list[CompletionFormula], lit_truth) -> CompletionFormula | None:
@@ -365,46 +384,48 @@ def completion_for(ground: GroundDomain, horizon: int,
 
 @dataclass
 class CnfFormula:
-    """Plain CNF with the TimedAtom table.  Variables 1..len(atoms) are real
-    atoms following the table order; variables >= aux_start are definition
-    variables introduced by the Encoder."""
+    """Plain CNF over one horizon.  Variables 1..n_real are the timed atoms
+    in atom_table order; later variables are definition variables introduced
+    by the Encoder.  The atom table and its index are built on first use."""
 
     var_count: int
     clauses: list[tuple[int, ...]]
-    atoms: tuple[TimedAtom, ...]
-    index: dict[TimedAtom, int] = field(repr=False)
+    ground: GroundDomain = field(repr=False)
+    horizon: int
+
+    @property
+    def width(self) -> int:
+        """Variables per step below the horizon: fluent atoms, then actions."""
+        return len(self.ground.fluent_atoms) + len(self.ground.action_atoms)
+
+    @property
+    def n_real(self) -> int:
+        return self.horizon * self.width + len(self.ground.fluent_atoms)
 
     @property
     def aux_start(self) -> int:
-        return len(self.atoms) + 1
+        return self.n_real + 1
+
+    @cached_property
+    def atoms(self) -> tuple[TimedAtom, ...]:
+        return tuple(atom_table(self.ground, self.horizon))
+
+    @cached_property
+    def index(self) -> dict[TimedAtom, int]:
+        return {ta: i + 1 for i, ta in enumerate(self.atoms)}
 
     def var_of(self, ta: TimedAtom) -> int:
         return self.index[ta]
 
 
-class Encoder:
-    """The clause builder: completion CNF for one horizon plus whatever query
-    formulas the caller asserts on top (initial/goal/observation constraints).
+class _ClauseSink:
+    """Clausifies completion formulas and asserted disjunctions.  Definition
+    variables are introduced only for multi-literal bodies inside
+    multi-body supports and disjunctions, numbered after var_count."""
 
-    Definition variables are introduced only for multi-literal bodies inside
-    multi-body supports and asserted disjunctions; they are numbered after
-    every real atom."""
-
-    def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False):
-        self.horizon = horizon
-        self.table = tuple(atom_table(ground, horizon))
-        self.index = {ta: i + 1 for i, ta in enumerate(self.table)}
-        self.var_count = len(self.table)
+    def __init__(self, var_count: int):
+        self.var_count = var_count
         self.clauses: list[tuple[int, ...]] = []
-        for f in completion_for(ground, horizon, noconcurrency=noconcurrency):
-            self._add_formula(f)
-
-    def _lit(self, l: TimedLit) -> int:
-        try:
-            v = self.index[TimedAtom(l.atom, l.step)]
-        except KeyError:
-            raise CompileError(f"{l.atom}@{l.step} is outside the encoding horizon") from None
-        return v if l.positive else -v
 
     def _fresh(self) -> int:
         self.var_count += 1
@@ -454,17 +475,176 @@ class Encoder:
         for a in arms:
             self._add((head, -a))
 
-    def _add_formula(self, f: CompletionFormula) -> None:
+    def _add_formula(self, f: CompletionFormula, lit) -> None:
+        """Clausify f, numbering timed literals with lit."""
         if isinstance(f, Support):
-            self._add_support(self._lit(f.head),
-                              [sorted(self._lit(l) for l in body) for body in f.bodies])
+            self._add_support(lit(f.head),
+                              [sorted(lit(l) for l in body) for body in f.bodies])
         elif isinstance(f, Nogood):
-            self._add(sorted(-self._lit(l) for l in f.body))
+            self._add(sorted(-lit(l) for l in f.body))
         else:
-            vars_ = [self.index[ta] for ta in f.atoms]
+            vars_ = [lit(TimedLit(ta.atom, ta.step)) for ta in f.atoms]
             self._add(vars_)
             for a, b in itertools.combinations(vars_, 2):
                 self._add((-a, -b))
+
+
+# --- per-step template ---------------------------------------------------------
+
+# A block is (clauses, n_aux) over window variables.  Placed at step t,
+# window variable (d + 1) * width + p + 1 stands for the atom at position p
+# (GroundDomain.atom_position) at step t + d, for d in -1, 0, 1, and
+# 3 * width + k, for k in 1..n_aux, for the block's k-th definition variable.
+Block = tuple[list[tuple[int, ...]], int]
+
+
+class StepTemplate:
+    """Integer clause blocks from which Encoder builds any horizon of one
+    ground domain by shifting.
+
+    Step t of horizon h falls into one class: the only step (h = 0), the
+    first (t = 0 < h), a middle step (0 < t < h) or the final step
+    (t = h > 0).  Each class has one block of support clauses, taken from
+    the symbolic completion of a reference horizon (0, 1 or 2) at a step
+    of that class.  Exactly-one blocks (one per multi-valued
+    fluent instance) and nogood blocks (one per headless desugared rule)
+    are the same at every step.  Blocks are built on first use.
+    """
+
+    def __init__(self, ground: GroundDomain):
+        self.ground = ground
+        self.rules = desugar(ground)
+        self.n_fluents = len(ground.fluent_atoms)
+        self.width = self.n_fluents + len(ground.action_atoms)
+        self._supports: dict[int, list[Block]] = {}
+        for rule in self.rules:
+            # validation rejects these; the if-part would need actions at
+            # the final step, where none exist
+            if rule.after is not None and mentions_action(rule.cond):
+                raise CompileError(f"the if-part {rule.cond} of an after-rule mentions an action")
+
+    def _block(self, formulas, step: int) -> Block:
+        """Clausify formulas stamped around step into window variables."""
+        width, position = self.width, self.ground.atom_position
+
+        def lit(l: TimedLit) -> int:
+            v = (l.step - step + 1) * width + position[l.atom] + 1
+            return v if l.positive else -v
+
+        sink = _ClauseSink(3 * width)
+        for f in formulas:
+            sink._add_formula(f, lit)
+        return sink.clauses, sink.var_count - 3 * width
+
+    def supports(self, horizon: int) -> list[Block]:
+        """The support block of every step of the horizon, in step order.
+        Horizons 0 and 1 are their own references; 2 stands for the rest."""
+        ref = min(horizon, 2)
+        if ref not in self._supports:
+            by_step: list[list[Support]] = [[] for _ in range(ref + 1)]
+            for f in complete(unroll(self.rules, self.ground, ref), self.ground, ref):
+                if isinstance(f, Support):
+                    by_step[f.head.step].append(f)
+            self._supports[ref] = [self._block(fs, t) for t, fs in enumerate(by_step)]
+        blocks = self._supports[ref]
+        if horizon <= 2:
+            return blocks
+        return [blocks[0]] + [blocks[1]] * (horizon - 1) + [blocks[2]]
+
+    @cached_property
+    def exactly_one(self) -> list[Block]:
+        return [self._block([_exactly_one(c, args, 0)], 0)
+                for c, args in self.ground.fluent_instances if not c.is_boolean]
+
+    @cached_property
+    def nogoods(self) -> list[tuple[Block, bool]]:
+        """(block, stops early) per headless rule.  A rule that mentions an
+        action or has an after-part stops one step before the horizon."""
+        out = []
+        for rule in self.rules:
+            if rule.head is None:
+                bodies = [r.body for t, r in _stamp_rule(rule, 1) if t == 0]
+                out.append((self._block([Nogood(b) for b in bodies], 0),
+                            rule.after is not None or _mentions_action(rule)))
+        return out
+
+
+def step_template(ground: GroundDomain) -> StepTemplate:
+    """The ground domain's template, made on first use and kept on it (in
+    the instance dict, as its cached properties are)."""
+    tpl = ground.__dict__.get("_step_template")
+    if tpl is None:
+        tpl = ground.__dict__["_step_template"] = StepTemplate(ground)
+    return tpl
+
+
+def _step_lut(step: int, width: int, aux_base: int, n_aux: int) -> list[int]:
+    """Window literal -> literal at step, for a block whose definition
+    variables start after aux_base.  A negative window literal -v reads
+    entry -v, which Python's negative indexing maps to -lut[v]."""
+    pos = list(range((step - 1) * width + 1, (step + 2) * width + 1))
+    pos += range(aux_base + 1, aux_base + n_aux + 1)
+    return [0, *pos, *(-v for v in reversed(pos))]
+
+
+class Encoder(_ClauseSink):
+    """The clause builder: completion CNF for one horizon plus whatever query
+    formulas the caller asserts on top (initial/goal/observation constraints).
+
+    The completion clauses are the ground domain's StepTemplate blocks
+    shifted to each step: supports step by step, then exactly-one by
+    instance then step, nogoods by rule then step, and the :noconcurrency
+    pairs.  Definition variables are numbered after every real atom, in
+    that order, then those of asserted formulas."""
+
+    def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False):
+        tpl = step_template(ground)
+        if horizon < 0:
+            raise CompileError("horizon must be nonnegative")
+        supports = tpl.supports(horizon)
+        width, nf = tpl.width, tpl.n_fluents
+        super().__init__(horizon * width + nf)
+        self.ground = ground
+        self.horizon = horizon
+        self.width = width
+        self.n_fluents = nf
+        gets = [self._place(block, t) for t, block in enumerate(supports)]
+        for block in tpl.exactly_one:
+            self._repeat(block, gets)
+        for block, stops_early in tpl.nogoods:
+            self._repeat(block, gets[:horizon + 1 - stops_early])
+        if noconcurrency:
+            first = nf + 1
+            self.clauses += [(-(t * width + first + j), -(t * width + first + i))
+                             for i, j in itertools.combinations(range(width - nf), 2)
+                             for t in range(horizon)]
+
+    def _place(self, block: Block, step: int):
+        """Append the block's clauses at step, with fresh definition
+        variables; returns the window literal -> literal lookup used."""
+        clauses, n_aux = block
+        get = _step_lut(step, self.width, self.var_count, n_aux).__getitem__
+        self.var_count += n_aux
+        self.clauses += [tuple(map(get, c)) for c in clauses]
+        return get
+
+    def _repeat(self, block: Block, gets) -> None:
+        """Append the block's clauses at steps 0, 1, ..., where gets[t] maps
+        window literals to step t (definition variables aside)."""
+        clauses, n_aux = block
+        if n_aux:
+            for t in range(len(gets)):
+                self._place(block, t)
+        else:
+            self.clauses += [tuple(map(get, c)) for get in gets for c in clauses]
+
+    def _lit(self, l: TimedLit) -> int:
+        p = self.ground.atom_position.get(l.atom)
+        last = self.horizon if p is not None and p < self.n_fluents else self.horizon - 1
+        if p is None or not 0 <= l.step <= last:
+            raise CompileError(f"{l.atom}@{l.step} is outside the encoding horizon")
+        v = l.step * self.width + p + 1
+        return v if l.positive else -v
 
     def assert_formula(self, f: Formula, step: int) -> None:
         """Add clauses forcing the ground formula to hold at the given step."""
@@ -486,7 +666,7 @@ class Encoder:
         self._add(self._arms(bodies))
 
     def cnf(self) -> CnfFormula:
-        return CnfFormula(self.var_count, list(self.clauses), self.table, dict(self.index))
+        return CnfFormula(self.var_count, list(self.clauses), self.ground, self.horizon)
 
 
 def compile_cnf(ground: GroundDomain, horizon: int,

@@ -66,6 +66,25 @@ class GroundDomain:
         return tuple(a for a in signature_atoms(self) if a.constant.is_action)
 
     @cached_property
+    def atom_position(self) -> dict[Atom, int]:
+        """Index of each atom in fluent_atoms + action_atoms: the order of one
+        step's variables in every encoding."""
+        return {a: i for i, a in enumerate(self.fluent_atoms + self.action_atoms)}
+
+    @cached_property
+    def fluent_slots(self) -> tuple[tuple[tuple[str, tuple[str, ...]], bool,
+                                          tuple[tuple[str, int], ...]], ...]:
+        """Per fluent instance, in fluent_instances order: its state key,
+        whether it is Boolean, and (value, atom_position) for each of its
+        atoms.  A Boolean instance has the one atom ("true", position)."""
+        pos = self.atom_position
+        return tuple(
+            ((c.name, args), c.is_boolean,
+             tuple((v, pos[Atom(c, args, v)])
+                   for v in (("true",) if c.is_boolean else c.value_sort.members)))
+            for c, args in self.fluent_instances)
+
+    @cached_property
     def fluent_instances(self) -> tuple[tuple[Constant, tuple[str, ...]], ...]:
         return tuple(
             (c, args)

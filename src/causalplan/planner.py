@@ -15,8 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 
-from .compiler import (Encoder, TimedAtom, compile_cnf, completion_for,
-                       eval_completion)
+from .compiler import Encoder, compile_cnf, completion_for, eval_completion
 from .grounding import ExternalRegistry, GroundDomain, close_formula, ground
 from .model import (FINAL, Atom, AtomF, DomainDescription, Formula,
                     GroundInstance, PlanningProblem, State, conj,
@@ -185,21 +184,23 @@ def plan_cost(plan: Plan, costs, registry: ExternalRegistry) -> int | float:
 
 def decode_model(gd: GroundDomain, cnf, model, horizon: int) -> Plan:
     """Turn a satisfying assignment into states plus per-step action sets.
-    model must be indexable by variable number (index 0 unused)."""
+    model must be indexable by variable number (index 0 unused); the
+    variables of step t start at t * cnf.width + 1 (see atom_table)."""
+    width = cnf.width
     trajectory: list[State] = []
     for t in range(horizon + 1):
+        base = t * width + 1
         state: State = {}
-        for c, args in gd.fluent_instances:
-            if c.is_boolean:
-                v = "true" if model[cnf.var_of(TimedAtom(Atom(c, args, "true"), t))] else "false"
+        for key, boolean, values in gd.fluent_slots:
+            if boolean:
+                state[key] = "true" if model[base + values[0][1]] else "false"
             else:
-                v = next(val for val in c.value_sort.members
-                         if model[cnf.var_of(TimedAtom(Atom(c, args, val), t))])
-            state[(c.name, args)] = v
+                state[key] = next(v for v, p in values if model[base + p])
         trajectory.append(state)
+    acts = [(a.constant.name, a.args) for a in gd.action_atoms]
+    first = len(gd.fluent_atoms) + 1
     steps = [
-        sorted((a.constant.name, a.args) for a in gd.action_atoms
-               if model[cnf.var_of(TimedAtom(a, t))])
+        sorted(k for j, k in enumerate(acts) if model[t * width + first + j])
         for t in range(horizon)
     ]
     return Plan(steps, trajectory)
@@ -296,11 +297,10 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
             if problem.cost_deadline is not None:
                 price = plan_cost(found, costs, registry)
                 if price > problem.cost_deadline:
-                    block = []
-                    for t in range(h):
-                        for a in gd.action_atoms:
-                            v = cnf.var_of(TimedAtom(a, t))
-                            block.append(-v if res.model[v] else v)
+                    first = len(gd.fluent_atoms) + 1
+                    block = [-v if res.model[v] else v
+                             for t in range(h)
+                             for v in range(t * cnf.width + first, (t + 1) * cnf.width + 1)]
                     if not block or not solver.add_clause(block):
                         break
                     continue
@@ -355,7 +355,7 @@ def predict(domain: DomainDescription, init, actions,
 
     # the schedule fixes every action variable, so projecting onto all real
     # atoms blocks exactly the fluent values already seen
-    real = range(1, len(cnf.atoms) + 1)
+    real = range(1, cnf.n_real + 1)
     outcomes = [decode_model(gd, cnf, (False,) + proj, h).trajectory
                 for proj in enumerate_models(cnf, real, seed=seed, limit=limit)]
     outcomes.sort(key=lambda tr: [sorted(s.items()) for s in tr])

@@ -110,6 +110,12 @@ class Solver:
 
     def _push_order(self, v: int) -> None:
         self.heapq.heappush(self.order, (-self.activity[v], v))
+        if len(self.order) > 2 * self.nvars + 2:
+            # stale entries only cost pops: keep one per unassigned
+            # variable, at its current activity
+            activity, assign = self.activity, self.assign
+            self.order = [(-activity[u], u) for u in range(1, self.nvars + 1) if not assign[u]]
+            self.heapq.heapify(self.order)
 
     def _bump(self, v: int) -> None:
         self.activity[v] += self.var_inc

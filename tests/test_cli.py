@@ -221,6 +221,33 @@ def test_demo_toh_reports_expected(tmp_path, capsys):
     assert plan_file.exists()
 
 
+def test_demo_conflict_limit_is_exit_3(capsys):
+    assert main(["demo", "toh", "--disks", "3", "--seed", "0",
+                 "--max-conflicts", "1"]) == 3
+    assert "error: solver resource limit reached" in capsys.readouterr().err
+
+
+def test_demo_within_conflict_limit_finds_the_plan(capsys):
+    assert main(["demo", "toh", "--disks", "3", "--seed", "0",
+                 "--max-conflicts", "20"]) == 0
+    assert "plan: 7 step(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag,value", [("--max-conflicts", "0"), ("--max-conflicts", "-5"),
+                                        ("--max-seconds", "0"), ("--max-seconds", "-1")])
+def test_nonpositive_solver_limit_is_exit_3(toggle, capsys, flag, value):
+    domain, problem = toggle
+    assert main(["plan", domain, problem, flag, value]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: argument {flag}:") and "Traceback" not in err
+
+
+def test_plan_passes_the_time_limit(toggle, capsys):
+    domain, problem = toggle
+    assert main(["plan", domain, problem, "--max-seconds", "30", "--max-conflicts", "1000"]) == 0
+    assert "plan: 1 step(s)" in capsys.readouterr().out
+
+
 def test_demo_boxes_with_world(tmp_path, capsys):
     w = tmp_path / "grid.world"
     w.write_text("1.2\n")

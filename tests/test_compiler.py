@@ -8,11 +8,13 @@ package's own solver.
 import pytest
 
 import oracles
+import toy_domains
 from causalplan import compile_cnf, parse_domain
 from causalplan.compiler import (CompileError, Encoder, ExactlyOne, Nogood,
-                                 Support, TimedAtom, atom_table, completion_for,
-                                 desugar, eval_completion, unroll)
-from causalplan.grounding import ground
+                                 Support, TimedAtom, TimedLit, _dnf, atom_table,
+                                 completion_for, desugar, eval_completion, unroll)
+from causalplan.grounding import GroundDomain, ground
+from causalplan.model import FINAL, And, AtomF, Caused, Not, formula_atoms
 from causalplan.sat import emit_dimacs
 
 
@@ -305,3 +307,207 @@ def test_encoder_rejects_action_at_final_step():
     enc = Encoder(gd, 1)
     with pytest.raises(CompileError):
         enc.assert_formula(AtomF(flip), 1)
+
+
+# --- templated encoder against direct clausification ------------------------------
+
+class SymbolicClauses:
+    """The clauses of one horizon, written straight from the symbolic
+    completion_for(gd, h) over the TimedAtom table.  The Encoder's shifted
+    template must reproduce them clause for clause."""
+
+    def __init__(self, gd, horizon, noconcurrency=False):
+        self.horizon = horizon
+        self.table = tuple(atom_table(gd, horizon))
+        self.index = {ta: i + 1 for i, ta in enumerate(self.table)}
+        self.var_count = len(self.table)
+        self.clauses = []
+        for f in completion_for(gd, horizon, noconcurrency=noconcurrency):
+            if isinstance(f, Support):
+                self.support(self.lit(f.head),
+                             [sorted(self.lit(l) for l in body) for body in f.bodies])
+            elif isinstance(f, Nogood):
+                self.add(sorted(-self.lit(l) for l in f.body))
+            else:
+                vs = [self.index[ta] for ta in f.atoms]
+                self.add(vs)
+                for i, a in enumerate(vs):
+                    for b in vs[i + 1:]:
+                        self.add((-a, -b))
+
+    def lit(self, l):
+        try:
+            v = self.index[TimedAtom(l.atom, l.step)]
+        except KeyError:
+            raise CompileError(f"{l.atom}@{l.step} is outside the encoding horizon") from None
+        return v if l.positive else -v
+
+    def fresh(self):
+        self.var_count += 1
+        return self.var_count
+
+    def add(self, lits):
+        c = tuple(dict.fromkeys(lits))
+        if any(-x in c for x in c):
+            return
+        if not c:
+            v = self.fresh()
+            self.clauses += [(v,), (-v,)]
+        else:
+            self.clauses.append(c)
+
+    def arms(self, bodies):
+        out = []
+        for b in bodies:
+            if len(b) == 1:
+                out.append(b[0])
+                continue
+            d = self.fresh()
+            for l in b:
+                self.add((-d, l))
+            self.add([d] + [-l for l in b])
+            out.append(d)
+        return out
+
+    def support(self, head, bodies):
+        if not bodies:
+            self.add((-head,))
+        elif len(bodies) == 1:
+            for l in bodies[0]:
+                self.add((-head, l))
+            self.add([head] + [-l for l in bodies[0]])
+        else:
+            arms = self.arms(bodies)
+            self.add([-head] + arms)
+            for a in arms:
+                self.add((head, -a))
+
+    def assert_formula(self, f, step):
+        for atom in formula_atoms(f):
+            if atom.constant.is_action and step >= self.horizon:
+                raise CompileError(f"action atom {atom} cannot be asserted at step {step}")
+        disjuncts = _dnf(f)
+        if disjuncts is None:
+            self.add(())
+            return
+        bodies = [sorted(self.lit(TimedLit(a, step, pos)) for a, pos in d) for d in disjuncts]
+        if any(not b for b in bodies):
+            return
+        if len(bodies) == 1:
+            for l in bodies[0]:
+                self.add((l,))
+        else:
+            self.add(self.arms(bodies))
+
+
+# multi-body supports with definition variables, a tautology, a nogood over
+# two steps, and a falsum nogood that takes a fresh variable at every step
+EDGES = """
+:sorts level
+:objects z0, z1 :: level;
+:constants p :: inertialFluent; q :: simpleFluent; v :: inertialFluent(level);
+           a :: action; b :: action;
+:laws
+  inertial p; inertial v;
+  caused q if p | v=z0;
+  caused q=false if ~p & v=z1;
+  caused v=z1 if v=z1 & q after a | b & p;
+  a causes p if ~p;
+  b causes v=z0;
+  nonexecutable a if b;
+  caused false after a & b & ~p;
+  constraint p | ~p;
+  constraint ~(q & v=z0) | p;
+"""
+FALSUM = ":constants p :: inertialFluent;\n:laws\n  inertial p;\n  constraint false;\n"
+TOGGLE_EXTRAS = (":init ~b & flip;\n:goal b;\n:at 1 b | flip;\n:at final b | ~b & b;\n"
+                 ":horizon 0..3;\n")
+
+
+def _equivalence_cases():
+    from sample_files import samples_dir
+
+    from causalplan.domains import build_toh
+    from causalplan.grid import parse_world, registry_for
+    from causalplan.parser import parse_problem
+    from causalplan.planner import close_problem
+
+    out = []
+    for name in ("boxes", "boxes-grid", "mapp", "toh"):
+        domain = parse_domain((samples_dir() / f"{name}.cp").read_text())
+        problem = parse_problem((samples_dir() / f"{name}.prob").read_text(), domain)
+        registry = (registry_for(parse_world((samples_dir() / "corridor.world").read_text()))
+                    if domain.externals else None)
+        out.append((name, ground(domain, registry), close_problem(domain, problem, registry)))
+    toh = build_toh(3)
+    out.append(("build_toh(3)", ground(toh.domain),
+                close_problem(toh.domain, toh.problem, toh.registry)))
+    toggle = parse_domain(toy_domains.TOGGLE)
+    out.append(("toggle with :at", ground(toggle),
+                close_problem(toggle, parse_problem(TOGGLE_EXTRAS, toggle))))
+    for name in toy_domains.ALL_SMALL:
+        out.append((name, toy_domains.load(name), None))
+    out.append(("edges", gd_of(EDGES), None))
+    # validation forbids causing an action, but the compiler stamps such a
+    # rule only below the horizon, which sets the final step apart
+    edges = gd_of(EDGES)
+    a = edges.action_atoms[0]
+    q = next(atom for atom in edges.fluent_atoms if atom.constant.name == "q")
+    out.append(("caused action", GroundDomain(edges.domain, edges.laws + (
+        Caused(a, And((AtomF(q), Not(AtomF(a))))), Caused(a, AtomF(q)))), None))
+    out.append(("falsum", gd_of(FALSUM), None))
+    return out
+
+
+def _encode_both(gd, query, h, noconcurrency):
+    """(templated, symbolic) encodings of one horizon, or the CompileError
+    message each raised."""
+    def run(make, asserting):
+        try:
+            enc = make()
+            if query is not None:
+                init, goal, extras, _, _ = query
+                asserting(enc, init, 0)
+                asserting(enc, goal, h)
+                for when, f in extras:
+                    asserting(enc, f, h if when == FINAL else when)
+            return enc
+        except CompileError as e:
+            return str(e)
+
+    templated = run(lambda: Encoder(gd, h, noconcurrency=noconcurrency),
+                    Encoder.assert_formula)
+    symbolic = run(lambda: SymbolicClauses(gd, h, noconcurrency),
+                   SymbolicClauses.assert_formula)
+    return templated, symbolic
+
+
+@pytest.mark.parametrize("name,gd,query", _equivalence_cases(),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_templated_encoder_equals_symbolic_clausification(name, gd, query):
+    for noconcurrency in (False, True):
+        for h in range(-1, 7):
+            templated, symbolic = _encode_both(gd, query, h, noconcurrency)
+            where = (name, h, noconcurrency)
+            if isinstance(symbolic, str):
+                assert templated == symbolic, where
+                continue
+            assert not isinstance(templated, str), (where, templated)
+            cnf = templated.cnf()
+            assert cnf.var_count == symbolic.var_count, where
+            assert cnf.clauses == symbolic.clauses, where
+            assert cnf.atoms == symbolic.table, where
+            assert [cnf.var_of(ta) for ta in cnf.atoms] == list(range(1, len(cnf.atoms) + 1))
+
+
+def test_templated_encoder_rejects_actions_at_the_final_step_alike():
+    gd = gd_of(toy_domains.TOGGLE)
+    flip = gd.action_atoms[0]
+    for h in range(0, 4):
+        for step in (h, h + 1):
+            enc, ref = Encoder(gd, h), SymbolicClauses(gd, h)
+            with pytest.raises(CompileError) as got:
+                enc.assert_formula(AtomF(flip), step)
+            with pytest.raises(CompileError) as want:
+                ref.assert_formula(AtomF(flip), step)
+            assert str(got.value) == str(want.value)

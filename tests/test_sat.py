@@ -169,3 +169,12 @@ def test_read_dimacs_model_unsat_line():
         ":constants p :: inertialFluent;\n:laws\n  inertial p;\n")), 0)
     back = read_dimacs_model("s UNSATISFIABLE\n", cnf)
     assert not back.is_sat
+
+
+def test_order_heap_stays_bounded():
+    # every backtrack and bump pushes an entry; stale ones are dropped in bulk
+    n, clauses = oracles.php_clauses(7, 6)
+    s = Solver(n, clauses)
+    assert not s.solve().is_sat
+    assert s.stats.conflicts > 100
+    assert len(s.order) <= 2 * s.nvars + 2
