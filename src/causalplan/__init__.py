@@ -4,9 +4,9 @@ descriptions to propositional satisfiability.
 The pipeline: parse a domain (parser), ground schematic laws over their
 sorts with external geometry evaluated on the spot (grounding, grid),
 translate to completion form and shift its per-step integer clause
-template over the horizon (compiler), solve with the
-embedded CDCL engine (sat), and answer planning, prediction, and
-consistency queries on top (planner).  oracle cross-checks the SAT
+template over the horizon, or grow it one step at a time (compiler),
+solve with the embedded CDCL engine (sat), and answer planning,
+prediction, and consistency queries on top (planner).  oracle cross-checks the SAT
 route by brute enumeration.  domains bundles ready-made
 sample instances and cli exposes everything as a command-line tool.
 """

@@ -166,10 +166,9 @@ def _encode_at_hi(domain, problem, registry, dimacs_out=None):
 
 def _solve_and_report(domain, problem, registry, args, *, costs,
                       plan_out=None, dimacs_out=None) -> int:
-    if dimacs_out:
-        _encode_at_hi(domain, problem, registry, dimacs_out)
+    gd = _encode_at_hi(domain, problem, registry, dimacs_out)[0] if dimacs_out else None
     outcome = plan(domain, problem, registry, costs=costs, seed=_seed_of(args),
-                   max_conflicts=args.max_conflicts, max_seconds=args.max_seconds)
+                   max_conflicts=args.max_conflicts, max_seconds=args.max_seconds, gd=gd)
     if isinstance(outcome, NoPlanUpTo):
         print(f"no plan up to horizon {outcome.max_horizon}")
         return 1

@@ -11,6 +11,10 @@ Pipeline (each stage is exposed for testing):
     shift     Encoder: horizon h = the blocks moved to steps 0..h by
               adding t * (fluent + action atoms) to each variable, plus
               asserted query formulas; compile_cnf is the query-free case
+    grow      Encoder(extensible=True).extend(): the same blocks placed
+              one step at a time after every variable in use, with the
+              clauses that hold only at the last step under an
+              activation literal, for plan search on one solver
 
 The shifted CNF is clause for clause the clausified completion_for(h);
 completion_for and eval_completion stay symbolic, so validate_plan and
@@ -399,12 +403,21 @@ class CnfFormula:
         return len(self.ground.fluent_atoms) + len(self.ground.action_atoms)
 
     @property
+    def n_fluents(self) -> int:
+        return len(self.ground.fluent_atoms)
+
+    @property
     def n_real(self) -> int:
-        return self.horizon * self.width + len(self.ground.fluent_atoms)
+        return self.horizon * self.width + self.n_fluents
 
     @property
     def aux_start(self) -> int:
         return self.n_real + 1
+
+    @property
+    def base(self) -> range:
+        """Step t's fluent atoms start after variable base[t] (see Encoder)."""
+        return range(0, (self.horizon + 1) * self.width, self.width)
 
     @cached_property
     def atoms(self) -> tuple[TimedAtom, ...]:
@@ -568,6 +581,15 @@ class StepTemplate:
                             rule.after is not None or _mentions_action(rule)))
         return out
 
+    @cached_property
+    def growth(self) -> tuple["Growth", "Growth"]:
+        """How the last step's support block changes when an extensible
+        Encoder grows: (only -> first, final -> middle).  Reference
+        horizon 2 gives the first, middle and final classes."""
+        (only,) = self.supports(0)
+        first, middle, final = self.supports(2)
+        return _growth(only, first), _growth(final, middle)
+
 
 def step_template(ground: GroundDomain) -> StepTemplate:
     """The ground domain's template, made on first use and kept on it (in
@@ -578,13 +600,23 @@ def step_template(ground: GroundDomain) -> StepTemplate:
     return tpl
 
 
-def _step_lut(step: int, width: int, aux_base: int, n_aux: int) -> list[int]:
-    """Window literal -> literal at step, for a block whose definition
-    variables start after aux_base.  A negative window literal -v reads
-    entry -v, which Python's negative indexing maps to -lut[v]."""
-    pos = list(range((step - 1) * width + 1, (step + 2) * width + 1))
-    pos += range(aux_base + 1, aux_base + n_aux + 1)
-    return [0, *pos, *(-v for v in reversed(pos))]
+@dataclass(frozen=True)
+class Growth:
+    """How a step's support block changes when the step stops being the
+    last one: keep holds in both classes, drop only while the step is
+    last, add only afterwards.  n_aux definition variables cover both
+    blocks, whose window numbering they share."""
+
+    keep: list[tuple[int, ...]]
+    drop: list[tuple[int, ...]]
+    add: list[tuple[int, ...]]
+    n_aux: int
+
+
+def _growth(last: Block, later: Block) -> Growth:
+    stays, was = set(later[0]), set(last[0])
+    return Growth([c for c in last[0] if c in stays], [c for c in last[0] if c not in stays],
+                  [c for c in later[0] if c not in was], max(last[1], later[1]))
 
 
 class Encoder(_ClauseSink):
@@ -595,20 +627,45 @@ class Encoder(_ClauseSink):
     shifted to each step: supports step by step, then exactly-one by
     instance then step, nogoods by rule then step, and the :noconcurrency
     pairs.  Definition variables are numbered after every real atom, in
-    that order, then those of asserted formulas."""
+    that order, then those of asserted formulas.
 
-    def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False):
+    With extensible=True the encoding can grow with extend(), one step at
+    a time, and is built that way from horizon 0.  A new step's variables,
+    real and definition alike, are numbered after every variable in use,
+    so the layout is no longer step-major; base gives it in both cases:
+    fluent atom position p at step t is variable base[t] + p + 1, and
+    action position p at step t is base[t + 1] - width + p + 1.  Clauses
+    that hold only while the current horizon is the last one (support
+    clauses the next step class lacks, and asserted formulas given
+    guard=active) carry -active, the negation of the horizon's activation
+    variable: solve under the assumption active.  extend() retires it with
+    the unit clause (-active,) and makes a new one.  An extensible
+    encoding has no cnf(); read clauses and var_count directly."""
+
+    def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False,
+                 extensible: bool = False):
         tpl = step_template(ground)
         if horizon < 0:
             raise CompileError("horizon must be nonnegative")
-        supports = tpl.supports(horizon)
         width, nf = tpl.width, tpl.n_fluents
-        super().__init__(horizon * width + nf)
         self.ground = ground
-        self.horizon = horizon
         self.width = width
         self.n_fluents = nf
-        gets = [self._place(block, t) for t, block in enumerate(supports)]
+        self.noconcurrency = noconcurrency
+        self.active: int | None = None
+        if extensible:
+            super().__init__(nf)
+            self.horizon = 0
+            self.base = [0]
+            self.active = self._fresh()
+            self._place_last(tpl, tpl.growth[0])
+            for _ in range(horizon):
+                self.extend()
+            return
+        super().__init__(horizon * width + nf)
+        self.horizon = horizon
+        self.base = list(range(0, (horizon + 1) * width, width))
+        gets = [self._place(block, t) for t, block in enumerate(tpl.supports(horizon))]
         for block in tpl.exactly_one:
             self._repeat(block, gets)
         for block, stops_early in tpl.nogoods:
@@ -619,14 +676,87 @@ class Encoder(_ClauseSink):
                              for i, j in itertools.combinations(range(width - nf), 2)
                              for t in range(horizon)]
 
+    def extend(self) -> None:
+        """Grow an extensible encoding by one step; see the class docstring."""
+        if self.active is None:
+            raise CompileError("a fixed-horizon encoding cannot grow")
+        tpl = step_template(self.ground)
+        h, width, nf = self.horizon, self.width, self.n_fluents
+        self.clauses.append((-self.active,))
+        # the actions of step h, then the fluents of step h + 1
+        self.base.append(self.var_count + width - nf)
+        self.var_count += width
+        self.horizon = h + 1
+        self.active = self._fresh()
+        get = self._lut(h, self._last_aux)
+        self._put(tpl.growth[h > 0].add, get)
+        for block, stops_early in tpl.nogoods:
+            if stops_early:
+                self._place_at(block, h, get)
+        if self.noconcurrency:
+            first = self.base[h + 1] - width + nf + 1
+            self.clauses += [(-(first + j), -(first + i))
+                             for i, j in itertools.combinations(range(width - nf), 2)]
+        self._place_last(tpl, tpl.growth[1])
+
+    def _place_last(self, tpl: StepTemplate, growth: Growth) -> None:
+        """Place the blocks of a new last step: its support clauses, those
+        that hold only while it is last under -active, then its
+        exactly-one blocks and the nogoods that reach the last step."""
+        step = self.horizon
+        self._last_aux = range(self.var_count + 1, self.var_count + growth.n_aux + 1)
+        self.var_count += growth.n_aux
+        get = self._lut(step, self._last_aux)
+        self._put(growth.keep, get)
+        self._put(growth.drop, get, self.active)
+        for block in tpl.exactly_one:
+            self._place_at(block, step, get)
+        for block, stops_early in tpl.nogoods:
+            if not stops_early:
+                self._place_at(block, step, get)
+
+    def _lut(self, step: int, aux):
+        """Window literal -> literal at step, with aux for the block's
+        definition variables (0, which no solver accepts, where no atom
+        exists).  A negative window literal -v reads entry -v, which
+        Python's negative indexing maps to -table[v]."""
+        width, nf, base = self.width, self.n_fluents, self.base
+        pos: list[int] = [0]
+        for t in (step - 1, step, step + 1):
+            if 0 <= t < len(base):
+                pos += range(base[t] + 1, base[t] + nf + 1)
+            else:
+                pos += [0] * nf
+            if 0 <= t < len(base) - 1:
+                pos += range(base[t + 1] - width + nf + 1, base[t + 1] + 1)
+            else:
+                pos += [0] * (width - nf)
+        pos += aux
+        neg = [-v for v in pos[:0:-1]]
+        return (pos + neg).__getitem__
+
+    def _put(self, clauses, get, guard: int | None = None) -> None:
+        if guard is None:
+            self.clauses += [tuple(map(get, c)) for c in clauses]
+        else:
+            self.clauses += [(*map(get, c), -guard) for c in clauses]
+
     def _place(self, block: Block, step: int):
         """Append the block's clauses at step, with fresh definition
         variables; returns the window literal -> literal lookup used."""
         clauses, n_aux = block
-        get = _step_lut(step, self.width, self.var_count, n_aux).__getitem__
+        get = self._lut(step, range(self.var_count + 1, self.var_count + n_aux + 1))
         self.var_count += n_aux
-        self.clauses += [tuple(map(get, c)) for c in clauses]
+        self._put(clauses, get)
         return get
+
+    def _place_at(self, block: Block, step: int, get) -> None:
+        """Append the block's clauses at step through get, the step's
+        lookup, unless the block needs definition variables of its own."""
+        if block[1]:
+            self._place(block, step)
+        else:
+            self._put(block[0], get)
 
     def _repeat(self, block: Block, gets) -> None:
         """Append the block's clauses at steps 0, 1, ..., where gets[t] maps
@@ -640,32 +770,40 @@ class Encoder(_ClauseSink):
 
     def _lit(self, l: TimedLit) -> int:
         p = self.ground.atom_position.get(l.atom)
-        last = self.horizon if p is not None and p < self.n_fluents else self.horizon - 1
+        fluent = p is not None and p < self.n_fluents
+        last = self.horizon if fluent else self.horizon - 1
         if p is None or not 0 <= l.step <= last:
             raise CompileError(f"{l.atom}@{l.step} is outside the encoding horizon")
-        v = l.step * self.width + p + 1
+        v = (self.base[l.step] if fluent else self.base[l.step + 1] - self.width) + p + 1
         return v if l.positive else -v
 
-    def assert_formula(self, f: Formula, step: int) -> None:
-        """Add clauses forcing the ground formula to hold at the given step."""
+    def assert_formula(self, f: Formula, step: int, guard: int | None = None) -> None:
+        """Add clauses forcing the ground formula to hold at the given step;
+        with a guard, each clause also gets -guard, so the formula holds
+        only while guard is assumed."""
         for atom in formula_atoms(f):
             if atom.constant.is_action and step >= self.horizon:
                 raise CompileError(f"action atom {atom} cannot be asserted at step {step}")
+        start = len(self.clauses)
         disjuncts = _dnf(f)
         if disjuncts is None:
             self._add(())  # unsatisfiable
-            return
-        bodies = [sorted(self._lit(TimedLit(a, step, pos)) for a, pos in d)
-                  for d in disjuncts]
-        if any(not b for b in bodies):
-            return  # trivially true
-        if len(bodies) == 1:
-            for l in bodies[0]:
-                self._add((l,))
-            return
-        self._add(self._arms(bodies))
+        else:
+            bodies = [sorted(self._lit(TimedLit(a, step, pos)) for a, pos in d)
+                      for d in disjuncts]
+            if any(not b for b in bodies):
+                return  # trivially true
+            if len(bodies) == 1:
+                for l in bodies[0]:
+                    self._add((l,))
+            else:
+                self._add(self._arms(bodies))
+        if guard is not None:
+            self.clauses[start:] = [(*c, -guard) for c in self.clauses[start:]]
 
     def cnf(self) -> CnfFormula:
+        if self.active is not None:
+            raise CompileError("an extensible encoding has no fixed-horizon CNF")
         return CnfFormula(self.var_count, list(self.clauses), self.ground, self.horizon)
 
 

@@ -1,12 +1,18 @@
 """Planning, prediction, and consistency queries.
 
 Everything here sits on top of the compiler: a query builds the
-completion encoding for some horizon, asserts its own formulas on top
-(initial state, goal, observations), and hands the CNF to the embedded
-solver.  Planning deepens the horizon one step at a time; a cost
-deadline turns the inner loop into solve, price the plan, block that
-action schedule, repeat.  validate_plan checks a trajectory against the
-completion formulas without any solver.
+completion encoding, asserts its own formulas on top (initial state,
+goal, observations), and hands the clauses to the embedded solver.
+Planning deepens the horizon one step at a time on one extensible
+encoding and one solver, which keeps what it learnt: each horizon adds
+a step, and the clauses that hold only while h is the last step (the
+goal, :at final constraints, final-step support clauses, cost blocking
+clauses) carry the negation of h's activation literal, which the solve
+call assumes and the next horizon retires.  A cost deadline turns the
+inner loop into solve, price the plan, block that action schedule,
+repeat.  check_consistency asks horizon 0 and then 1 the same way;
+predict encodes its one horizon directly.  validate_plan checks a
+trajectory against the completion formulas without any solver.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ import math
 import re
 from dataclasses import dataclass
 
+# compile_cnf and sat_solve are not called here, but stay importable from
+# this module: tools that trace its layers hook them by name
 from .compiler import Encoder, compile_cnf, completion_for, eval_completion
 from .grounding import ExternalRegistry, GroundDomain, close_formula, ground
 from .model import (FINAL, Atom, AtomF, DomainDescription, Formula,
@@ -182,14 +190,13 @@ def plan_cost(plan: Plan, costs, registry: ExternalRegistry) -> int | float:
 
 # --- model decoding -----------------------------------------------------------
 
-def decode_model(gd: GroundDomain, cnf, model, horizon: int) -> Plan:
+def decode_model(gd: GroundDomain, layout, model, horizon: int) -> Plan:
     """Turn a satisfying assignment into states plus per-step action sets.
-    model must be indexable by variable number (index 0 unused); the
-    variables of step t start at t * cnf.width + 1 (see atom_table)."""
-    width = cnf.width
+    model must be indexable by variable number (index 0 unused); layout is
+    the Encoder or CnfFormula whose base and width place each step."""
     trajectory: list[State] = []
     for t in range(horizon + 1):
-        base = t * width + 1
+        base = layout.base[t] + 1
         state: State = {}
         for key, boolean, values in gd.fluent_slots:
             if boolean:
@@ -198,12 +205,15 @@ def decode_model(gd: GroundDomain, cnf, model, horizon: int) -> Plan:
                 state[key] = next(v for v, p in values if model[base + p])
         trajectory.append(state)
     acts = [(a.constant.name, a.args) for a in gd.action_atoms]
-    first = len(gd.fluent_atoms) + 1
-    steps = [
-        sorted(k for j, k in enumerate(acts) if model[t * width + first + j])
-        for t in range(horizon)
-    ]
+    steps = [sorted(k for k, v in zip(acts, _action_vars(layout, t)) if model[v])
+             for t in range(horizon)]
     return Plan(steps, trajectory)
+
+
+def _action_vars(layout, step: int) -> range:
+    """The variables of step's action atoms, in action_atoms order."""
+    end = layout.base[step + 1]
+    return range(end - layout.width + layout.n_fluents + 1, end + 1)
 
 
 def _state_formula(domain: DomainDescription, state: State) -> Formula:
@@ -216,20 +226,39 @@ def _state_formula(domain: DomainDescription, state: State) -> Formula:
 
 # --- queries ------------------------------------------------------------------
 
+class _Deepening:
+    """One extensible encoding and one solver that grow together."""
+
+    def __init__(self, gd: GroundDomain, horizon: int, *, noconcurrency: bool, seed: int):
+        self.enc = Encoder(gd, horizon, noconcurrency=noconcurrency, extensible=True)
+        self.solver = Solver(0, (), seed=seed)
+        self.loaded = 0
+
+    def solve(self, **limits):
+        """Solve the current horizon: load what the encoder added since the
+        last call, detach what that retired, assume the activation literal."""
+        enc, solver = self.enc, self.solver
+        if self.loaded < len(enc.clauses) or solver.nvars < enc.var_count:
+            solver.extend(enc.var_count, enc.clauses[self.loaded:])
+            self.loaded = len(enc.clauses)
+            solver.simplify()
+        return solver.solve([enc.active], **limits)
+
+
 def check_consistency(domain: DomainDescription,
                       registry: ExternalRegistry | None = None,
                       *, seed: int = 0) -> Consistent | Inconsistent:
     """Level 0: do any states exist?  Level 1: does any state have an
-    outgoing transition?"""
+    outgoing transition?  Both ask one solver, grown from horizon 0 to 1."""
     gd = ground(domain, registry)
-    cnf0 = compile_cnf(gd, 0)
-    res0 = sat_solve(cnf0, seed=seed)
+    search = _Deepening(gd, 0, noconcurrency=False, seed=seed)
+    res0 = search.solve()
     if not res0.is_sat:
         return Inconsistent(0, "the static laws admit no state")
-    res1 = sat_solve(compile_cnf(gd, 1), seed=seed)
-    if not res1.is_sat:
+    example = decode_model(gd, search.enc, res0.model, 0).trajectory[0]
+    search.enc.extend()
+    if not search.solve().is_sat:
         return Inconsistent(1, "states exist but none has an outgoing transition")
-    example = decode_model(gd, cnf0, res0.model, 0).trajectory[0]
     return Consistent(example)
 
 
@@ -268,40 +297,56 @@ def encode_problem(gd: GroundDomain, init: Formula, goal: Formula, extras,
 
 def plan(domain: DomainDescription, problem: PlanningProblem,
          registry: ExternalRegistry | None = None, *, costs=(), seed: int = 0,
-         max_conflicts: int | None = None,
-         max_seconds: float | None = None) -> PlanFound | NoPlanUpTo:
-    """Iterative-deepening plan search over problem.horizon.
+         max_conflicts: int | None = None, max_seconds: float | None = None,
+         gd: GroundDomain | None = None) -> PlanFound | NoPlanUpTo:
+    """Iterative-deepening plan search over problem.horizon, on one solver.
 
-    With a cost deadline the search loops solve / price / block inside each
-    horizon: a schedule over the deadline is excluded by a clause negating
-    the full action assignment, so the next model differs in at least one
-    action occurrence.  Resource limits apply per solver call and surface
-    as sat.ResourceLimit.
+    Horizon h asserts the goal and the :at final constraints under h's
+    activation literal, solves assuming it, and on UNSAT retires it and
+    adds step h + 1.  With a cost deadline the search loops solve / price /
+    block inside each horizon: a schedule over the deadline is excluded by
+    a clause negating the full action assignment (and, like the goal,
+    guarded by h's literal, since a longer plan may start with that
+    schedule), so the next model differs in at least one action
+    occurrence.  Resource limits apply per solve call and surface as
+    sat.ResourceLimit.  gd, if given, is the domain already grounded against
+    registry.
     """
-    gd = ground(domain, registry)
+    if gd is None:
+        gd = ground(domain, registry)
     init, goal, extras, lo, hi = close_problem(domain, problem, registry)
     if problem.cost_deadline is not None and not costs:
         raise ValueError("the problem sets a cost deadline but no cost model was given")
     if costs and registry is None:
         raise ValueError("a cost model needs an external registry to evaluate charges")
+    if lo > hi:
+        return NoPlanUpTo(hi)
 
+    search = _Deepening(gd, lo, noconcurrency=problem.noconcurrency, seed=seed)
+    enc, solver = search.enc, search.solver
+    enc.assert_formula(init, 0)
+    for when, f in extras:
+        if when != FINAL:
+            enc.assert_formula(f, when)
+    finals = [f for when, f in extras if when == FINAL]
     for h in range(lo, hi + 1):
-        cnf = encode_problem(gd, init, goal, extras, h,
-                             noconcurrency=problem.noconcurrency).cnf()
-        solver = Solver(cnf.var_count, cnf.clauses, seed=seed)
+        if h > lo:
+            enc.extend()
+        for f in [goal, *finals]:
+            enc.assert_formula(f, h, guard=enc.active)
+        # blocking clauses share these int objects instead of making their own
+        acts = [v for t in range(h) for v in _action_vars(enc, t)]
+        flips, guard = [-v for v in acts], -enc.active
         while True:
-            res = solver.solve(max_conflicts=max_conflicts, max_seconds=max_seconds)
+            res = search.solve(max_conflicts=max_conflicts, max_seconds=max_seconds)
             if not res.is_sat:
                 break
-            found = decode_model(gd, cnf, res.model, h)
+            found = decode_model(gd, enc, res.model, h)
             if problem.cost_deadline is not None:
                 price = plan_cost(found, costs, registry)
                 if price > problem.cost_deadline:
-                    first = len(gd.fluent_atoms) + 1
-                    block = [-v if res.model[v] else v
-                             for t in range(h)
-                             for v in range(t * cnf.width + first, (t + 1) * cnf.width + 1)]
-                    if not block or not solver.add_clause(block):
+                    block = [n if res.model[v] else v for v, n in zip(acts, flips)]
+                    if not block or not solver.add_clause(block + [guard]):
                         break
                     continue
                 found.cost = price

@@ -8,7 +8,15 @@ time limit is set.  Every SAT answer is verified against the clause set
 before it is returned.
 
 Clauses can be added between solve() calls (blocking clauses for model
-enumeration, cost rejections), which keeps learned clauses alive.
+enumeration, cost rejections), which keeps learned clauses alive.  A
+solver can also grow: extend() adds variables and bulk-loads clauses
+that are already clean (no repeated literal, no complementary pair),
+which is how a plan search appends one step of its encoding per
+horizon.  Clauses that hold only for one horizon carry the negation of
+an activation literal that solve() assumes; once that literal is fixed
+false, simplify() detaches every clause it satisfies, learnt clauses
+included.  Every SAT model is checked against every clause the solver
+was given, as given.
 """
 
 from __future__ import annotations
@@ -69,8 +77,9 @@ class Solver:
     def __init__(self, n_vars: int, clauses, seed: int = 0):
         self.nvars = n_vars
         self.ok = True
-        self.clauses: list[list[int]] = []
-        self.n_problem_clauses = 0
+        # attached clauses by index; a detached one is None
+        self.clauses: list[list[int] | None] = []
+        self.given: list = []  # every clause handed in, as given
         self.watches: list[list[int]] = [[] for _ in range(2 * n_vars + 2)]
         self.assign = [0] * (n_vars + 1)  # 0 unassigned, 1 true, -1 false
         self.level = [0] * (n_vars + 1)
@@ -87,9 +96,10 @@ class Solver:
 
         self.heapq = heapq
         self.order = [(0.0, v) for v in range(1, n_vars + 1)]
+        self.born = [0] * (n_vars + 1)  # clause count when each variable was made
+        self._simplified = 0  # level-0 trail length at the last simplify()
         for c in clauses:
             self.add_clause(c)
-        self.n_problem_clauses = len(self.clauses)
 
     # --- assignment plumbing ---
 
@@ -147,14 +157,60 @@ class Solver:
         formula trivially unsatisfiable."""
         if not self.ok:
             return False
+        lits = tuple(lits)
+        self._check_range(lits)
+        self.given.append(lits)
         self._backtrack(0)
-        c: list[int] = []
-        lits = list(lits)
-        for l in dict.fromkeys(lits):
+        if len(set(map(abs, lits))) != len(lits):
+            distinct = set(lits)
+            if any(-l in distinct for l in distinct):
+                return True  # tautology
+            lits = tuple(dict.fromkeys(lits))
+        return self._attach_problem(lits)
+
+    def extend(self, n_vars: int, clauses) -> bool:
+        """Grow to n_vars variables and add clauses that are already clean:
+        no literal twice, no complementary pair (an encoder's output).  This
+        skips add_clause's duplicate and tautology scans but still checks
+        every literal's range and simplifies against level 0.  Returns
+        False if the formula is now trivially unsatisfiable."""
+        self._grow(n_vars)
+        clauses = list(clauses)
+        if not self.ok:
+            return False
+        self._backtrack(0)
+        self.given += clauses
+        lo, hi = -self.nvars, self.nvars
+        store, watches, trail = self.clauses, self.watches, self.trail
+        # literals with a level-0 value; the common clause touches none
+        fixed = set(trail)
+        fixed.update([-l for l in trail])
+        for c in clauses:
+            if c and (min(c) < lo or max(c) > hi or 0 in c):
+                self._check_range(c)
+            if len(c) < 2 or not fixed.isdisjoint(c):
+                n = len(trail)
+                if not self._attach_problem(c):
+                    return False
+                fixed.update(trail[n:])
+                fixed.update([-l for l in trail[n:]])
+                continue
+            ci = len(store)
+            store.append(list(c))
+            l0, l1 = c[0], c[1]
+            watches[(l0 << 1) if l0 > 0 else ((-l0) << 1) | 1].append(ci)
+            watches[(l1 << 1) if l1 > 0 else ((-l1) << 1) | 1].append(ci)
+        return True
+
+    def _check_range(self, lits) -> None:
+        for l in lits:
             if not (1 <= abs(l) <= self.nvars):
                 raise ValueError(f"literal {l} out of range for {self.nvars} variables")
-            if -l in lits:
-                return True  # tautology
+
+    def _attach_problem(self, lits) -> bool:
+        """Attach a clean clause at level 0, dropping its false literals."""
+        c: list[int] = []
+        for l in lits:
             val = self._value(l)
             if val == 1:
                 return True  # already satisfied forever
@@ -169,13 +225,53 @@ class Solver:
                 self.ok = False
                 return False
             return True
-        ci = len(self.clauses)
-        self.clauses.append(c)
-        self.watches[self._widx(c[0])].append(ci)
-        self.watches[self._widx(c[1])].append(ci)
+        self._attach(c)
         return True
 
-    def _attach_learnt(self, c: list[int]) -> int:
+    def _grow(self, n_vars: int) -> None:
+        extra = n_vars - self.nvars
+        if extra <= 0:
+            return
+        self.watches += [[] for _ in range(2 * extra)]
+        self.assign += [0] * extra
+        self.level += [0] * extra
+        self.reason += [-1] * extra
+        self.saved += [-1] * extra
+        self.activity += [0.0] * extra
+        self.born += [len(self.clauses)] * extra
+        # every entry already in the heap orders before these
+        self.order += [(0.0, v) for v in range(self.nvars + 1, n_vars + 1)]
+        self.nvars = n_vars
+
+    def simplify(self) -> None:
+        """Detach every clause satisfied at level 0, learnt ones included.
+
+        A clause is never attached while satisfied at level 0, so only the
+        literals fixed since the last call can satisfy one, and only a
+        clause attached after its variable was made can contain it: the
+        scan starts at the oldest such clause."""
+        if not self.ok:
+            return
+        self._backtrack(0)
+        if self._propagate() != -1:
+            self.ok = False
+            return
+        clauses, trail = self.clauses, self.trail
+        fresh = trail[self._simplified:]
+        self._simplified = len(trail)
+        if not fresh:
+            return
+        start = min(self.born[abs(l)] for l in fresh)
+        true0 = set(trail)
+        dead = {ci for ci in range(start, len(clauses))
+                if clauses[ci] is not None and not true0.isdisjoint(clauses[ci])}
+        watched = {self._widx(l) for ci in dead for l in clauses[ci][:2]}
+        for w in watched:
+            self.watches[w] = [ci for ci in self.watches[w] if ci not in dead]
+        for ci in dead:
+            clauses[ci] = None
+
+    def _attach(self, c: list[int]) -> int:
         ci = len(self.clauses)
         self.clauses.append(c)
         self.watches[self._widx(c[0])].append(ci)
@@ -332,7 +428,7 @@ class Solver:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0])
                 else:
-                    ci = self._attach_learnt(learnt)
+                    ci = self._attach(learnt)
                     self._enqueue(learnt[0], ci)
                 self.var_inc /= self.VAR_DECAY
                 if max_conflicts is not None and conflicts_here >= max_conflicts:
@@ -371,9 +467,11 @@ class Solver:
             self._enqueue(lit)
 
     def _verify(self, model: tuple[bool, ...]) -> None:
-        for c in self.clauses[: self.n_problem_clauses]:
-            if not any(model[l] if l > 0 else not model[-l] for l in c):
-                raise AssertionError(f"internal error: model does not satisfy {c}")
+        """Check model against every clause given to the solver, as given."""
+        true = {v if model[v] else -v for v in range(1, len(model))}
+        if any(map(true.isdisjoint, self.given)):
+            bad = next(c for c in self.given if true.isdisjoint(c))
+            raise AssertionError(f"internal error: model does not satisfy {tuple(bad)}")
 
 
 def _as_pair(cnf) -> tuple[int, list]:

@@ -221,6 +221,23 @@ def test_demo_toh_reports_expected(tmp_path, capsys):
     assert plan_file.exists()
 
 
+def test_demo_dimacs_out_grounds_once(tmp_path, monkeypatch, capsys):
+    from causalplan import cli, planner
+    from causalplan.grounding import ground
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return ground(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ground", counted)
+    monkeypatch.setattr(planner, "ground", counted)
+    assert main(["demo", "toh", "--disks", "2", "--seed", "0",
+                 "--dimacs-out", str(tmp_path / "toh.cnf")]) == 0
+    assert "plan: 3 step(s)" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def test_demo_conflict_limit_is_exit_3(capsys):
     assert main(["demo", "toh", "--disks", "3", "--seed", "0",
                  "--max-conflicts", "1"]) == 3

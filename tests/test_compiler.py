@@ -15,7 +15,7 @@ from causalplan.compiler import (CompileError, Encoder, ExactlyOne, Nogood,
                                  completion_for, desugar, eval_completion, unroll)
 from causalplan.grounding import GroundDomain, ground
 from causalplan.model import FINAL, And, AtomF, Caused, Not, formula_atoms
-from causalplan.sat import emit_dimacs
+from causalplan.sat import emit_dimacs, enumerate_models
 
 
 def gd_of(text):
@@ -511,3 +511,54 @@ def test_templated_encoder_rejects_actions_at_the_final_step_alike():
             with pytest.raises(CompileError) as want:
                 ref.assert_formula(AtomF(flip), step)
             assert str(got.value) == str(want.value)
+
+
+def _real_vars(enc):
+    """An encoder's timed-atom variables, in atom_table order."""
+    width, nf, base = enc.width, enc.n_fluents, enc.base
+    out = []
+    for t in range(enc.horizon + 1):
+        out += range(base[t] + 1, base[t] + nf + 1)
+        if t < enc.horizon:
+            out += range(base[t + 1] - width + nf + 1, base[t + 1] + 1)
+    return out
+
+
+def caused_by_action():
+    """A toggle with a simple fluent r that only the action causes, in a
+    static law.  Validation forbids an action in an if-part, but the
+    compiler stamps such a law only below the horizon: r is forced false at
+    the last step and holds exactly when flip does at any other."""
+    base = gd_of(":constants b :: inertialFluent; r :: simpleFluent; flip :: action;\n"
+                 ":laws\n  inertial b;\n  flip causes b if ~b;\n  flip causes b=false if b;\n")
+    r = next(atom for atom in base.fluent_atoms if atom.constant.name == "r")
+    return GroundDomain(base.domain, base.laws + (Caused(r, AtomF(base.action_atoms[0])),))
+
+
+@pytest.mark.parametrize("name,gd", [(n, gd) for n, gd, query in _equivalence_cases()
+                                     if query is None]
+                         + [("caused by an action", caused_by_action())],
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_growing_encoder_has_the_fixed_encodings_models(name, gd):
+    # grown step by step, with the current activation literal assumed, the
+    # encoding has exactly the fixed encoding's models on the timed atoms
+    for noconcurrency in (False, True):
+        enc = Encoder(gd, 0, noconcurrency=noconcurrency, extensible=True)
+        for h in range(3):
+            if h:
+                enc.extend()
+            fixed = compile_cnf(gd, h, noconcurrency=noconcurrency)
+            want = set(enumerate_models(fixed, range(1, fixed.n_real + 1)))
+            grown = (enc.var_count, enc.clauses + [(enc.active,)])
+            got = set(enumerate_models(grown, _real_vars(enc)))
+            assert got == want, (name, h, noconcurrency)
+            direct = Encoder(gd, h, noconcurrency=noconcurrency, extensible=True)
+            assert (direct.var_count, direct.clauses) == (enc.var_count, enc.clauses)
+
+
+def test_only_an_extensible_encoder_grows_and_only_a_fixed_one_has_a_cnf():
+    gd = gd_of(toy_domains.TOGGLE)
+    with pytest.raises(CompileError):
+        Encoder(gd, 1).extend()
+    with pytest.raises(CompileError):
+        Encoder(gd, 1, extensible=True).cnf()

@@ -178,3 +178,54 @@ def test_order_heap_stays_bounded():
     assert not s.solve().is_sat
     assert s.stats.conflicts > 100
     assert len(s.order) <= 2 * s.nvars + 2
+
+
+def test_verify_checks_clauses_added_after_solving():
+    s = Solver(3, [(1, 2, 3)])
+    assert s.solve().is_sat
+    assert s.add_clause((-1, -2))
+    with pytest.raises(AssertionError):
+        s._verify((False, True, True, False))  # breaks only (-1, -2)
+
+
+def test_add_clause_drops_tautologies_and_repeats():
+    s = Solver(3, [])
+    assert s.add_clause((1, 2, -1)) and s.clauses == []
+    assert s.add_clause((2, 3, 2, 3)) and s.clauses == [[2, 3]]
+    assert s.given == [(1, 2, -1), (2, 3, 2, 3)]
+    with pytest.raises(ValueError):
+        s.add_clause((1, 4))
+
+
+def test_extend_loads_clean_clauses_in_batches():
+    # a solver grown batch by batch answers like a fresh one on every prefix
+    rng = random.Random(99)
+    for trial in range(60):
+        n, clauses = random_cnf(rng, max_vars=10, max_clauses=30)
+        grown = Solver(0, (), seed=trial)
+        cut = sorted(rng.sample(range(len(clauses) + 1), 2))
+        for batch in (clauses[:cut[0]], clauses[cut[0]:cut[1]], clauses[cut[1]:]):
+            top = max((abs(l) for c in batch for l in c), default=0)
+            grown.extend(max(top, grown.nvars), [tuple(c) for c in batch])
+            loaded = clauses[:len(grown.given)]
+            res = grown.solve()
+            assert res.is_sat == oracles.truth_table_sat(grown.nvars, loaded), (trial, loaded)
+            if res.is_sat:
+                assert check_model_satisfies(res.model, loaded)
+    with pytest.raises(ValueError):
+        Solver(0, ()).extend(2, [(1, 3)])
+
+
+def test_retired_activation_literal_detaches_its_clauses():
+    # clauses under -3 hold while 3 is assumed; fixing -3 detaches them
+    s = Solver(0, ())
+    s.extend(3, [(1, 2), (-1, -3), (-2, -3)])
+    assert not s.solve([3]).is_sat
+    assert s.solve().is_sat
+    s.extend(3, [(-3,)])
+    s.simplify()
+    attached = [sorted(c) for c in s.clauses if c is not None]
+    assert attached == [[1, 2]]
+    assert all(ci == 0 for ws in s.watches for ci in ws)
+    res = s.solve()
+    assert res.is_sat and not res.model[3]
