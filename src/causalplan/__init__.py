@@ -6,7 +6,8 @@ sorts with external geometry evaluated on the spot (grounding, grid),
 translate to completion form and shift its per-step integer clause
 template over the horizon, or grow it one step at a time (compiler),
 solve with the embedded CDCL engine (sat), and answer planning,
-prediction, and consistency queries on top (planner).  oracle cross-checks the SAT
+prediction, and consistency queries on top (planner), with a cost
+deadline summed in the encoding (charges).  oracle cross-checks the SAT
 route by brute enumeration.  domains bundles ready-made
 sample instances and cli exposes everything as a command-line tool.
 """

@@ -1,0 +1,152 @@
+"""A :maxcost deadline as clauses on a growing plan encoding.
+
+A charge is one action occurrence at a step together with one
+combination of pre-state values of the fluents its ActionCost reads.
+Its weight is the cost external evaluated on those values, once, when
+the counter is built.  A charge of None (no path) becomes a nogood on
+the occurrence in that state, a zero charge is dropped, and a positive
+one gets a variable defined as the conjunction of the occurrence and
+the fluent values (the action variable itself when the cost reads no
+fluent).
+
+The charges of one ActionCost and one action instance at a step never
+hold together, since they read different values of the same fluents;
+they form a group.  A sequential weight counter (Eén & Sörensson,
+"Translating Pseudo-Boolean Constraints into SAT", 2006; Hölldobler,
+Manthey & Steinke, "A Compact Encoding of Pseudo-Boolean Constraints
+into SAT", 2012) sums the groups in step order: after each group,
+register r is implied whenever the charges so far sum to at least r,
+for every r up to deadline + 1 that some of those charges can reach.
+It grows with the encoding, one step at a time, and every clause it
+adds holds at every longer horizon, since a longer plan pays at least
+the charges of its first steps.  Only "the sum reaches deadline + 1" is
+forbidden per horizon, under the negation of the horizon's activation
+literal.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from .grounding import ExternalRegistry, GroundDomain
+from .model import ActionArg, FluentRef, instance_str
+
+__all__ = ["ChargeCounter"]
+
+
+class ChargeCounter:
+    """Adds the charges of an extensible Encoder's new steps and the bound
+    of its current horizon; call update() once per horizon, after any
+    extend() and before solving."""
+
+    def __init__(self, gd: GroundDomain, costs, registry: ExternalRegistry, deadline: int):
+        self.cap = deadline + 1
+        self.steps = 0  # steps whose charges are counted
+        self.regs: dict[int, int] = {}  # reachable sum (at most cap) -> register
+        self.nogoods, self.groups = _charges(gd, costs, registry)
+
+    def update(self, enc) -> None:
+        clauses = enc.clauses
+        nf = enc.n_fluents
+        for t in range(self.steps, enc.horizon):
+            fluents, actions = enc.base[t], enc.base[t + 1] - enc.width
+
+            def var(w: int) -> int:
+                """Window literal (+-(position + 1)) -> literal at step t."""
+                q = abs(w) - 1
+                v = (fluents if q < nf else actions) + q + 1
+                return v if w > 0 else -v
+
+            clauses += [tuple(-var(w) for w in cond) for cond in self.nogoods]
+            for group in self.groups:
+                self._count(enc, [(weight, _define(enc, list(map(var, cond))))
+                                  for weight, cond in group])
+        self.steps = enc.horizon
+        top = self.regs.get(self.cap)
+        if top is not None:
+            clauses.append((-top, -enc.active))
+
+    def _count(self, enc, options) -> None:
+        """Add one group of exclusive (weight, literal) charges to the sum."""
+        cap, old = self.cap, self.regs
+        sums = set(old)
+        for w, _ in options:
+            sums.add(min(cap, w))
+            sums.update(min(cap, r + w) for r in old)
+        new = {}
+        for s in sorted(sums):
+            enc.var_count += 1
+            new[s] = enc.var_count
+        clauses = enc.clauses
+        clauses += [(-v, new[r]) for r, v in old.items()]
+        for w, c in options:
+            clauses.append((-c, new[min(cap, w)]))
+            clauses += [(-c, -v, new[min(cap, r + w)]) for r, v in old.items() if r < cap]
+        self.regs = new
+
+
+def _define(enc, lits: list[int]) -> int:
+    """A literal equivalent to the conjunction of lits."""
+    if len(lits) == 1:
+        return lits[0]
+    enc.var_count += 1
+    c = enc.var_count
+    enc.clauses += [(-c, l) for l in lits]
+    enc.clauses.append((c, *(-l for l in lits)))
+    return c
+
+
+def _charges(gd: GroundDomain, costs, registry: ExternalRegistry):
+    """(nogoods, groups) over window literals: +-(p + 1) for the atom at
+    position p of one step (GroundDomain.atom_position).  A nogood is a
+    condition that must not hold; a group is a list of (weight, condition)
+    charges of which at most one holds at a step."""
+    nf = len(gd.fluent_atoms)
+    slots = {key: (boolean, values) for key, boolean, values in gd.fluent_slots}
+    nogoods: list[tuple[int, ...]] = []
+    groups: list[list[tuple[int, tuple[int, ...]]]] = []
+    for ac in costs:
+        for i, atom in enumerate(gd.action_atoms):
+            name, args = atom.constant.name, atom.args
+            if name != ac.action:
+                continue
+            reads: list = []  # distinct fluent instances read, in order
+            for a in ac.args:
+                if isinstance(a, FluentRef):
+                    key = (a.name, a.args)
+                    if key not in slots:
+                        raise ValueError(f"cost model reads unknown fluent {instance_str(key)}")
+                    if key not in reads:
+                        reads.append(key)
+                elif isinstance(a, ActionArg) and a.index >= len(args):
+                    raise ValueError(f"cost model reads argument ${a.index} of {name}/{len(args)}")
+            group = []
+            for combo in itertools.product(*(_values(*slots[key]) for key in reads)):
+                value = {key: v for key, (v, _) in zip(reads, combo)}
+                call = tuple(value[(a.name, a.args)] if isinstance(a, FluentRef)
+                             else args[a.index] if isinstance(a, ActionArg) else a
+                             for a in ac.args)
+                got = registry.evaluate(ac.external, call)
+                cond = (nf + i + 1, *(l for _, l in combo))
+                if got is None:
+                    nogoods.append(cond)
+                elif isinstance(got, bool) or not isinstance(got, int):
+                    raise ValueError(
+                        f"cost external '{ac.external}' returned {got!r}, expected an integer")
+                elif got < 0:
+                    raise ValueError(
+                        f"cost external '{ac.external}' returned {got} for {instance_str((name, args))},"
+                        " a negative charge, which a cost deadline cannot bound")
+                elif got:
+                    group.append((got, cond))
+            if group:
+                groups.append(group)
+    return nogoods, groups
+
+
+def _values(boolean: bool, values) -> list[tuple[str, int]]:
+    """(value, window literal) for each value of one fluent instance."""
+    if boolean:
+        p = values[0][1] + 1
+        return [("true", p), ("false", -p)]
+    return [(v, p + 1) for v, p in values]

@@ -430,6 +430,32 @@ class PlanningProblem:
             raise ValueError("cost deadline must be nonnegative")
 
 
+# --- action costs -----------------------------------------------------------
+
+@dataclass(frozen=True)
+class FluentRef:
+    """Cost argument read from the state the action starts in: @name(args)."""
+
+    name: str
+    args: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class ActionArg:
+    """Cost argument taken from the action instance itself: $i."""
+
+    index: int
+
+
+@dataclass(frozen=True)
+class ActionCost:
+    """Charges external(args...) for every occurrence of the named action."""
+
+    action: str
+    external: str
+    args: tuple = ()
+
+
 # --- signature validation ---------------------------------------------------
 
 def _check_term(term: str, expected: Sort, scope: dict[str, Sort],

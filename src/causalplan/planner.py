@@ -6,13 +6,14 @@ goal, observations), and hands the clauses to the embedded solver.
 Planning deepens the horizon one step at a time on one extensible
 encoding and one solver, which keeps what it learnt: each horizon adds
 a step, and the clauses that hold only while h is the last step (the
-goal, :at final constraints, final-step support clauses, cost blocking
-clauses) carry the negation of h's activation literal, which the solve
-call assumes and the next horizon retires.  A cost deadline turns the
-inner loop into solve, price the plan, block that action schedule,
-repeat.  check_consistency asks horizon 0 and then 1 the same way;
-predict encodes its one horizon directly.  validate_plan checks a
-trajectory against the completion formulas without any solver.
+goal, :at final constraints, final-step support clauses, the cost
+bound) carry the negation of h's activation literal, which the solve
+call assumes and the next horizon retires.  A cost deadline is encoded
+too (charges.ChargeCounter), so every horizon is one solve call, and
+plan_cost prices the plan found on its own.  check_consistency asks
+horizon 0 and then 1 the same way; predict encodes its one horizon
+directly.  validate_plan checks a trajectory against the completion
+formulas without any solver.
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ import math
 import re
 from dataclasses import dataclass
 
+from .charges import ChargeCounter
 # compile_cnf and sat_solve are not called here, but stay importable from
 # this module: tools that trace its layers hook them by name
 from .compiler import Encoder, compile_cnf, completion_for, eval_completion
 from .grounding import ExternalRegistry, GroundDomain, close_formula, ground
-from .model import (FINAL, Atom, AtomF, DomainDescription, Formula,
-                    GroundInstance, PlanningProblem, State, conj,
-                    eval_formula, instance_str, mentions_action)
+from .model import (FINAL, ActionArg, ActionCost, Atom, AtomF,
+                    DomainDescription, FluentRef, Formula, GroundInstance,
+                    PlanningProblem, State, conj, eval_formula, instance_str,
+                    mentions_action)
 from .oracle import window_truth
 from .sat import Solver, enumerate_models
 from .sat import solve as sat_solve
@@ -85,30 +88,6 @@ class Predicted:
 
 
 # --- action costs -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FluentRef:
-    """Cost argument read from the state the action starts in: @name(args)."""
-
-    name: str
-    args: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ActionArg:
-    """Cost argument taken from the action instance itself: $i."""
-
-    index: int
-
-
-@dataclass(frozen=True)
-class ActionCost:
-    """Charges external(args...) for every occurrence of the named action."""
-
-    action: str
-    external: str
-    args: tuple = ()
-
 
 def _split_args(text: str) -> list[str]:
     parts, depth, cur = [], 0, []
@@ -303,14 +282,14 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
 
     Horizon h asserts the goal and the :at final constraints under h's
     activation literal, solves assuming it, and on UNSAT retires it and
-    adds step h + 1.  With a cost deadline the search loops solve / price /
-    block inside each horizon: a schedule over the deadline is excluded by
-    a clause negating the full action assignment (and, like the goal,
-    guarded by h's literal, since a longer plan may start with that
-    schedule), so the next model differs in at least one action
-    occurrence.  Resource limits apply per solve call and surface as
-    sat.ResourceLimit.  gd, if given, is the domain already grounded against
-    registry.
+    adds step h + 1.  With a cost deadline, a ChargeCounter evaluates the
+    cost model's charges before the search (so its errors surface even if
+    no plan would use the action) and sums them in the encoding, with
+    "over the deadline" forbidden under h's literal.  Whenever costs are
+    given, plan_cost prices the plan found; a price over the deadline
+    would be an internal error.  Resource limits apply per solve call and
+    surface as sat.ResourceLimit.  gd, if given, is the domain already
+    grounded against registry.
     """
     if gd is None:
         gd = ground(domain, registry)
@@ -322,8 +301,11 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
     if lo > hi:
         return NoPlanUpTo(hi)
 
+    counter = None
+    if problem.cost_deadline is not None:
+        counter = ChargeCounter(gd, costs, registry, problem.cost_deadline)
     search = _Deepening(gd, lo, noconcurrency=problem.noconcurrency, seed=seed)
-    enc, solver = search.enc, search.solver
+    enc = search.enc
     enc.assert_formula(init, 0)
     for when, f in extras:
         if when != FINAL:
@@ -334,27 +316,20 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
             enc.extend()
         for f in [goal, *finals]:
             enc.assert_formula(f, h, guard=enc.active)
-        # blocking clauses share these int objects instead of making their own
-        acts = [v for t in range(h) for v in _action_vars(enc, t)]
-        flips, guard = [-v for v in acts], -enc.active
-        while True:
-            res = search.solve(max_conflicts=max_conflicts, max_seconds=max_seconds)
-            if not res.is_sat:
-                break
-            found = decode_model(gd, enc, res.model, h)
-            if problem.cost_deadline is not None:
-                price = plan_cost(found, costs, registry)
-                if price > problem.cost_deadline:
-                    block = [n if res.model[v] else v for v, n in zip(acts, flips)]
-                    if not block or not solver.add_clause(block + [guard]):
-                        break
-                    continue
-                found.cost = price
-            _trim_waits(found, lo)
-            if costs and found.cost is None:
-                price = plan_cost(found, costs, registry)
-                found.cost = None if price == math.inf else price
-            return PlanFound(found, found.horizon)
+        if counter is not None:
+            counter.update(enc)
+        res = search.solve(max_conflicts=max_conflicts, max_seconds=max_seconds)
+        if not res.is_sat:
+            continue
+        found = decode_model(gd, enc, res.model, h)
+        _trim_waits(found, lo)
+        if costs:
+            price = plan_cost(found, costs, registry)
+            if problem.cost_deadline is not None and price > problem.cost_deadline:
+                raise AssertionError(f"internal error: plan cost {price} exceeds "
+                                     f"the deadline {problem.cost_deadline}")
+            found.cost = None if price == math.inf else price
+        return PlanFound(found, found.horizon)
     return NoPlanUpTo(hi)
 
 

@@ -8,7 +8,7 @@ time limit is set.  Every SAT answer is verified against the clause set
 before it is returned.
 
 Clauses can be added between solve() calls (blocking clauses for model
-enumeration, cost rejections), which keeps learned clauses alive.  A
+enumeration), which keeps learned clauses alive.  A
 solver can also grow: extend() adds variables and bulk-loads clauses
 that are already clean (no repeated literal, no complementary pair),
 which is how a plan search appends one step of its encoding per

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, printed traces, and the file
 formats the subcommands exchange."""
 
+import re
+
 import pytest
 
 import toy_domains
@@ -291,3 +293,76 @@ def test_seed_env_fallback(toggle, tmp_path, capsys, monkeypatch):
     assert "CAUSALPLAN_SEED" in capsys.readouterr().err
     monkeypatch.setenv("CAUSALPLAN_SEED", "7")
     assert main(["plan", domain, problem]) == 0
+
+
+# --- cost deadlines -------------------------------------------------------------
+
+GOTO_COST = "goto=timeEstimate(@atRobo,$0)"
+
+
+def _grid_args():
+    return [str(samples_dir() / "boxes-grid.cp"), "--world", str(samples_dir() / "corridor.world")]
+
+
+def _deadline_problem(tmp_path, deadline: int) -> str:
+    p = tmp_path / f"maxcost{deadline}.prob"
+    p.write_text((samples_dir() / "boxes-grid.prob").read_text() + f":maxcost {deadline};\n")
+    return str(p)
+
+
+@pytest.mark.parametrize("spec,code,message", [
+    ("goto=timeEstimate(@nosuch,$0)", 3, "cost model reads unknown fluent nosuch"),
+    ("goto=timeEstimate(@atRobo,$3)", 3, "cost model reads argument $3 of goto/1"),
+    ("goto=nosuch(@atRobo,$0)", 2, "no external registered for 'nosuch/2'"),
+])
+def test_cost_spec_errors_keep_their_exit_codes(tmp_path, capsys, spec, code, message):
+    domain, *world = _grid_args()
+    assert main(["plan", domain, _deadline_problem(tmp_path, 30), *world, "--cost", spec]) == code
+    assert message in capsys.readouterr().err
+
+
+def test_negative_charge_is_refused(tmp_path, capsys, monkeypatch):
+    from causalplan import cli, grid
+
+    def registry_for(world):
+        reg = grid.registry_for(world)
+        reg.register("timeEstimate", 2, lambda src, dst: 0 if src == dst else -2)
+        return reg
+    monkeypatch.setattr(cli, "registry_for", registry_for)
+    domain, *world = _grid_args()
+    assert main(["plan", domain, _deadline_problem(tmp_path, 30), *world,
+                 "--cost", GOTO_COST]) == 3
+    err = capsys.readouterr().err
+    assert "cost external 'timeEstimate' returned -2" in err and "negative charge" in err
+
+
+def test_dimacs_export_does_not_carry_the_deadline(tmp_path, capsys):
+    domain, *world = _grid_args()
+    plain, bounded = tmp_path / "plain.cnf", tmp_path / "bounded.cnf"
+    assert main(["plan", domain, str(samples_dir() / "boxes-grid.prob"), *world,
+                 "--solver", "dimacs-out", str(plain)]) == 0
+    assert main(["plan", domain, _deadline_problem(tmp_path, 11), *world, "--cost", GOTO_COST,
+                 "--solver", "dimacs-out", str(bounded)]) == 0
+    assert plain.read_bytes() == bounded.read_bytes()
+
+
+def test_model_in_refuses_a_plan_over_the_deadline(tmp_path, capsys):
+    # on the corridor the cheapest delivery costs 12: L3 -> L1 and back
+    domain, *world = _grid_args()
+    problem = _deadline_problem(tmp_path, 11)
+    assert main(["plan", domain, problem, *world, "--cost", GOTO_COST]) == 1
+    assert capsys.readouterr().out == "no plan up to horizon 8\n"
+    cnf_file = tmp_path / "enc.cnf"
+    assert main(["plan", domain, problem, *world, "--solver", "dimacs-out", str(cnf_file)]) == 0
+    n, clauses = parse_dimacs(cnf_file.read_text())
+    res = solve((n, clauses))
+    assert res.is_sat
+    model_file = tmp_path / "model.txt"
+    model_file.write_text("v " + " ".join(str(v if res.model[v] else -v)
+                                          for v in range(1, n + 1)) + " 0\n")
+    capsys.readouterr()
+    assert main(["plan", domain, problem, *world, "--cost", GOTO_COST,
+                 "--model-in", str(model_file)]) == 2
+    err = capsys.readouterr().err
+    m = re.search(r"decoded plan is invalid: plan cost (\d+) exceeds the deadline 11$", err, re.M)
+    assert m and int(m.group(1)) >= 12, err

@@ -1,9 +1,12 @@
 """Plan search on one growing solver against a fresh encoding and solver
 per horizon, plus the cases that only a growing search can get wrong:
-dead-end states, cost blocking across horizons, and consistency checks
-that extend their horizon."""
+dead-end states, cost deadlines across horizons, and consistency checks
+that extend their horizon.  Cost deadlines are also checked against an
+exhaustive oracle that prices every trajectory."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toy_domains
 from sample_files import samples_dir
@@ -13,9 +16,9 @@ from causalplan import (NoPlanUpTo, PlanFound, check_consistency, parse_domain,
 from causalplan import planner
 from causalplan.domains import build_robot_boxes, build_toh
 from causalplan.grounding import ExternalRegistry, ground
-from causalplan.model import AtomF, PlanningProblem
-from causalplan.oracle import oracle_states
-from causalplan.planner import (ActionCost, FluentRef, Inconsistent,
+from causalplan.model import AtomF, PlanningProblem, eval_formula
+from causalplan.oracle import oracle_paths, oracle_states
+from causalplan.planner import (ActionCost, FluentRef, Inconsistent, Plan,
                                 close_problem, decode_model, encode_problem,
                                 parse_cost_spec, plan_cost)
 from causalplan.sat import Solver
@@ -25,7 +28,9 @@ from causalplan.sat import solve as sat_solve
 def reference_horizon(gd, problem, registry=None, costs=()):
     """The first horizon with a plan (within the cost deadline, blocking
     over-priced schedules one by one), from a fresh encoding and solver at
-    every horizon; None when the window has no plan."""
+    every horizon; None when the window has no plan.  Blocking a schedule
+    drops every trajectory it has, so under a deadline this is exact only
+    when the schedule fixes the trajectory."""
     init, goal, extras, lo, hi = close_problem(gd.domain, problem, registry)
     for h in range(lo, hi + 1):
         cnf = encode_problem(gd, init, goal, extras, h,
@@ -48,6 +53,28 @@ def reference_horizon(gd, problem, registry=None, costs=()):
             if not block:
                 break
             solver.add_clause(block)
+    return None
+
+
+def exact_horizon(gd, problem, registry, costs):
+    """The first horizon with a plan within the cost deadline, by pricing
+    every trajectory oracle_paths enumerates with plan_cost; None when the
+    window has none.  No clause or solver is involved."""
+    init, goal, extras, lo, hi = close_problem(gd.domain, problem, registry)
+    assert not extras
+
+    def holds(f, frozen):
+        state = {(name, args): v for name, args, v in frozen}
+        return eval_formula(f, lambda a: state[(a.constant.name, a.args)] == a.value)
+
+    for h in range(lo, hi + 1):
+        for path in oracle_paths(gd, h, noconcurrency=problem.noconcurrency):
+            if not (holds(init, path[0]) and holds(goal, path[-1])):
+                continue
+            p = Plan([sorted(acts) for acts in path[1::2]],
+                     [{(n, a): v for n, a, v in s} for s in path[::2]])
+            if plan_cost(p, costs, registry) <= problem.cost_deadline:
+                return h
     return None
 
 
@@ -180,3 +207,110 @@ def test_dynamic_inconsistency_is_found_on_one_solver(monkeypatch):
     verdict = check_consistency(d)
     assert isinstance(verdict, Inconsistent) and verdict.level == 1
     assert len(made) == 1 and solves == made * 2  # horizon 0, then 1
+
+
+def test_a_cheaper_trajectory_of_an_over_priced_schedule_is_found():
+    # Without the law against rain twice in a row, crossing at step 0
+    # costs 9 or 1 depending on the rain, which the schedule leaves open;
+    # flag@2 needs rain at step 1 and nothing at step 0.  Blocking the
+    # schedule after pricing its dear trajectory loses the cheap one.
+    d = parse_domain(TOLL.replace("  caused false if rain after rain;\n", ""))
+    registry = ExternalRegistry()
+    registry.register("toll", 1, lambda wet: 9 if wet == "true" else 1)
+    costs = (ActionCost("cross", "toll", (FluentRef("rain"),)),)
+    problem = parse_problem(":init ~done;\n:goal done & flag;\n:maxcost 1;\n:horizon 0..3;\n", d)
+    for seed in range(6):
+        out = plan(d, problem, registry, costs=costs, seed=seed)
+        assert isinstance(out, PlanFound) and out.horizon == 2, seed
+        assert out.plan.cost == 1
+        ok, issues = validate_plan(d, problem, out.plan, registry, costs=costs)
+        assert ok, issues
+
+
+@st.composite
+def _corridor_problems(draw):
+    """A one-row world with landmarks 1, 2, 3 in some order and gaps that
+    may hold a wall, one box, a deadline, and goto priced by travel time
+    or by a fare table (None: no fare) that can make detours cheaper."""
+    order = draw(st.permutations("123"))
+    gaps = [draw(st.sampled_from(["", ".", "..", "....", "#", ".#."])) for _ in range(2)]
+    world = parse_world(order[0] + gaps[0] + order[1] + gaps[1] + order[2])
+    robot, box, goal = (draw(st.sampled_from(["L1", "L2", "L3"])) for _ in range(3))
+    noconcurrency = draw(st.booleans())
+    text = (f":init atRobo={robot} & atObj(B1)={box} & ~holding(B1);\n"
+            f":goal atObj(B1)={goal} & ~holding(B1);\n"
+            f":horizon 0..{5 if noconcurrency else 4};\n"
+            f":maxcost {draw(st.integers(0, 14))};\n"
+            + (":noconcurrency;\n" if noconcurrency else ""))
+    fares = draw(st.none() | st.lists(st.sampled_from([0, 1, 2, 3, 5, 8, None]),
+                                      min_size=9, max_size=9))
+    return world, text, fares
+
+
+def _detour(noconcurrency, direct=8):
+    """L1 -> L2 costs direct (None: no fare) and L1 -> L3 -> L2 costs 2:
+    fetching the box from L2 within :maxcost 3 takes a step more than the
+    fastest plan."""
+    text = (":init atRobo=L1 & atObj(B1)=L2 & ~holding(B1);\n"
+            ":goal atObj(B1)=L1 & ~holding(B1);\n"
+            f":horizon 0..{5 if noconcurrency else 4};\n:maxcost 3;\n"
+            + (":noconcurrency;\n" if noconcurrency else ""))
+    return parse_world("1.2.3"), text, [0, direct, 1, 1, 0, 8, 8, 1, 0]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_corridor_problems())
+@example(_detour(True))
+@example(_detour(False))
+@example(_detour(True, direct=None))
+def test_deadline_search_agrees_with_the_blocking_loop_and_every_priced_path(case):
+    world, text, fares = case
+    b = build_robot_boxes(3, 1, world)
+    problem = parse_problem(text, b.domain)
+    registry = b.registry
+    if fares is None:
+        costs = (parse_cost_spec("goto=timeEstimate(@atRobo,$0)"),)
+    else:
+        registry.register("fare", 2, lambda x, y: fares[3 * int(x[1]) + int(y[1]) - 4])
+        costs = (parse_cost_spec("goto=fare(@atRobo,$0)"),)
+    gd = ground(b.domain, registry)
+    want = exact_horizon(gd, problem, registry, costs)
+    assert reference_horizon(gd, problem, registry, costs) == want
+    got = plan(b.domain, problem, registry, costs=costs, gd=gd)
+    if want is None:
+        assert isinstance(got, NoPlanUpTo)
+        return
+    assert isinstance(got, PlanFound) and got.horizon == want
+    assert got.plan.cost <= problem.cost_deadline
+    ok, issues = validate_plan(b.domain, problem, got.plan, registry, costs=costs)
+    assert ok, issues
+
+
+BRIDGES = """
+:sorts bridge
+:objects B1, B2 :: bridge;
+:constants crossed(bridge) :: inertialFluent; cross(bridge) :: action;
+:laws
+  inertial crossed;
+  vars b :: bridge;
+  cross(b) causes crossed(b);
+"""
+
+
+def test_concurrent_charges_are_summed():
+    # both bridges can be crossed in one step, for a toll of 1 each
+    d = parse_domain(BRIDGES)
+    registry = ExternalRegistry()
+    registry.register("toll", 1, lambda b: 1)
+    costs = (parse_cost_spec("cross=toll($0)"),)
+    for deadline, steps in ((1, None), (2, 1)):
+        problem = parse_problem(":init ~crossed(B1) & ~crossed(B2);\n"
+                                ":goal crossed(B1) & crossed(B2);\n"
+                                f":horizon 0..2;\n:maxcost {deadline};\n", d)
+        out = plan(d, problem, registry, costs=costs)
+        if steps is None:
+            assert isinstance(out, NoPlanUpTo)
+        else:
+            assert isinstance(out, PlanFound) and out.horizon == steps
+            assert out.plan.steps == [[("cross", ("B1",)), ("cross", ("B2",))]]
+            assert out.plan.cost == 2

@@ -1,14 +1,15 @@
 """Module layering: the brute-force oracles share no code with the SAT
 route they cross-check, so an encoder or solver fault cannot agree with
-itself through them."""
+itself through them, and neither they nor validate_plan can reach the
+clauses that encode a cost deadline."""
 
 import ast
 from pathlib import Path
 
 import causalplan
 
-FORBIDDEN_MODULES = {"causalplan.sat", "causalplan.planner"}
-FORBIDDEN_NAMES = {"Encoder", "compile_cnf", "encode_problem"}
+FORBIDDEN_MODULES = {"causalplan.sat", "causalplan.planner", "causalplan.charges"}
+FORBIDDEN_NAMES = {"Encoder", "compile_cnf", "encode_problem", "ChargeCounter"}
 
 
 def _imports(path: Path):
@@ -65,3 +66,38 @@ def test_validate_plan_evaluates_the_completion_without_the_encoder():
     assert "completion_for" in used and "eval_completion" in used
     bad = used & (TEMPLATE_NAMES | FORBIDDEN_NAMES)
     assert not bad, f"validate_plan reaches the clause builder: {sorted(bad)}"
+
+
+def _reached(tree, start: str) -> set[str]:
+    """Every name used by the module function start and, transitively, by
+    the module's other functions that it calls by a name it does not bind
+    itself (a parameter or local called plan is not the function plan)."""
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    names, todo = set(), [start]
+    while todo:
+        fn = funcs.get(todo.pop())
+        if fn is None:
+            continue
+        local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        local |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Store)}
+        used = set(_names(fn)) - local
+        todo.extend(used - names)
+        names |= used
+    return names
+
+
+def test_validate_plan_cannot_reach_the_cost_encoder():
+    path = Path(causalplan.__file__).with_name("planner.py")
+    used = _reached(ast.parse(path.read_text(encoding="utf-8")), "validate_plan")
+    assert "plan_cost" in used
+    bad = used & {"ChargeCounter", "charges", "plan"}
+    assert not bad, f"validate_plan reaches the cost encoder: {sorted(bad)}"
+
+
+def test_modules_the_checks_draw_on_do_not_import_the_cost_encoder():
+    for name in ("oracle", "compiler", "grounding", "model"):
+        path = Path(causalplan.__file__).with_name(f"{name}.py")
+        bad = [f"{m}.{n}" if n else m for m, n in _imports(path)
+               if m == "causalplan.charges" or n in ("charges", "ChargeCounter")]
+        assert bad == [], f"{name}.py imports the cost encoder: {bad}"
