@@ -59,7 +59,7 @@ class ChargeCounter:
 
             clauses += [tuple(-var(w) for w in cond) for cond in self.nogoods]
             for group in self.groups:
-                self._count(enc, [(weight, _define(enc, list(map(var, cond))))
+                self._count(enc, [(weight, enc.arms([list(map(var, cond))])[0])
                                   for weight, cond in group])
         self.steps = enc.horizon
         top = self.regs.get(self.cap)
@@ -73,27 +73,13 @@ class ChargeCounter:
         for w, _ in options:
             sums.add(min(cap, w))
             sums.update(min(cap, r + w) for r in old)
-        new = {}
-        for s in sorted(sums):
-            enc.var_count += 1
-            new[s] = enc.var_count
+        new = {s: enc.fresh() for s in sorted(sums)}
         clauses = enc.clauses
         clauses += [(-v, new[r]) for r, v in old.items()]
         for w, c in options:
             clauses.append((-c, new[min(cap, w)]))
             clauses += [(-c, -v, new[min(cap, r + w)]) for r, v in old.items() if r < cap]
         self.regs = new
-
-
-def _define(enc, lits: list[int]) -> int:
-    """A literal equivalent to the conjunction of lits."""
-    if len(lits) == 1:
-        return lits[0]
-    enc.var_count += 1
-    c = enc.var_count
-    enc.clauses += [(-c, l) for l in lits]
-    enc.clauses.append((c, *(-l for l in lits)))
-    return c
 
 
 def _charges(gd: GroundDomain, costs, registry: ExternalRegistry):

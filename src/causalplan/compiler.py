@@ -5,9 +5,9 @@ Pipeline (each stage is exposed for testing):
     desugar   ground laws -> (head literal, if-part, after-part) triples
     unroll    triples -> time-stamped definite rules, bodies in DNF
     complete  rules -> support biconditionals + nogoods + exactly-one
-    template  StepTemplate: the completion of a reference horizon (0, 1
-              or 2), clausified once per ground domain into integer
-              clause blocks per step class (only, first, middle, final)
+    template  StepTemplate: the completion of a reference horizon (0 or
+              2), clausified once per ground domain into integer clause
+              blocks per step class (only, first, middle, final)
     shift     Encoder: horizon h = the blocks moved to steps 0..h by
               adding t * (fluent + action atoms) to each variable, plus
               asserted query formulas; compile_cnf is the query-free case
@@ -440,7 +440,8 @@ class _ClauseSink:
         self.var_count = var_count
         self.clauses: list[tuple[int, ...]] = []
 
-    def _fresh(self) -> int:
+    def fresh(self) -> int:
+        """A new variable, numbered after every one in use."""
         self.var_count += 1
         return self.var_count
 
@@ -453,20 +454,20 @@ class _ClauseSink:
             c = tuple(dict.fromkeys(c))
         if not c:
             # an always-false formula: encode falsum on a fresh variable
-            v = self._fresh()
+            v = self.fresh()
             self.clauses.append((v,))
             self.clauses.append((-v,))
             return
         self.clauses.append(c)
 
-    def _arms(self, bodies: list[list[int]]) -> list[int]:
+    def arms(self, bodies: list[list[int]]) -> list[int]:
         """One literal per body: the literal itself, or a fresh d <-> AND(body)."""
         arms = []
         for b in bodies:
             if len(b) == 1:
                 arms.append(b[0])
                 continue
-            d = self._fresh()
+            d = self.fresh()
             for l in b:
                 self._add((-d, l))
             self._add([d] + [-l for l in b])
@@ -483,7 +484,7 @@ class _ClauseSink:
                 self._add((-head, l))
             self._add([head] + [-l for l in b])
             return
-        arms = self._arms(bodies)
+        arms = self.arms(bodies)
         self._add([-head] + arms)
         for a in arms:
             self._add((head, -a))
@@ -518,10 +519,13 @@ class StepTemplate:
     Step t of horizon h falls into one class: the only step (h = 0), the
     first (t = 0 < h), a middle step (0 < t < h) or the final step
     (t = h > 0).  Each class has one block of support clauses, taken from
-    the symbolic completion of a reference horizon (0, 1 or 2) at a step
-    of that class.  Exactly-one blocks (one per multi-valued
-    fluent instance) and nogood blocks (one per headless desugared rule)
-    are the same at every step.  Blocks are built on first use.
+    the symbolic completion of a reference horizon at a step of that
+    class: horizon 0 for the only step and horizon 2 for the others (a
+    step's supports read only that step and the one before, so horizon 1
+    is horizon 2's first and final steps).  Exactly-one blocks (one per
+    multi-valued fluent instance) and nogood blocks (one per headless
+    desugared rule) are the same at every step.  Blocks are built on
+    first use.
     """
 
     def __init__(self, ground: GroundDomain):
@@ -551,8 +555,8 @@ class StepTemplate:
 
     def supports(self, horizon: int) -> list[Block]:
         """The support block of every step of the horizon, in step order.
-        Horizons 0 and 1 are their own references; 2 stands for the rest."""
-        ref = min(horizon, 2)
+        Horizon 0 is its own reference; 2 stands for the rest."""
+        ref = 2 if horizon else 0
         if ref not in self._supports:
             by_step: list[list[Support]] = [[] for _ in range(ref + 1)]
             for f in complete(unroll(self.rules, self.ground, ref), self.ground, ref):
@@ -560,7 +564,7 @@ class StepTemplate:
                     by_step[f.head.step].append(f)
             self._supports[ref] = [self._block(fs, t) for t, fs in enumerate(by_step)]
         blocks = self._supports[ref]
-        if horizon <= 2:
+        if not horizon:
             return blocks
         return [blocks[0]] + [blocks[1]] * (horizon - 1) + [blocks[2]]
 
@@ -657,7 +661,7 @@ class Encoder(_ClauseSink):
             super().__init__(nf)
             self.horizon = 0
             self.base = [0]
-            self.active = self._fresh()
+            self.active = self.fresh()
             self._place_last(tpl, tpl.growth[0])
             for _ in range(horizon):
                 self.extend()
@@ -687,7 +691,7 @@ class Encoder(_ClauseSink):
         self.base.append(self.var_count + width - nf)
         self.var_count += width
         self.horizon = h + 1
-        self.active = self._fresh()
+        self.active = self.fresh()
         get = self._lut(h, self._last_aux)
         self._put(tpl.growth[h > 0].add, get)
         for block, stops_early in tpl.nogoods:
@@ -797,7 +801,7 @@ class Encoder(_ClauseSink):
                 for l in bodies[0]:
                     self._add((l,))
             else:
-                self._add(self._arms(bodies))
+                self._add(self.arms(bodies))
         if guard is not None:
             self.clauses[start:] = [(*c, -guard) for c in self.clauses[start:]]
 

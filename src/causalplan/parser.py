@@ -11,6 +11,12 @@ The surface syntax is section-oriented:
       goto(y) causes atRobo=y;
       inertial atRobo;
 
+The sections come in this fixed order (``:sorts``, ``:objects`` and
+``:externals`` may be left out), so every sort has its final members
+before a constant or a ``vars`` line names it.  Each Sort, Constant and
+law is built once: the constants and laws of a parsed domain refer to
+the very Sort and Constant objects it lists.
+
 Problems:
 
     :init atRobo=L1;  :goal atObj(B1)=L3;  :horizon 0..10;
@@ -187,17 +193,13 @@ def _parse_name_list(p: _Parser) -> list[Token]:
 class _DomainParser(_Parser):
     def __init__(self, text: str, source: str):
         super().__init__(text, source)
-        self.sorts: dict[str, list[str]] = {}
+        self.members: dict[str, list[str]] = {}  # sort name -> objects so far
         self.sort_spans: dict[str, SourceSpan] = {}
-        self.sort_order: list[str] = []
+        self.sorts: dict[str, Sort] = {}  # built when :constants starts
         self.constants: dict[tuple[str, int], Constant] = {}
-        self.const_order: list[Constant] = []
         self.externals: list[tuple[str, int]] = []
         self.laws: list[Law] = []
         self.scope: dict[str, Sort] = {}  # current `vars` scope
-
-    def built_sorts(self) -> dict[str, Sort]:
-        return {n: Sort(n, tuple(self.sorts[n]), self.sort_spans[n]) for n in self.sort_order}
 
     # sections ---------------------------------------------------------------
 
@@ -216,58 +218,10 @@ class _DomainParser(_Parser):
         self.section_laws()
         if self.diags:
             raise self.fail()
-        table = self.built_sorts()
-
-        def fix_sort(s: Sort) -> Sort:
-            return table.get(s.name, s)
-
-        consts = tuple(
-            Constant(c.name, tuple(fix_sort(s) for s in c.arg_sorts), c.kind,
-                     fix_sort(c.value_sort) if c.value_sort != BOOLEAN else BOOLEAN, c.span)
-            for c in self.const_order
-        )
-        by_key = {c.key: c for c in consts}
-
-        def fix_atom(a: Atom) -> Atom:
-            return Atom(by_key.get((a.constant.name, len(a.args)), a.constant), a.args, a.value)
-
-        def fix_formula(f: Formula) -> Formula:
-            if isinstance(f, AtomF):
-                return AtomF(fix_atom(f.atom))
-            if isinstance(f, Not):
-                return Not(fix_formula(f.sub))
-            if isinstance(f, And):
-                return And(tuple(fix_formula(x) for x in f.parts))
-            if isinstance(f, Or):
-                return Or(tuple(fix_formula(x) for x in f.parts))
-            return f
-
-        def fix_vars(vs):
-            return tuple((v, fix_sort(s)) for v, s in vs)
-
-        laws = []
-        for law in self.laws:
-            if isinstance(law, Caused):
-                laws.append(Caused(fix_atom(law.head) if law.head else None, fix_formula(law.cond),
-                                   fix_formula(law.after) if law.after is not None else None,
-                                   fix_vars(law.vars), law.span))
-            elif isinstance(law, Causes):
-                laws.append(Causes(fix_atom(law.action), fix_atom(law.effect),
-                                   fix_formula(law.cond), fix_vars(law.vars), law.span))
-            elif isinstance(law, Nonexecutable):
-                laws.append(Nonexecutable(fix_atom(law.action), fix_formula(law.cond),
-                                          fix_vars(law.vars), law.span))
-            elif isinstance(law, Constraint):
-                laws.append(Constraint(fix_formula(law.body), fix_vars(law.vars), law.span))
-            elif isinstance(law, Inertial):
-                laws.append(Inertial(by_key.get(law.constant.key, law.constant), law.span))
-            else:
-                laws.append(Exogenous(by_key.get(law.constant.key, law.constant), law.span))
-
         return DomainDescription(
-            sorts=tuple(table[n] for n in self.sort_order),
-            constants=consts,
-            laws=tuple(laws),
+            sorts=tuple(self.sorts.values()),
+            constants=tuple(self.constants.values()),
+            laws=tuple(self.laws),
             externals=tuple(self.externals),
         )
 
@@ -280,12 +234,11 @@ class _DomainParser(_Parser):
         while self.at("NAME"):
             t = self.advance()
             got = True
-            if t.text in self.sorts:
+            if t.text in self.members:
                 self.error(f"duplicate sort '{t.text}'", t.span)
             else:
-                self.sorts[t.text] = []
+                self.members[t.text] = []
                 self.sort_spans[t.text] = t.span
-                self.sort_order.append(t.text)
         if not got:
             self.error("expected at least one sort name after :sorts")
 
@@ -303,29 +256,31 @@ class _DomainParser(_Parser):
             self.expect("SEMI", "';'")
             if sort_t is None:
                 continue
-            if sort_t.text not in self.sorts:
+            members = self.members.get(sort_t.text)
+            if members is None:
                 self.error(f"unknown sort '{sort_t.text}'", sort_t.span)
                 continue
             for t in names:
                 # an object may belong to several sorts (union sorts), but
                 # not twice to the same one
-                if t.text in self.sorts[sort_t.text]:
+                if t.text in members:
                     self.error(f"object '{t.text}' appears twice in sort '{sort_t.text}'", t.span)
                 else:
-                    self.sorts[sort_t.text].append(t.text)
+                    members.append(t.text)
 
     def get_sort(self, tok: Token) -> Sort | None:
-        if tok.text not in self.sorts:
+        s = self.sorts.get(tok.text)
+        if s is None:
             self.error(f"unknown sort '{tok.text}'", tok.span)
-            return None
-        # placeholder members; rebuilt with final member lists in parse()
-        return Sort(tok.text, tuple(self.sorts[tok.text]), self.sort_spans[tok.text])
+        return s
 
     def section_constants(self):
         if not self.at("SECTION", ":constants"):
             self.error("missing :constants section")
             raise self.fail()
         self.advance()
+        # :objects is behind us, so every sort has its final members
+        self.sorts = {n: Sort(n, tuple(m), self.sort_spans[n]) for n, m in self.members.items()}
         while self.at("NAME"):
             name_t = self.advance()
             arg_sorts: list[Sort] = []
@@ -372,7 +327,6 @@ class _DomainParser(_Parser):
                 self.error(f"duplicate constant '{const.name}/{len(arg_sorts)}'", name_t.span)
             else:
                 self.constants[const.key] = const
-                self.const_order.append(const)
 
     def section_externals(self):
         self.advance()
@@ -671,9 +625,6 @@ class _ProblemParser(_DomainParser):
 
     def __init__(self, text: str, source: str, domain: DomainDescription):
         _Parser.__init__(self, text, source)
-        self.domain = domain
-        self.sorts = {s.name: list(s.members) for s in domain.sorts}
-        self.sort_spans = {s.name: s.span for s in domain.sorts}
         self.constants = dict(domain.constant_by_key)
         self.scope = {}
 

@@ -135,7 +135,8 @@ def parse_cost_spec(text: str) -> ActionCost:
 
 
 def plan_cost(plan: Plan, costs, registry: ExternalRegistry) -> int | float:
-    """Total cost, or inf when some charge evaluates to None (infeasible)."""
+    """Total cost, or inf when some charge evaluates to None (infeasible).
+    A charge must be a nonnegative integer, as ChargeCounter requires."""
     total = 0
     for t, step in enumerate(plan.steps):
         state = plan.trajectory[t]
@@ -163,6 +164,10 @@ def plan_cost(plan: Plan, costs, registry: ExternalRegistry) -> int | float:
                 if isinstance(got, bool) or not isinstance(got, int):
                     raise ValueError(
                         f"cost external '{ac.external}' returned {got!r}, expected an integer")
+                if got < 0:
+                    raise ValueError(
+                        f"cost external '{ac.external}' returned {got} for {instance_str((name, args))},"
+                        " a negative charge, which a cost deadline cannot bound")
                 total += got
     return total
 
@@ -322,7 +327,6 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
         if not res.is_sat:
             continue
         found = decode_model(gd, enc, res.model, h)
-        _trim_waits(found, lo)
         if costs:
             price = plan_cost(found, costs, registry)
             if problem.cost_deadline is not None and price > problem.cost_deadline:
@@ -331,13 +335,6 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
             found.cost = None if price == math.inf else price
         return PlanFound(found, found.horizon)
     return NoPlanUpTo(hi)
-
-
-def _trim_waits(p: Plan, lo: int) -> None:
-    """Drop trailing steps that do nothing and change nothing."""
-    while len(p.steps) > lo and not p.steps[-1] and p.trajectory[-1] == p.trajectory[-2]:
-        p.steps.pop()
-        p.trajectory.pop()
 
 
 def predict(domain: DomainDescription, init, actions,

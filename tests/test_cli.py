@@ -150,8 +150,15 @@ def test_bad_flag_is_exit_3(toggle, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
-def test_dimacs_out_then_model_in_round_trip(toggle, tmp_path, capsys):
-    domain, problem = toggle
+@pytest.mark.parametrize("problem_text", [
+    TOGGLE_PROBLEM,
+    TOGGLE_PROBLEM + ":at 1 b | flip;\n:at final b;\n",
+], ids=["plain", "at-steps"])
+def test_dimacs_out_then_model_in_round_trip(toggle, tmp_path, capsys, problem_text):
+    domain, _ = toggle
+    problem = tmp_path / "round-trip.prob"
+    problem.write_text(problem_text)
+    problem = str(problem)
     cnf_file = tmp_path / "enc.cnf"
     assert main(["plan", domain, problem,
                  "--solver", "dimacs-out", str(cnf_file)]) == 0
@@ -321,17 +328,27 @@ def test_cost_spec_errors_keep_their_exit_codes(tmp_path, capsys, spec, code, me
     assert message in capsys.readouterr().err
 
 
-def test_negative_charge_is_refused(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("command", ["plan-maxcost", "plan", "validate"])
+def test_negative_charge_is_refused(tmp_path, capsys, monkeypatch, command):
     from causalplan import cli, grid
+
+    domain, *world = _grid_args()
+    problem = str(samples_dir() / "boxes-grid.prob")
+    maxcost = _deadline_problem(tmp_path, 30)
+    plan_file = str(tmp_path / "out.plan")
+    if command == "validate":
+        assert main(["plan", domain, problem, *world, "--plan-out", plan_file]) == 0
+        capsys.readouterr()
 
     def registry_for(world):
         reg = grid.registry_for(world)
         reg.register("timeEstimate", 2, lambda src, dst: 0 if src == dst else -2)
         return reg
     monkeypatch.setattr(cli, "registry_for", registry_for)
-    domain, *world = _grid_args()
-    assert main(["plan", domain, _deadline_problem(tmp_path, 30), *world,
-                 "--cost", GOTO_COST]) == 3
+    argv = {"plan-maxcost": ["plan", domain, maxcost],
+            "plan": ["plan", domain, problem],
+            "validate": ["validate", domain, maxcost, plan_file]}[command]
+    assert main([*argv, *world, "--cost", GOTO_COST]) == 3
     err = capsys.readouterr().err
     assert "cost external 'timeEstimate' returned -2" in err and "negative charge" in err
 

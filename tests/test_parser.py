@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalplan import parse_domain, parse_problem, parse_query, pretty_print
-from causalplan.model import (And, AtomF, Caused, Causes, Constraint,
-                              Inertial, Nonexecutable, Not, Or, TrueF,
-                              canonical)
+from causalplan.model import (BOOLEAN, And, AtomF, Caused, Causes,
+                              Constraint, Exogenous, Inertial, Nonexecutable,
+                              Not, Or, TrueF, canonical, formula_atoms)
 from causalplan.parser import ParseError
 
 
@@ -31,12 +31,34 @@ BOXES = """
 """
 
 
+def _assert_shared(d):
+    """Constants, vars and law atoms refer to the very Sort and Constant
+    objects the domain lists (or to the built-in BOOLEAN)."""
+    sorts, consts = set(map(id, d.sorts)), set(map(id, d.constants))
+    for c in d.constants:
+        assert all(id(s) in sorts for s in c.arg_sorts), c
+        assert c.value_sort is BOOLEAN or id(c.value_sort) in sorts, c
+    for law in d.laws:
+        assert all(id(s) in sorts for _, s in law.vars), law
+        if isinstance(law, (Inertial, Exogenous)):
+            used = [law.constant]
+        else:
+            atoms = [getattr(law, n, None) for n in ("head", "action", "effect")]
+            for n in ("cond", "after", "body"):
+                f = getattr(law, n, None)
+                if f is not None:
+                    atoms += formula_atoms(f)
+            used = [a.constant for a in atoms if a is not None]
+        assert all(id(c) in consts for c in used), law
+
+
 def test_parse_boxes_shapes():
     d = parse_domain(BOXES)
     assert [s.name for s in d.sorts] == ["location", "box"]
     assert {c.name for c in d.constants} == {"atObj", "goto", "holding"}
     kinds = [type(l).__name__ for l in d.laws]
     assert kinds == ["Inertial", "Caused", "Causes", "Nonexecutable", "Constraint"]
+    _assert_shared(d)
 
 
 def test_law_vars_narrow_to_used_variables():
@@ -170,6 +192,7 @@ def test_query_rejects_fluent_in_do():
 def test_roundtrip_toy_corpus(name):
     import toy_domains
     d = parse_domain(toy_domains._TEXTUAL[name], source=name)
+    _assert_shared(d)
     printed = pretty_print(d)
     assert parse_domain(printed, source=name) == canonical(d)
     # printing is a fixed point after one canonicalization
@@ -255,5 +278,6 @@ def test_roundtrip_random_domains(text):
         d = parse_domain(text)
     except ParseError:
         return  # generator may hit name collisions; only valid parses round-trip
+    _assert_shared(d)
     printed = pretty_print(d)
     assert parse_domain(printed) == canonical(d), printed
