@@ -74,10 +74,6 @@ class TimedLit:
         s = f"{self.atom}@{self.step}"
         return s if self.positive else f"~{s}"
 
-    @property
-    def timed_atom(self) -> TimedAtom:
-        return TimedAtom(self.atom, self.step)
-
     def negated(self) -> "TimedLit":
         return TimedLit(self.atom, self.step, not self.positive)
 
@@ -671,9 +667,11 @@ class Encoder(_ClauseSink):
         self.base = list(range(0, (horizon + 1) * width, width))
         gets = [self._place(block, t) for t, block in enumerate(tpl.supports(horizon))]
         for block in tpl.exactly_one:
-            self._repeat(block, gets)
+            for t, get in enumerate(gets):
+                self._place_at(block, t, get)
         for block, stops_early in tpl.nogoods:
-            self._repeat(block, gets[:horizon + 1 - stops_early])
+            for t, get in enumerate(gets[:horizon + 1 - stops_early]):
+                self._place_at(block, t, get)
         if noconcurrency:
             first = nf + 1
             self.clauses += [(-(t * width + first + j), -(t * width + first + i))
@@ -761,16 +759,6 @@ class Encoder(_ClauseSink):
             self._place(block, step)
         else:
             self._put(block[0], get)
-
-    def _repeat(self, block: Block, gets) -> None:
-        """Append the block's clauses at steps 0, 1, ..., where gets[t] maps
-        window literals to step t (definition variables aside)."""
-        clauses, n_aux = block
-        if n_aux:
-            for t in range(len(gets)):
-                self._place(block, t)
-        else:
-            self.clauses += [tuple(map(get, c)) for get in gets for c in clauses]
 
     def _lit(self, l: TimedLit) -> int:
         p = self.ground.atom_position.get(l.atom)

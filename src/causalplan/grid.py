@@ -62,9 +62,6 @@ class GridWorld:
     def path_exists(self, src: str, dst: str) -> bool:
         return self.time_estimate(src, dst) is not None
 
-    def landmark_names(self) -> list[str]:
-        return sorted(self.landmarks)
-
 
 def parse_world(text: str, source: str = "<world>") -> GridWorld:
     rows = [line for line in text.splitlines() if line.strip() != ""]

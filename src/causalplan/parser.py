@@ -21,7 +21,11 @@ Problems:
 
     :init atRobo=L1;  :goal atObj(B1)=L3;  :horizon 0..10;
 
-``%`` starts a comment.  Parsing never raises on bad input by accident:
+``%`` starts a comment.  The lexer is one compiled regular expression;
+its tokens are plain tuples, and a token's SourceSpan is built only for
+what keeps one: a diagnostic, a sort, a constant or a law.
+
+Parsing never raises on bad input by accident:
 every failure is reported as a Diagnostic with a source span, collected
 in a ParseError.  Panic-mode recovery (skip to the next ``;`` or
 section) lets one pass report several errors.
@@ -29,7 +33,8 @@ section) lets one pass report several errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .model import (
     BOOLEAN, FALSE, FINAL, TRUE, And, Atom, AtomF, Caused, Causes, Constant,
@@ -56,78 +61,51 @@ _PUNCT = {
     "@": "AT", "/": "SLASH",
 }
 
+# One named alternative per token kind, tried in this order; each
+# punctuation mark is its own group, so a match's lastgroup is its kind.
+# An integer is decimal digits only, which int() always accepts.
+_TOKEN = re.compile("|".join([
+    r"(?P<SKIP>[ \t\r]+|%[^\n]*)",
+    r"(?P<NEWLINE>\n)",
+    r"(?P<SECTION>:[^\W\d]\w*)",
+    r"(?P<NAME>[^\W\d]\w*)",
+    r"(?P<INT>\d+)",
+    *(f"(?P<{kind}>{re.escape(mark)})" for mark, kind in _PUNCT.items()),
+    r"(?P<OTHER>.)",
+]))
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # SECTION NAME INT punct-kinds EOF
     text: str
-    span: SourceSpan
+    line: int
+    col: int
+    source: str
+
+    @property
+    def span(self) -> SourceSpan:
+        return SourceSpan(self.source, self.line, self.col, self.line, self.col + len(self.text))
 
 
-def _lex(text: str, source: str, diags: list[Diagnostic]) -> list[Token]:
+def _lex(text: str, source: str, error) -> list[Token]:
+    """Tokens of text, ending in EOF; each unexpected character is passed
+    to error(message, span)."""
     toks: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def span(l, c, l2, c2):
-        return SourceSpan(source, l, c, l2, c2)
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SKIP":
+            continue
+        if kind == "NEWLINE":
             line += 1
-            col = 1
+            line_start = m.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_l, start_c = line, col
-        if ch == ":" and i + 1 < n and (text[i + 1].isalpha() or text[i + 1] == "_"):
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            toks.append(Token("SECTION", word, span(start_l, start_c, line, col + j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("NAME", text[i:j], span(start_l, start_c, line, col + j - i)))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            toks.append(Token("INT", text[i:j], span(start_l, start_c, line, col + j - i)))
-            col += j - i
-            i = j
-            continue
-        two = text[i:i + 2]
-        if two in _PUNCT:
-            toks.append(Token(_PUNCT[two], two, span(start_l, start_c, line, col + 2)))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            toks.append(Token(_PUNCT[ch], ch, span(start_l, start_c, line, col + 1)))
-            i += 1
-            col += 1
-            continue
-        diags.append(Diagnostic(f"unexpected character {ch!r}", span(start_l, start_c, line, col + 1)))
-        i += 1
-        col += 1
-    toks.append(Token("EOF", "", span(line, col, line, col)))
+        tok = Token(kind, m.group(), line, m.start() - line_start + 1, source)
+        if kind == "OTHER":
+            error(f"unexpected character {tok.text!r}", tok.span)
+        else:
+            toks.append(tok)
+    toks.append(Token("EOF", "", line, len(text) - line_start + 1, source))
     return toks
 
 
@@ -136,7 +114,7 @@ def _lex(text: str, source: str, diags: list[Diagnostic]) -> list[Token]:
 class _Parser:
     def __init__(self, text: str, source: str):
         self.diags: list[Diagnostic] = []
-        self.toks = _lex(text, source, self.diags)
+        self.toks = _lex(text, source, self.error)
         self.pos = 0
 
     # token plumbing
@@ -347,12 +325,6 @@ class _DomainParser(_Parser):
 
     # terms, atoms, formulas ---------------------------------------------------
 
-    def parse_term(self, what: str) -> Token | None:
-        if self.at("NAME"):
-            return self.advance()
-        self.error(f"expected {what}, found {self.cur.text or 'end of input'!r}")
-        return None
-
     def parse_atom(self) -> Atom | None:
         name_t = self.expect("NAME", "a constant name")
         if name_t is None:
@@ -361,7 +333,7 @@ class _DomainParser(_Parser):
         if self.at("LPAREN"):
             self.advance()
             while True:
-                t = self.parse_term("an argument")
+                t = self.expect("NAME", "an argument")
                 if t is None:
                     return None
                 args.append(t.text)
@@ -377,7 +349,7 @@ class _DomainParser(_Parser):
             return None
         if self.at("EQ"):
             self.advance()
-            val_t = self.parse_term("a value")
+            val_t = self.expect("NAME", "a value")
             if val_t is None:
                 return None
             value = val_t.text
@@ -390,9 +362,6 @@ class _DomainParser(_Parser):
         return Atom(const, tuple(args), value)
 
     def parse_formula(self) -> Formula | None:
-        return self.parse_or()
-
-    def parse_or(self) -> Formula | None:
         parts = [self.parse_and()]
         while self.at("PIPE"):
             self.advance()
@@ -442,7 +411,7 @@ class _DomainParser(_Parser):
         args: list[str] = []
         if not self.at("RPAREN"):
             while True:
-                t = self.parse_term("an argument")
+                t = self.expect("NAME", "an argument")
                 if t is None:
                     return None
                 args.append(t.text)

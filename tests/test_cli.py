@@ -133,6 +133,27 @@ def test_domain_parse_error_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("digit", ["²", "①"])
+def test_non_decimal_digit_is_a_parse_error(toggle, tmp_path, capsys, digit):
+    domain, _ = toggle
+    p = tmp_path / "sup.prob"
+    p.write_text(f":goal b;\n:horizon 0..{digit};\n", encoding="utf-8")
+    assert main(["plan", domain, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"sup.prob:2:13: expected a horizon bound, found '{digit}'" in err
+    d = tmp_path / "sup.cp"
+    d.write_text(f":constants b :: simpleFluent;\n:externals f/{digit};\n:laws\n", encoding="utf-8")
+    assert main(["check", str(d)]) == 2
+    assert f"sup.cp:2:14: expected an arity, found '{digit}'" in capsys.readouterr().err
+
+
+def test_lexer_errors_are_capped(tmp_path, capsys):
+    d = tmp_path / "dollars.cp"
+    d.write_text(":constants p :: simpleFluent;\n:laws\n" + "$" * 300 + "\n")
+    assert main(["check", str(d)]) == 2
+    assert len(capsys.readouterr().err.splitlines()) == 25
+
+
 def test_missing_file_is_exit_3(capsys):
     assert main(["check", "/nonexistent/nowhere.cp"]) == 3
     assert "error:" in capsys.readouterr().err

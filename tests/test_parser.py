@@ -1,6 +1,8 @@
 """Surface syntax: lexing, laws, problems, queries, and the
 parse/pretty-print round trip."""
 
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from causalplan import parse_domain, parse_problem, parse_query, pretty_print
 from causalplan.model import (BOOLEAN, And, AtomF, Caused, Causes,
                               Constraint, Exogenous, Inertial, Nonexecutable,
                               Not, Or, TrueF, canonical, formula_atoms)
-from causalplan.parser import ParseError
+from causalplan.parser import MAX_DIAGNOSTICS, ParseError, _lex
 
 
 BOXES = """
@@ -105,6 +107,61 @@ def test_comments_and_whitespace_ignored():
     assert len(d.laws) == 1
 
 
+def _lexed(text):
+    diags = []
+    toks = _lex(text, "t", lambda msg, span: diags.append((msg, span)))
+    spans = [(t.kind, t.text, astuple(t.span)[1:]) for t in toks]
+    return spans, [(msg, astuple(span)[1:]) for msg, span in diags]
+
+
+def test_lexer_golden():
+    text = ("% header comment\r\n"
+            ":sorts\tpeg_1 d2\r\n"
+            "  f(x) :: a..b; % note\n"
+            "\t@g = 42 / ~c & d | e $\n"
+            "_x9,")
+    toks, diags = _lexed(text)
+    assert toks == [
+        ("SECTION", ":sorts", (2, 1, 2, 7)),
+        ("NAME", "peg_1", (2, 8, 2, 13)),
+        ("NAME", "d2", (2, 14, 2, 16)),
+        ("NAME", "f", (3, 3, 3, 4)),
+        ("LPAREN", "(", (3, 4, 3, 5)),
+        ("NAME", "x", (3, 5, 3, 6)),
+        ("RPAREN", ")", (3, 6, 3, 7)),
+        ("DCOLON", "::", (3, 8, 3, 10)),
+        ("NAME", "a", (3, 11, 3, 12)),
+        ("DOTDOT", "..", (3, 12, 3, 14)),
+        ("NAME", "b", (3, 14, 3, 15)),
+        ("SEMI", ";", (3, 15, 3, 16)),
+        ("AT", "@", (4, 2, 4, 3)),
+        ("NAME", "g", (4, 3, 4, 4)),
+        ("EQ", "=", (4, 5, 4, 6)),
+        ("INT", "42", (4, 7, 4, 9)),
+        ("SLASH", "/", (4, 10, 4, 11)),
+        ("TILDE", "~", (4, 12, 4, 13)),
+        ("NAME", "c", (4, 13, 4, 14)),
+        ("AMP", "&", (4, 15, 4, 16)),
+        ("NAME", "d", (4, 17, 4, 18)),
+        ("PIPE", "|", (4, 19, 4, 20)),
+        ("NAME", "e", (4, 21, 4, 22)),
+        ("NAME", "_x9", (5, 1, 5, 4)),
+        ("COMMA", ",", (5, 4, 5, 5)),
+        ("EOF", "", (5, 5, 5, 5)),
+    ]
+    assert diags == [("unexpected character '$'", (4, 23, 4, 24))]
+
+
+@pytest.mark.parametrize("text,last", [
+    (":objects a :: s;", [("SEMI", ";", (1, 16, 1, 17)), ("EOF", "", (1, 17, 1, 17))]),
+    ("a % c", [("NAME", "a", (1, 1, 1, 2)), ("EOF", "", (1, 6, 1, 6))]),
+    ("a;\n", [("SEMI", ";", (1, 2, 1, 3)), ("EOF", "", (2, 1, 2, 1))]),
+])
+def test_lexer_end_of_input(text, last):
+    toks, diags = _lexed(text)
+    assert toks[-2:] == last and diags == []
+
+
 def test_unknown_constant_is_an_error():
     with pytest.raises(ParseError) as e:
         parse_domain(":constants p :: simpleFluent;\n:laws\n  caused nope if p;\n")
@@ -128,6 +185,26 @@ def test_recovery_reports_multiple_errors():
 """)
     text = " ".join(str(d) for d in e.value.diagnostics)
     assert "nope1" in text and "nope2" in text
+
+
+def test_lexer_errors_share_the_diagnostic_cap():
+    with pytest.raises(ParseError) as e:
+        parse_domain(":constants p :: simpleFluent;\n:laws\n" + "$" * 200 + "\n")
+    assert len(e.value.diagnostics) == MAX_DIAGNOSTICS == 25
+
+
+@pytest.mark.parametrize("digit", ["²", "①"])
+def test_non_decimal_digit_is_not_an_integer(digit):
+    with pytest.raises(ParseError) as e:
+        parse_domain(f":constants p :: simpleFluent;\n:externals f/{digit};\n:laws\n")
+    first = e.value.diagnostics[0]
+    assert first.message == f"expected an arity, found '{digit}'"
+    assert astuple(first.span)[1:] == (2, 14, 2, 15)
+    with pytest.raises(ParseError) as e:
+        parse_problem(f":horizon 0..{digit};\n", parse_domain(BOXES))
+    first = e.value.diagnostics[0]
+    assert first.message == f"expected a horizon bound, found '{digit}'"
+    assert astuple(first.span)[1:] == (1, 13, 1, 14)
 
 
 # --- problems --------------------------------------------------------------------
