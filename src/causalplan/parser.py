@@ -314,9 +314,10 @@ class _DomainParser(_Parser):
                 self.recover()
                 continue
             arity_t = self.expect("INT", "an arity")
-            self.expect("SEMI", "';'")
             if arity_t is None:
+                self.recover()
                 continue
+            self.expect("SEMI", "';'")
             decl = (name_t.text, int(arity_t.text))
             if decl in self.externals:
                 self.error(f"duplicate external declaration '{name_t.text}/{arity_t.text}'", name_t.span)
@@ -636,21 +637,24 @@ class _ProblemParser(_DomainParser):
                     extra.append((tag, f))
             elif t.text == ":horizon":
                 lo = self.expect("INT", "a horizon bound")
-                self.expect("DOTDOT", "'..'")
-                hi = self.expect("INT", "a horizon bound")
+                hi = lo and self.expect("DOTDOT", "'..'") and self.expect("INT", "a horizon bound")
+                if hi is None:
+                    self.recover()
+                    continue
                 self.expect("SEMI", "';'")
-                if lo and hi:
-                    if horizon is not None:
-                        self.error("duplicate :horizon section", t.span)
-                    horizon = (int(lo.text), int(hi.text))
-                    if horizon[0] > horizon[1]:
-                        self.error(f"empty horizon range {horizon[0]}..{horizon[1]}", t.span)
-                        horizon = (horizon[0], horizon[0])
+                if horizon is not None:
+                    self.error("duplicate :horizon section", t.span)
+                horizon = (int(lo.text), int(hi.text))
+                if horizon[0] > horizon[1]:
+                    self.error(f"empty horizon range {horizon[0]}..{horizon[1]}", t.span)
+                    horizon = (horizon[0], horizon[0])
             elif t.text == ":maxcost":
                 v = self.expect("INT", "a cost bound")
+                if v is None:
+                    self.recover()
+                    continue
                 self.expect("SEMI", "';'")
-                if v:
-                    deadline = int(v.text)
+                deadline = int(v.text)
             elif t.text == ":noconcurrency":
                 self.expect("SEMI", "';'")
                 noconc = True

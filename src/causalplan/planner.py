@@ -220,12 +220,11 @@ class _Deepening:
 
     def solve(self, **limits):
         """Solve the current horizon: load what the encoder added since the
-        last call, detach what that retired, assume the activation literal."""
+        last call, assume the activation literal.  A retired horizon's
+        clauses stay loaded, satisfied at level 0, and never propagate."""
         enc, solver = self.enc, self.solver
-        if self.loaded < len(enc.clauses) or solver.nvars < enc.var_count:
-            solver.extend(enc.var_count, enc.clauses[self.loaded:])
-            self.loaded = len(enc.clauses)
-            solver.simplify()
+        solver.extend(enc.var_count, enc.clauses[self.loaded:])
+        self.loaded = len(enc.clauses)
         return solver.solve([enc.active], **limits)
 
 

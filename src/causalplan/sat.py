@@ -14,13 +14,14 @@ that are already clean (no repeated literal, no complementary pair),
 which is how a plan search appends one step of its encoding per
 horizon.  Clauses that hold only for one horizon carry the negation of
 an activation literal that solve() assumes; once that literal is fixed
-false, simplify() detaches every clause it satisfies, learnt clauses
-included.  Every SAT model is checked against every clause the solver
-was given, as given.
+false, they stay loaded but are satisfied at level 0, so they never
+propagate or conflict again.  No clause is ever deleted.  Every SAT
+model is checked against every clause the solver was given, as given.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass, field
@@ -77,8 +78,7 @@ class Solver:
     def __init__(self, n_vars: int, clauses, seed: int = 0):
         self.nvars = n_vars
         self.ok = True
-        # attached clauses by index; a detached one is None
-        self.clauses: list[list[int] | None] = []
+        self.clauses: list[list[int]] = []  # attached clauses by index
         self.given: list = []  # every clause handed in, as given
         self.watches: list[list[int]] = [[] for _ in range(2 * n_vars + 2)]
         self.assign = [0] * (n_vars + 1)  # 0 unassigned, 1 true, -1 false
@@ -92,12 +92,7 @@ class Solver:
         self.qhead = 0
         self.rng = random.Random(seed)
         self.stats = Stats()
-        import heapq
-
-        self.heapq = heapq
         self.order = [(0.0, v) for v in range(1, n_vars + 1)]
-        self.born = [0] * (n_vars + 1)  # clause count when each variable was made
-        self._simplified = 0  # level-0 trail length at the last simplify()
         for c in clauses:
             self.add_clause(c)
 
@@ -119,13 +114,13 @@ class Solver:
         self.trail.append(lit)
 
     def _push_order(self, v: int) -> None:
-        self.heapq.heappush(self.order, (-self.activity[v], v))
+        heapq.heappush(self.order, (-self.activity[v], v))
         if len(self.order) > 2 * self.nvars + 2:
             # stale entries only cost pops: keep one per unassigned
             # variable, at its current activity
             activity, assign = self.activity, self.assign
             self.order = [(-activity[u], u) for u in range(1, self.nvars + 1) if not assign[u]]
-            self.heapq.heapify(self.order)
+            heapq.heapify(self.order)
 
     def _bump(self, v: int) -> None:
         self.activity[v] += self.var_inc
@@ -238,38 +233,9 @@ class Solver:
         self.reason += [-1] * extra
         self.saved += [-1] * extra
         self.activity += [0.0] * extra
-        self.born += [len(self.clauses)] * extra
         # every entry already in the heap orders before these
         self.order += [(0.0, v) for v in range(self.nvars + 1, n_vars + 1)]
         self.nvars = n_vars
-
-    def simplify(self) -> None:
-        """Detach every clause satisfied at level 0, learnt ones included.
-
-        A clause is never attached while satisfied at level 0, so only the
-        literals fixed since the last call can satisfy one, and only a
-        clause attached after its variable was made can contain it: the
-        scan starts at the oldest such clause."""
-        if not self.ok:
-            return
-        self._backtrack(0)
-        if self._propagate() != -1:
-            self.ok = False
-            return
-        clauses, trail = self.clauses, self.trail
-        fresh = trail[self._simplified:]
-        self._simplified = len(trail)
-        if not fresh:
-            return
-        start = min(self.born[abs(l)] for l in fresh)
-        true0 = set(trail)
-        dead = {ci for ci in range(start, len(clauses))
-                if clauses[ci] is not None and not true0.isdisjoint(clauses[ci])}
-        watched = {self._widx(l) for ci in dead for l in clauses[ci][:2]}
-        for w in watched:
-            self.watches[w] = [ci for ci in self.watches[w] if ci not in dead]
-        for ci in dead:
-            clauses[ci] = None
 
     def _attach(self, c: list[int]) -> int:
         ci = len(self.clauses)
@@ -387,7 +353,7 @@ class Solver:
                 if self.assign[v] == 0:
                     return self.saved[v] * v
         heap = self.order
-        pop = self.heapq.heappop
+        pop = heapq.heappop
         while heap:
             _, v = pop(heap)
             if self.assign[v] == 0:
@@ -431,11 +397,9 @@ class Solver:
                     ci = self._attach(learnt)
                     self._enqueue(learnt[0], ci)
                 self.var_inc /= self.VAR_DECAY
-                if max_conflicts is not None and conflicts_here >= max_conflicts:
-                    self.stats.elapsed += time.perf_counter() - t0
-                    raise ResourceLimit(self.stats)
-                if deadline is not None and self.stats.conflicts % 256 == 0 \
-                        and time.perf_counter() > deadline:
+                if (max_conflicts is not None and conflicts_here >= max_conflicts) or \
+                        (deadline is not None and self.stats.conflicts % 256 == 0
+                         and time.perf_counter() > deadline):
                     self.stats.elapsed += time.perf_counter() - t0
                     raise ResourceLimit(self.stats)
                 if conflicts_here >= restart_limit:
@@ -468,10 +432,16 @@ class Solver:
 
     def _verify(self, model: tuple[bool, ...]) -> None:
         """Check model against every clause given to the solver, as given."""
-        true = {v if model[v] else -v for v in range(1, len(model))}
-        if any(map(true.isdisjoint, self.given)):
-            bad = next(c for c in self.given if true.isdisjoint(c))
+        bad = _falsified(model, self.given)
+        if bad is not None:
             raise AssertionError(f"internal error: model does not satisfy {tuple(bad)}")
+
+
+def _falsified(model, clauses):
+    """The first clause that model (indexed by variable, index 0 unused)
+    makes false, or None."""
+    true = {v if model[v] else -v for v in range(1, len(model))}
+    return next(filter(true.isdisjoint, clauses), None)
 
 
 def _as_pair(cnf) -> tuple[int, list]:
@@ -609,7 +579,7 @@ def read_dimacs_model(text: str, cnf) -> SolveResult:
             raise DimacsError(f"literal {l} exceeds variable count {n}")
         model[v] = l > 0
     model_t = tuple(model)
-    for c in clauses:
-        if not any(model_t[l] if l > 0 else not model_t[-l] for l in c):
-            raise DimacsError(f"reported model does not satisfy clause {tuple(c)}")
+    bad = _falsified(model_t, clauses)
+    if bad is not None:
+        raise DimacsError(f"reported model does not satisfy clause {tuple(bad)}")
     return SolveResult("SAT", model_t)

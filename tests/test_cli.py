@@ -133,18 +133,23 @@ def test_domain_parse_error_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.strip()
 
 
-@pytest.mark.parametrize("digit", ["²", "①"])
-def test_non_decimal_digit_is_a_parse_error(toggle, tmp_path, capsys, digit):
+@pytest.mark.parametrize("bad", ["²", "①", "x"])
+def test_non_decimal_digit_is_a_parse_error(toggle, tmp_path, capsys, bad):
     domain, _ = toggle
     p = tmp_path / "sup.prob"
-    p.write_text(f":goal b;\n:horizon 0..{digit};\n", encoding="utf-8")
+    p.write_text(f":goal b;\n:horizon 0..{bad};\n", encoding="utf-8")
     assert main(["plan", domain, str(p)]) == 2
     err = capsys.readouterr().err
-    assert f"sup.prob:2:13: expected a horizon bound, found '{digit}'" in err
+    assert err.splitlines() == [f"{p}:2:13: expected a horizon bound, found '{bad}'"]
+    p.write_text(f":goal b;\n:maxcost {bad};\n", encoding="utf-8")
+    assert main(["plan", domain, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{p}:2:10: expected a cost bound, found '{bad}'"]
     d = tmp_path / "sup.cp"
-    d.write_text(f":constants b :: simpleFluent;\n:externals f/{digit};\n:laws\n", encoding="utf-8")
+    d.write_text(f":constants b :: simpleFluent;\n:externals f/{bad};\n:laws\n", encoding="utf-8")
     assert main(["check", str(d)]) == 2
-    assert f"sup.cp:2:14: expected an arity, found '{digit}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"{d}:2:14: expected an arity, found '{bad}'"]
 
 
 def test_lexer_errors_are_capped(tmp_path, capsys):

@@ -314,3 +314,23 @@ def test_concurrent_charges_are_summed():
             assert isinstance(out, PlanFound) and out.horizon == steps
             assert out.plan.steps == [[("cross", ("B1",)), ("cross", ("B2",))]]
             assert out.plan.cost == 2
+
+
+def test_search_counters_on_toh4_are_pinned(monkeypatch):
+    # The growing search's decisions, propagations and conflicts are a
+    # fixed function of the seed.  A change to the propagation or branching
+    # order moves these numbers and must update them on purpose.
+    made = []
+
+    class Captured(Solver):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "Solver", Captured)
+    toh = build_toh(4)
+    out = plan(toh.domain, toh.problem, seed=0)
+    assert isinstance(out, PlanFound) and out.horizon == 15
+    assert len(made) == 1
+    stats = made[0].stats
+    assert (stats.conflicts, stats.decisions, stats.propagations) == (235, 506, 22566)

@@ -193,18 +193,24 @@ def test_lexer_errors_share_the_diagnostic_cap():
     assert len(e.value.diagnostics) == MAX_DIAGNOSTICS == 25
 
 
-@pytest.mark.parametrize("digit", ["²", "①"])
-def test_non_decimal_digit_is_not_an_integer(digit):
+@pytest.mark.parametrize("bad", ["²", "①", "x"])
+def test_non_decimal_digit_is_not_an_integer(bad):
+    # one diagnostic for the one bad token: the section recovers past it
     with pytest.raises(ParseError) as e:
-        parse_domain(f":constants p :: simpleFluent;\n:externals f/{digit};\n:laws\n")
-    first = e.value.diagnostics[0]
-    assert first.message == f"expected an arity, found '{digit}'"
-    assert astuple(first.span)[1:] == (2, 14, 2, 15)
+        parse_domain(f":constants p :: simpleFluent;\n:externals f/{bad};\n:laws\n")
+    [only] = e.value.diagnostics
+    assert only.message == f"expected an arity, found '{bad}'"
+    assert astuple(only.span)[1:] == (2, 14, 2, 15)
     with pytest.raises(ParseError) as e:
-        parse_problem(f":horizon 0..{digit};\n", parse_domain(BOXES))
-    first = e.value.diagnostics[0]
-    assert first.message == f"expected a horizon bound, found '{digit}'"
-    assert astuple(first.span)[1:] == (1, 13, 1, 14)
+        parse_problem(f":horizon 0..{bad};\n", parse_domain(BOXES))
+    [only] = e.value.diagnostics
+    assert only.message == f"expected a horizon bound, found '{bad}'"
+    assert astuple(only.span)[1:] == (1, 13, 1, 14)
+    with pytest.raises(ParseError) as e:
+        parse_problem(f":maxcost {bad};\n:goal true;\n", parse_domain(BOXES))
+    [only] = e.value.diagnostics
+    assert only.message == f"expected a cost bound, found '{bad}'"
+    assert astuple(only.span)[1:] == (1, 10, 1, 11)
 
 
 # --- problems --------------------------------------------------------------------

@@ -216,16 +216,13 @@ def test_extend_loads_clean_clauses_in_batches():
         Solver(0, ()).extend(2, [(1, 3)])
 
 
-def test_retired_activation_literal_detaches_its_clauses():
-    # clauses under -3 hold while 3 is assumed; fixing -3 detaches them
+def test_retired_activation_literal_leaves_its_clauses_satisfied():
+    # clauses under -3 hold while 3 is assumed; fixing -3 satisfies them
     s = Solver(0, ())
     s.extend(3, [(1, 2), (-1, -3), (-2, -3)])
     assert not s.solve([3]).is_sat
     assert s.solve().is_sat
     s.extend(3, [(-3,)])
-    s.simplify()
-    attached = [sorted(c) for c in s.clauses if c is not None]
-    assert attached == [[1, 2]]
-    assert all(ci == 0 for ws in s.watches for ci in ws)
     res = s.solve()
     assert res.is_sat and not res.model[3]
+    assert not s.solve([3]).is_sat
