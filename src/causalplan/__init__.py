@@ -3,8 +3,8 @@ descriptions to propositional satisfiability.
 
 The pipeline: parse a domain (parser), ground schematic laws over their
 sorts with external geometry evaluated on the spot (grounding, grid),
-translate to completion form and shift its per-step integer clause
-template over the horizon, or grow it one step at a time (compiler),
+translate to completion form and grow its per-step integer clause
+template over the horizon one step at a time (compiler),
 solve with the embedded CDCL engine (sat), and answer planning,
 prediction, and consistency queries on top (planner), with a cost
 deadline summed in the encoding (charges).  oracle cross-checks the SAT

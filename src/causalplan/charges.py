@@ -35,7 +35,7 @@ __all__ = ["ChargeCounter"]
 
 
 class ChargeCounter:
-    """Adds the charges of an extensible Encoder's new steps and the bound
+    """Adds the charges of an Encoder's new steps and the bound
     of its current horizon; call update() once per horizon, after any
     extend() and before solving."""
 

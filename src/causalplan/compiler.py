@@ -8,17 +8,18 @@ Pipeline (each stage is exposed for testing):
     template  StepTemplate: the completion of a reference horizon (0 or
               2), clausified once per ground domain into integer clause
               blocks per step class (only, first, middle, final)
-    shift     Encoder: horizon h = the blocks moved to steps 0..h by
-              adding t * (fluent + action atoms) to each variable, plus
-              asserted query formulas; compile_cnf is the query-free case
-    grow      Encoder(extensible=True).extend(): the same blocks placed
-              one step at a time after every variable in use, with the
-              clauses that hold only at the last step under an
-              activation literal, for plan search on one solver
+    grow      Encoder: horizon h = the blocks placed one step at a time
+              from horizon 0, each step after every variable in use,
+              with the clauses that hold only at the last step under an
+              activation literal, plus asserted query formulas; plan
+              search grows one encoding on one solver, and cnf() gives
+              the plain CNF of the current horizon, which compile_cnf
+              returns for the query-free case
 
-The shifted CNF is clause for clause the clausified completion_for(h);
-completion_for and eval_completion stay symbolic, so validate_plan and
-the oracles check plans without touching the template.
+cnf() is, up to the numbering of its variables, clause for clause the
+clausified completion_for(h); completion_for and eval_completion stay
+symbolic, so validate_plan and the oracles check plans without touching
+the template.
 
 Semantics in brief: a rule ``head <- body`` says the head literal is
 caused whenever the body holds.  The completion asserts that a literal
@@ -106,6 +107,16 @@ class Desugared:
     head: Lit | None  # None = FALSE
     cond: Formula = TRUE
     after: Formula | None = None
+
+    # in DNF once per rule: a StepTemplate stamps each rule at reference
+    # horizons 0, 1 and 2, and drops the rules once its blocks are built
+    @cached_property
+    def cond_dnf(self) -> list[frozenset[Lit]] | None:
+        return _dnf(self.cond)
+
+    @cached_property
+    def after_dnf(self) -> list[frozenset[Lit]] | None:
+        return _dnf(self.after)
 
 
 def _instances(const):
@@ -214,7 +225,7 @@ def _stamp_rule(rule: Desugared, horizon: int):
     """Yield (step, CausalRule) for one desugared rule over 0..horizon.  The
     step is the rule's own step for a static rule and the step of the
     after-part for an after-rule."""
-    cond_dnf = _dnf(rule.cond)
+    cond_dnf = rule.cond_dnf
     head = rule.head
     if rule.after is None:
         if cond_dnf is None:
@@ -228,7 +239,7 @@ def _stamp_rule(rule: Desugared, horizon: int):
         return
     if head is not None and head[0].constant.is_action:
         raise CompileError(f"after-rule head {head[0]} is an action atom")
-    after_dnf = _dnf(rule.after)
+    after_dnf = rule.after_dnf
     if after_dnf is None or cond_dnf is None:
         return
     for t in range(0, horizon):
@@ -313,8 +324,8 @@ CompletionFormula = Support | Nogood | ExactlyOne
 
 
 def atom_table(ground: GroundDomain, horizon: int) -> list[TimedAtom]:
-    """Propositional variable order: step-major, fluents before actions,
-    lexicographic inside each group.  Variable i+1 is table[i]."""
+    """The timed atoms of a horizon: step-major, fluents before actions,
+    lexicographic inside each group."""
     table: list[TimedAtom] = []
     for t in range(0, horizon + 1):
         table.extend(TimedAtom(a, t) for a in ground.fluent_atoms)
@@ -384,14 +395,18 @@ def completion_for(ground: GroundDomain, horizon: int,
 
 @dataclass
 class CnfFormula:
-    """Plain CNF over one horizon.  Variables 1..n_real are the timed atoms
-    in atom_table order; later variables are definition variables introduced
-    by the Encoder.  The atom table and its index are built on first use."""
+    """Plain CNF over one horizon, as Encoder.cnf() gives it.  base places
+    the timed atoms as the Encoder does: fluent atom position p at step t
+    is variable base[t] + p + 1, and action position p at step t is
+    base[t + 1] - width + p + 1.  Every other variable is a definition
+    variable or an unused activation variable.  The atom table (in
+    atom_table order) and its index are built on first use."""
 
     var_count: int
     clauses: list[tuple[int, ...]]
     ground: GroundDomain = field(repr=False)
     horizon: int
+    base: list[int]
 
     @property
     def width(self) -> int:
@@ -402,26 +417,16 @@ class CnfFormula:
     def n_fluents(self) -> int:
         return len(self.ground.fluent_atoms)
 
-    @property
-    def n_real(self) -> int:
-        return self.horizon * self.width + self.n_fluents
-
-    @property
-    def aux_start(self) -> int:
-        return self.n_real + 1
-
-    @property
-    def base(self) -> range:
-        """Step t's fluent atoms start after variable base[t] (see Encoder)."""
-        return range(0, (self.horizon + 1) * self.width, self.width)
-
     @cached_property
     def atoms(self) -> tuple[TimedAtom, ...]:
         return tuple(atom_table(self.ground, self.horizon))
 
     @cached_property
     def index(self) -> dict[TimedAtom, int]:
-        return {ta: i + 1 for i, ta in enumerate(self.atoms)}
+        position, nf, width, base = (self.ground.atom_position, self.n_fluents,
+                                     self.width, self.base)
+        return {ta: (base[ta.step] if position[ta.atom] < nf else base[ta.step + 1] - width)
+                + position[ta.atom] + 1 for ta in self.atoms}
 
     def var_of(self, ta: TimedAtom) -> int:
         return self.index[ta]
@@ -509,8 +514,8 @@ Block = tuple[list[tuple[int, ...]], int]
 
 
 class StepTemplate:
-    """Integer clause blocks from which Encoder builds any horizon of one
-    ground domain by shifting.
+    """Integer clause blocks from which Encoder grows any horizon of one
+    ground domain, step by step.
 
     Step t of horizon h falls into one class: the only step (h = 0), the
     first (t = 0 < h), a middle step (0 < t < h) or the final step
@@ -520,21 +525,32 @@ class StepTemplate:
     step's supports read only that step and the one before, so horizon 1
     is horizon 2's first and final steps).  Exactly-one blocks (one per
     multi-valued fluent instance) and nogood blocks (one per headless
-    desugared rule) are the same at every step.  Blocks are built on
-    first use.
+    desugared rule) are the same at every step.
     """
 
     def __init__(self, ground: GroundDomain):
         self.ground = ground
-        self.rules = desugar(ground)
         self.n_fluents = len(ground.fluent_atoms)
         self.width = self.n_fluents + len(ground.action_atoms)
-        self._supports: dict[int, list[Block]] = {}
-        for rule in self.rules:
+        rules = desugar(ground)
+        for rule in rules:
             # validation rejects these; the if-part would need actions at
             # the final step, where none exist
             if rule.after is not None and mentions_action(rule.cond):
                 raise CompileError(f"the if-part {rule.cond} of an after-rule mentions an action")
+        (only,) = self._supports(rules, 0)
+        first, middle, final = self._supports(rules, 2)
+        # how the last step's support block changes when an Encoder grows:
+        # (only -> first, final -> middle)
+        self.growth = _growth(only, first), _growth(final, middle)
+        self.exactly_one = [self._block([_exactly_one(c, args, 0)], 0)
+                            for c, args in ground.fluent_instances if not c.is_boolean]
+        # (block, stops early) per headless rule: a rule that mentions an
+        # action or has an after-part stops one step before the horizon
+        self.nogoods = [
+            (self._block([Nogood(r.body) for t, r in _stamp_rule(rule, 1) if t == 0], 0),
+             rule.after is not None or _mentions_action(rule))
+            for rule in rules if rule.head is None]
 
     def _block(self, formulas, step: int) -> Block:
         """Clausify formulas stamped around step into window variables."""
@@ -549,51 +565,19 @@ class StepTemplate:
             sink._add_formula(f, lit)
         return sink.clauses, sink.var_count - 3 * width
 
-    def supports(self, horizon: int) -> list[Block]:
-        """The support block of every step of the horizon, in step order.
-        Horizon 0 is its own reference; 2 stands for the rest."""
-        ref = 2 if horizon else 0
-        if ref not in self._supports:
-            by_step: list[list[Support]] = [[] for _ in range(ref + 1)]
-            for f in complete(unroll(self.rules, self.ground, ref), self.ground, ref):
-                if isinstance(f, Support):
-                    by_step[f.head.step].append(f)
-            self._supports[ref] = [self._block(fs, t) for t, fs in enumerate(by_step)]
-        blocks = self._supports[ref]
-        if not horizon:
-            return blocks
-        return [blocks[0]] + [blocks[1]] * (horizon - 1) + [blocks[2]]
-
-    @cached_property
-    def exactly_one(self) -> list[Block]:
-        return [self._block([_exactly_one(c, args, 0)], 0)
-                for c, args in self.ground.fluent_instances if not c.is_boolean]
-
-    @cached_property
-    def nogoods(self) -> list[tuple[Block, bool]]:
-        """(block, stops early) per headless rule.  A rule that mentions an
-        action or has an after-part stops one step before the horizon."""
-        out = []
-        for rule in self.rules:
-            if rule.head is None:
-                bodies = [r.body for t, r in _stamp_rule(rule, 1) if t == 0]
-                out.append((self._block([Nogood(b) for b in bodies], 0),
-                            rule.after is not None or _mentions_action(rule)))
-        return out
-
-    @cached_property
-    def growth(self) -> tuple["Growth", "Growth"]:
-        """How the last step's support block changes when an extensible
-        Encoder grows: (only -> first, final -> middle).  Reference
-        horizon 2 gives the first, middle and final classes."""
-        (only,) = self.supports(0)
-        first, middle, final = self.supports(2)
-        return _growth(only, first), _growth(final, middle)
+    def _supports(self, rules: list[Desugared], ref: int) -> list[Block]:
+        """The support block of every step of reference horizon ref, in
+        step order."""
+        by_step: list[list[Support]] = [[] for _ in range(ref + 1)]
+        for f in complete(unroll(rules, self.ground, ref), self.ground, ref):
+            if isinstance(f, Support):
+                by_step[f.head.step].append(f)
+        return [self._block(fs, t) for t, fs in enumerate(by_step)]
 
 
 def step_template(ground: GroundDomain) -> StepTemplate:
     """The ground domain's template, made on first use and kept on it (in
-    the instance dict, as its cached properties are)."""
+    the instance dict, as the ground domain's cached properties are)."""
     tpl = ground.__dict__.get("_step_template")
     if tpl is None:
         tpl = ground.__dict__["_step_template"] = StepTemplate(ground)
@@ -620,70 +604,46 @@ def _growth(last: Block, later: Block) -> Growth:
 
 
 class Encoder(_ClauseSink):
-    """The clause builder: completion CNF for one horizon plus whatever query
-    formulas the caller asserts on top (initial/goal/observation constraints).
+    """The clause builder: the completion CNF of a horizon plus whatever
+    query formulas the caller asserts on top (initial/goal/observation
+    constraints).
 
-    The completion clauses are the ground domain's StepTemplate blocks
-    shifted to each step: supports step by step, then exactly-one by
-    instance then step, nogoods by rule then step, and the :noconcurrency
-    pairs.  Definition variables are numbered after every real atom, in
-    that order, then those of asserted formulas.
+    The encoding is built from horizon 0 and grows with extend(), one
+    step at a time, from the ground domain's StepTemplate blocks.  A new
+    step's variables, real and definition alike, are numbered after every
+    variable in use, so a step's variables keep their numbers at every
+    later horizon; base gives the layout: fluent atom position p at step t
+    is variable base[t] + p + 1, and action position p at step t is
+    base[t + 1] - width + p + 1.  Clauses that hold only while the current
+    horizon is the last one (support clauses the next step class lacks,
+    and asserted formulas given guard=active) end in -active, the negation
+    of the horizon's activation variable: solve under the assumption
+    active.  extend() retires it with the unit clause (-active,) and makes
+    a new one.  An activation literal appears nowhere but as the last
+    literal of the clauses it guards, which is what cnf() relies on."""
 
-    With extensible=True the encoding can grow with extend(), one step at
-    a time, and is built that way from horizon 0.  A new step's variables,
-    real and definition alike, are numbered after every variable in use,
-    so the layout is no longer step-major; base gives it in both cases:
-    fluent atom position p at step t is variable base[t] + p + 1, and
-    action position p at step t is base[t + 1] - width + p + 1.  Clauses
-    that hold only while the current horizon is the last one (support
-    clauses the next step class lacks, and asserted formulas given
-    guard=active) carry -active, the negation of the horizon's activation
-    variable: solve under the assumption active.  extend() retires it with
-    the unit clause (-active,) and makes a new one.  An extensible
-    encoding has no cnf(); read clauses and var_count directly."""
-
-    def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False,
-                 extensible: bool = False):
+    def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False):
         tpl = step_template(ground)
         if horizon < 0:
             raise CompileError("horizon must be nonnegative")
-        width, nf = tpl.width, tpl.n_fluents
+        super().__init__(tpl.n_fluents)
         self.ground = ground
-        self.width = width
-        self.n_fluents = nf
+        self.width = tpl.width
+        self.n_fluents = tpl.n_fluents
         self.noconcurrency = noconcurrency
-        self.active: int | None = None
-        if extensible:
-            super().__init__(nf)
-            self.horizon = 0
-            self.base = [0]
-            self.active = self.fresh()
-            self._place_last(tpl, tpl.growth[0])
-            for _ in range(horizon):
-                self.extend()
-            return
-        super().__init__(horizon * width + nf)
-        self.horizon = horizon
-        self.base = list(range(0, (horizon + 1) * width, width))
-        gets = [self._place(block, t) for t, block in enumerate(tpl.supports(horizon))]
-        for block in tpl.exactly_one:
-            for t, get in enumerate(gets):
-                self._place_at(block, t, get)
-        for block, stops_early in tpl.nogoods:
-            for t, get in enumerate(gets[:horizon + 1 - stops_early]):
-                self._place_at(block, t, get)
-        if noconcurrency:
-            first = nf + 1
-            self.clauses += [(-(t * width + first + j), -(t * width + first + i))
-                             for i, j in itertools.combinations(range(width - nf), 2)
-                             for t in range(horizon)]
+        self.horizon = 0
+        self.base = [0]
+        self.retired: list[int] = []
+        self.active = self.fresh()
+        self._place_last(tpl, tpl.growth[0])
+        for _ in range(horizon):
+            self.extend()
 
     def extend(self) -> None:
-        """Grow an extensible encoding by one step; see the class docstring."""
-        if self.active is None:
-            raise CompileError("a fixed-horizon encoding cannot grow")
+        """Grow the encoding by one step; see the class docstring."""
         tpl = step_template(self.ground)
         h, width, nf = self.horizon, self.width, self.n_fluents
+        self.retired.append(self.active)
         self.clauses.append((-self.active,))
         # the actions of step h, then the fluents of step h + 1
         self.base.append(self.var_count + width - nf)
@@ -743,22 +703,15 @@ class Encoder(_ClauseSink):
         else:
             self.clauses += [(*map(get, c), -guard) for c in clauses]
 
-    def _place(self, block: Block, step: int):
-        """Append the block's clauses at step, with fresh definition
-        variables; returns the window literal -> literal lookup used."""
-        clauses, n_aux = block
-        get = self._lut(step, range(self.var_count + 1, self.var_count + n_aux + 1))
-        self.var_count += n_aux
-        self._put(clauses, get)
-        return get
-
     def _place_at(self, block: Block, step: int, get) -> None:
         """Append the block's clauses at step through get, the step's
-        lookup, unless the block needs definition variables of its own."""
-        if block[1]:
-            self._place(block, step)
-        else:
-            self._put(block[0], get)
+        lookup, or through one with fresh definition variables if the
+        block has its own."""
+        clauses, n_aux = block
+        if n_aux:
+            get = self._lut(step, range(self.var_count + 1, self.var_count + n_aux + 1))
+            self.var_count += n_aux
+        self._put(clauses, get)
 
     def _lit(self, l: TimedLit) -> int:
         p = self.ground.atom_position.get(l.atom)
@@ -794,9 +747,14 @@ class Encoder(_ClauseSink):
             self.clauses[start:] = [(*c, -guard) for c in self.clauses[start:]]
 
     def cnf(self) -> CnfFormula:
-        if self.active is not None:
-            raise CompileError("an extensible encoding has no fixed-horizon CNF")
-        return CnfFormula(self.var_count, list(self.clauses), self.ground, self.horizon)
+        """The encoding at its current horizon as plain CNF: every clause
+        that ends in the negation of a retired activation literal (the
+        retirement units among them) is dropped, and -active is stripped
+        from the clauses of the current horizon."""
+        retired, now = {-a for a in self.retired}, -self.active
+        clauses = [c[:-1] if c[-1] == now else c
+                   for c in self.clauses if c[-1] not in retired]
+        return CnfFormula(self.var_count, clauses, self.ground, self.horizon, list(self.base))
 
 
 def compile_cnf(ground: GroundDomain, horizon: int,

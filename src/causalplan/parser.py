@@ -149,6 +149,12 @@ class _Parser:
             if self.advance().kind == "SEMI":
                 return
 
+    def end_section(self) -> None:
+        """Expect the ';' that closes a section; on anything else, report
+        it once and skip past the next ';'."""
+        if self.expect("SEMI", "';'") is None:
+            self.recover()
+
     def fail(self) -> ParseError:
         if not self.diags:
             self.error("parse failed")
@@ -615,12 +621,12 @@ class _ProblemParser(_DomainParser):
                 if init is not None:
                     self.error("duplicate :init section", t.span)
                 init = self.parse_formula()
-                self.expect("SEMI", "';'")
+                self.end_section()
             elif t.text == ":goal":
                 if goal is not None:
                     self.error("duplicate :goal section", t.span)
                 goal = self.parse_formula()
-                self.expect("SEMI", "';'")
+                self.end_section()
             elif t.text == ":at":
                 if self.at("INT"):
                     tag = int(self.advance().text)
@@ -632,7 +638,7 @@ class _ProblemParser(_DomainParser):
                     self.recover()
                     continue
                 f = self.parse_formula()
-                self.expect("SEMI", "';'")
+                self.end_section()
                 if f is not None:
                     extra.append((tag, f))
             elif t.text == ":horizon":
@@ -641,7 +647,7 @@ class _ProblemParser(_DomainParser):
                 if hi is None:
                     self.recover()
                     continue
-                self.expect("SEMI", "';'")
+                self.end_section()
                 if horizon is not None:
                     self.error("duplicate :horizon section", t.span)
                 horizon = (int(lo.text), int(hi.text))
@@ -653,10 +659,10 @@ class _ProblemParser(_DomainParser):
                 if v is None:
                     self.recover()
                     continue
-                self.expect("SEMI", "';'")
+                self.end_section()
                 deadline = int(v.text)
             elif t.text == ":noconcurrency":
-                self.expect("SEMI", "';'")
+                self.end_section()
                 noconc = True
             else:
                 self.error(f"unknown problem section '{t.text}'", t.span)

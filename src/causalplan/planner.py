@@ -3,7 +3,7 @@
 Everything here sits on top of the compiler: a query builds the
 completion encoding, asserts its own formulas on top (initial state,
 goal, observations), and hands the clauses to the embedded solver.
-Planning deepens the horizon one step at a time on one extensible
+Planning deepens the horizon one step at a time on one growing
 encoding and one solver, which keeps what it learnt: each horizon adds
 a step, and the clauses that hold only while h is the last step (the
 goal, :at final constraints, final-step support clauses, the cost
@@ -11,9 +11,10 @@ bound) carry the negation of h's activation literal, which the solve
 call assumes and the next horizon retires.  A cost deadline is encoded
 too (charges.ChargeCounter), so every horizon is one solve call, and
 plan_cost prices the plan found on its own.  check_consistency asks
-horizon 0 and then 1 the same way; predict encodes its one horizon
-directly.  validate_plan checks a trajectory against the completion
-formulas without any solver.
+horizon 0 and then 1 the same way.  predict grows the encoding to its
+one horizon and enumerates the models of its cnf().  validate_plan
+checks a trajectory against the completion formulas without any
+solver.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ __all__ = [
     "ActionArg", "ActionCost", "Consistent", "FluentRef", "Inconsistent",
     "NoPlanUpTo", "Plan", "PlanFound", "Predicted", "check_consistency",
     "close_problem", "decode_model", "encode_problem", "parse_cost_spec",
-    "plan", "plan_cost", "predict", "validate_plan",
+    "plan", "plan_cost", "plan_grounded", "predict", "validate_plan",
 ]
 
 
@@ -174,10 +175,12 @@ def plan_cost(plan: Plan, costs, registry: ExternalRegistry) -> int | float:
 
 # --- model decoding -----------------------------------------------------------
 
-def decode_model(gd: GroundDomain, layout, model, horizon: int) -> Plan:
+def decode_model(layout, model) -> Plan:
     """Turn a satisfying assignment into states plus per-step action sets.
-    model must be indexable by variable number (index 0 unused); layout is
-    the Encoder or CnfFormula whose base and width place each step."""
+    model must be indexable by variable number; layout is the Encoder or
+    CnfFormula that the model satisfies, whose ground domain, horizon,
+    base and width place each step."""
+    gd, horizon = layout.ground, layout.horizon
     trajectory: list[State] = []
     for t in range(horizon + 1):
         base = layout.base[t] + 1
@@ -211,10 +214,10 @@ def _state_formula(domain: DomainDescription, state: State) -> Formula:
 # --- queries ------------------------------------------------------------------
 
 class _Deepening:
-    """One extensible encoding and one solver that grow together."""
+    """One encoding and one solver that grow together."""
 
     def __init__(self, gd: GroundDomain, horizon: int, *, noconcurrency: bool, seed: int):
-        self.enc = Encoder(gd, horizon, noconcurrency=noconcurrency, extensible=True)
+        self.enc = Encoder(gd, horizon, noconcurrency=noconcurrency)
         self.solver = Solver(0, (), seed=seed)
         self.loaded = 0
 
@@ -238,7 +241,7 @@ def check_consistency(domain: DomainDescription,
     res0 = search.solve()
     if not res0.is_sat:
         return Inconsistent(0, "the static laws admit no state")
-    example = decode_model(gd, search.enc, res0.model, 0).trajectory[0]
+    example = decode_model(search.enc, res0.model).trajectory[0]
     search.enc.extend()
     if not search.solve().is_sat:
         return Inconsistent(1, "states exist but none has an outgoing transition")
@@ -269,7 +272,7 @@ def close_problem(domain: DomainDescription, problem: PlanningProblem,
 
 def encode_problem(gd: GroundDomain, init: Formula, goal: Formula, extras,
                    h: int, *, noconcurrency: bool = False) -> Encoder:
-    """One fixed-horizon encoding of a closed problem, ready for cnf()."""
+    """The encoding of a closed problem at horizon h, ready for cnf()."""
     enc = Encoder(gd, h, noconcurrency=noconcurrency)
     enc.assert_formula(init, 0)
     enc.assert_formula(goal, h)
@@ -280,9 +283,19 @@ def encode_problem(gd: GroundDomain, init: Formula, goal: Formula, extras,
 
 def plan(domain: DomainDescription, problem: PlanningProblem,
          registry: ExternalRegistry | None = None, *, costs=(), seed: int = 0,
-         max_conflicts: int | None = None, max_seconds: float | None = None,
-         gd: GroundDomain | None = None) -> PlanFound | NoPlanUpTo:
-    """Iterative-deepening plan search over problem.horizon, on one solver.
+         max_conflicts: int | None = None,
+         max_seconds: float | None = None) -> PlanFound | NoPlanUpTo:
+    """Ground domain against registry and search it with plan_grounded."""
+    return plan_grounded(ground(domain, registry), problem, registry, costs=costs, seed=seed,
+                         max_conflicts=max_conflicts, max_seconds=max_seconds)
+
+
+def plan_grounded(gd: GroundDomain, problem: PlanningProblem,
+                  registry: ExternalRegistry | None = None, *, costs=(), seed: int = 0,
+                  max_conflicts: int | None = None,
+                  max_seconds: float | None = None) -> PlanFound | NoPlanUpTo:
+    """Iterative-deepening plan search over problem.horizon, on one solver,
+    for gd, the domain gd.domain grounded against registry.
 
     Horizon h asserts the goal and the :at final constraints under h's
     activation literal, solves assuming it, and on UNSAT retires it and
@@ -292,12 +305,9 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
     "over the deadline" forbidden under h's literal.  Whenever costs are
     given, plan_cost prices the plan found; a price over the deadline
     would be an internal error.  Resource limits apply per solve call and
-    surface as sat.ResourceLimit.  gd, if given, is the domain already
-    grounded against registry.
+    surface as sat.ResourceLimit.
     """
-    if gd is None:
-        gd = ground(domain, registry)
-    init, goal, extras, lo, hi = close_problem(domain, problem, registry)
+    init, goal, extras, lo, hi = close_problem(gd.domain, problem, registry)
     if problem.cost_deadline is not None and not costs:
         raise ValueError("the problem sets a cost deadline but no cost model was given")
     if costs and registry is None:
@@ -325,7 +335,7 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
         res = search.solve(max_conflicts=max_conflicts, max_seconds=max_seconds)
         if not res.is_sat:
             continue
-        found = decode_model(gd, enc, res.model, h)
+        found = decode_model(enc, res.model)
         if costs:
             price = plan_cost(found, costs, registry)
             if problem.cost_deadline is not None and price > problem.cost_deadline:
@@ -371,8 +381,8 @@ def predict(domain: DomainDescription, init, actions,
 
     # the schedule fixes every action variable, so projecting onto all real
     # atoms blocks exactly the fluent values already seen
-    real = range(1, cnf.n_real + 1)
-    outcomes = [decode_model(gd, cnf, (False,) + proj, h).trajectory
+    real = sorted(cnf.index.values())
+    outcomes = [decode_model(cnf, dict(zip(real, proj))).trajectory
                 for proj in enumerate_models(cnf, real, seed=seed, limit=limit)]
     outcomes.sort(key=lambda tr: [sorted(s.items()) for s in tr])
     return Predicted(steps, outcomes)

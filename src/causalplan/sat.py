@@ -76,23 +76,25 @@ class Solver:
     RANDOM_FREQ = 0.02
 
     def __init__(self, n_vars: int, clauses, seed: int = 0):
-        self.nvars = n_vars
         self.ok = True
         self.clauses: list[list[int]] = []  # attached clauses by index
         self.given: list = []  # every clause handed in, as given
-        self.watches: list[list[int]] = [[] for _ in range(2 * n_vars + 2)]
-        self.assign = [0] * (n_vars + 1)  # 0 unassigned, 1 true, -1 false
-        self.level = [0] * (n_vars + 1)
-        self.reason = [-1] * (n_vars + 1)
-        self.saved = [-1] * (n_vars + 1)  # phase saving, prefer false
-        self.activity = [0.0] * (n_vars + 1)
+        # per-variable arrays, index 0 unused; _grow sizes them to n_vars
+        self.nvars = 0
+        self.watches: list[list[int]] = [[], []]  # by _widx
+        self.assign = [0]  # 0 unassigned, 1 true, -1 false
+        self.level = [0]
+        self.reason = [-1]
+        self.saved = [-1]  # phase saving, prefer false
+        self.activity = [0.0]
+        self.order: list[tuple[float, int]] = []  # heap of (-activity, variable)
+        self._grow(n_vars)
         self.var_inc = 1.0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.rng = random.Random(seed)
         self.stats = Stats()
-        self.order = [(0.0, v) for v in range(1, n_vars + 1)]
         for c in clauses:
             self.add_clause(c)
 
@@ -480,16 +482,15 @@ def enumerate_models(cnf, project_vars, *, seed: int = 0, limit: int | None = No
 # --- DIMACS ------------------------------------------------------------------
 
 def emit_dimacs(cnf) -> str:
-    """Serialize to DIMACS CNF.  Atom-table comments come first so external
-    tooling can map variables back to timed atoms; definition variables are
-    marked as aux."""
-    lines = []
-    atoms = getattr(cnf, "atoms", ())
-    for i, ta in enumerate(atoms):
-        lines.append(f"c atom {i + 1} {ta}")
+    """Serialize to DIMACS CNF.  One comment per variable comes first, in
+    variable order, so external tooling can map variables back to timed
+    atoms: 'c atom v' for a timed atom, 'c aux v' for any other variable
+    (a definition variable, or an activation variable that no clause of a
+    compiler.CnfFormula mentions)."""
     n, clauses = _as_pair(cnf)
-    for v in range(len(atoms) + 1, n + 1):
-        lines.append(f"c aux {v}")
+    atom_of = {v: ta for ta, v in getattr(cnf, "index", {}).items()}
+    lines = [f"c atom {v} {atom_of[v]}" if v in atom_of else f"c aux {v}"
+             for v in range(1, n + 1)]
     lines.append(f"p cnf {n} {len(clauses)}")
     for c in clauses:
         lines.append(" ".join(map(str, c)) + " 0")

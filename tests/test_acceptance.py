@@ -35,9 +35,8 @@ def _cnf_trajectories(gd, h, *, seed=0):
     """Every model of the h-step encoding, projected onto the timed atoms
     and decoded to a (state, actions, ..., state) tuple."""
     cnf = compile_cnf(gd, h)
-    n_real = len(cnf.atoms)
     out = set()
-    for model in enumerate_models(cnf, list(range(1, n_real + 1)), seed=seed):
+    for model in enumerate_models(cnf, [cnf.var_of(ta) for ta in cnf.atoms], seed=seed):
         truth = dict(zip(cnf.atoms, model))
         parts = []
         for t in range(h + 1):

@@ -7,7 +7,10 @@ import pytest
 
 import toy_domains
 from causalplan.cli import main
-from causalplan.sat import parse_dimacs, solve
+from causalplan.domains import build_toh
+from causalplan.grounding import ground
+from causalplan.planner import close_problem, encode_problem
+from causalplan.sat import emit_dimacs, parse_dimacs, solve
 from sample_files import samples_dir
 
 TOGGLE_PROBLEM = ":init ~b;\n:goal b;\n:horizon 0..3;\n"
@@ -387,6 +390,26 @@ def test_dimacs_export_does_not_carry_the_deadline(tmp_path, capsys):
     assert main(["plan", domain, _deadline_problem(tmp_path, 11), *world, "--cost", GOTO_COST,
                  "--solver", "dimacs-out", str(bounded)]) == 0
     assert plain.read_bytes() == bounded.read_bytes()
+
+
+def _clause_and_literal_counts(dimacs: str) -> tuple[int, int]:
+    _, clauses = parse_dimacs(dimacs)
+    return len(clauses), sum(map(len, clauses))
+
+
+def test_dimacs_exports_keep_their_clause_and_literal_counts(tmp_path, capsys):
+    # the counts of the step-major layout that the grown one replaced: the
+    # variables are numbered differently, but the clauses are the same
+    toh = build_toh(4)
+    init, goal, extras, _, hi = close_problem(toh.domain, toh.problem, toh.registry)
+    enc = encode_problem(ground(toh.domain, toh.registry), init, goal, extras, hi,
+                         noconcurrency=toh.problem.noconcurrency)
+    assert _clause_and_literal_counts(emit_dimacs(enc.cnf())) == (13_798, 28_588)
+    domain, *world = _grid_args()
+    cnf_file = tmp_path / "grid.cnf"
+    assert main(["plan", domain, str(samples_dir() / "boxes-grid.prob"), *world,
+                 "--solver", "dimacs-out", str(cnf_file)]) == 0
+    assert _clause_and_literal_counts(cnf_file.read_text()) == (665, 1_522)
 
 
 def test_model_in_refuses_a_plan_over_the_deadline(tmp_path, capsys):

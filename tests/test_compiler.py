@@ -5,6 +5,8 @@ against truth-table enumeration (tests/oracles.py), never against the
 package's own solver.
 """
 
+from collections import Counter
+
 import pytest
 
 import oracles
@@ -23,10 +25,11 @@ def gd_of(text):
 
 
 def model_set(cnf):
-    """Real-variable projections of all models, via truth tables."""
+    """Projections of all models onto the timed atoms, in atom table order,
+    via truth tables."""
     models = oracles.truth_table_models(cnf.var_count, cnf.clauses)
-    n_real = len(cnf.atoms)
-    return {m[:n_real] for m in models}
+    real = [cnf.var_of(ta) - 1 for ta in cnf.atoms]
+    return {tuple(m[i] for i in real) for m in models}
 
 
 def atoms_str(cnf):
@@ -232,16 +235,21 @@ def test_eval_completion_finds_violation():
 
 # --- clausification ---------------------------------------------------------------
 
-def test_variable_numbering_step_major_fluents_first():
-    cnf = compile_cnf(gd_of("""
+def test_variable_numbering_keeps_each_steps_numbers_as_it_grows():
+    gd = gd_of("""
 :constants b :: inertialFluent; flip :: action;
 :laws
   inertial b;
   flip causes b if ~b;
-"""), 2)
+""")
+    cnf = compile_cnf(gd, 2)
     assert atoms_str(cnf) == ["b@0", "flip@0", "b@1", "flip@1", "b@2"]
-    assert [cnf.var_of(ta) for ta in cnf.atoms] == [1, 2, 3, 4, 5]
-    assert cnf.aux_start == 6
+    # b@0 and step 0's activation variable 2; each new step numbers, after
+    # every variable in use, the actions before it, its fluents, its
+    # activation variable and its definition variables (6 and 7 at step 1)
+    assert [cnf.var_of(ta) for ta in cnf.atoms] == [1, 3, 4, 8, 9]
+    assert cnf.base == [0, 3, 8]
+    assert compile_cnf(gd, 1).index.items() <= cnf.index.items()
 
 
 def test_dimacs_emission_is_stable():
@@ -313,8 +321,9 @@ def test_encoder_rejects_action_at_final_step():
 
 class SymbolicClauses:
     """The clauses of one horizon, written straight from the symbolic
-    completion_for(gd, h) over the TimedAtom table.  The Encoder's shifted
-    template must reproduce them clause for clause."""
+    completion_for(gd, h) over the TimedAtom table, numbered step-major.
+    The Encoder's grown template must reproduce them clause for clause,
+    up to the numbering of its variables."""
 
     def __init__(self, gd, horizon, noconcurrency=False):
         self.horizon = horizon
@@ -482,6 +491,34 @@ def _encode_both(gd, query, h, noconcurrency):
     return templated, symbolic
 
 
+def _by_meaning(clauses, atom_of):
+    """The clauses as a multiset over what each variable stands for: a
+    timed atom (atom_of), the conjunction that a definition variable d's
+    clauses (-d, l)... and (d, -l1, ...) define, or one shared falsum for
+    a variable with the units (v,) and (-v,).  A variable that is none of
+    these raises KeyError."""
+    name = dict(atom_of)
+
+    def lit(l):
+        return name[abs(l)], l > 0
+
+    units = {c[0] for c in clauses if len(c) == 1}
+    binaries = {c for c in clauses if len(c) == 2}
+    for c in clauses:
+        d = c[0]
+        if d < 0 or d in name:
+            continue
+        if len(c) == 1 and -d in units:
+            name[d] = "falsum"
+        elif len(c) > 1 and all((-d, -l) in binaries for l in c[1:]):
+            name[d] = ("and", frozenset(lit(-l) for l in c[1:]))
+    return Counter(tuple(map(lit, c)) for c in clauses)
+
+
+def _used(clauses):
+    return len({abs(l) for c in clauses for l in c})
+
+
 @pytest.mark.parametrize("name,gd,query", _equivalence_cases(),
                          ids=lambda x: x if isinstance(x, str) else "")
 def test_templated_encoder_equals_symbolic_clausification(name, gd, query):
@@ -494,10 +531,15 @@ def test_templated_encoder_equals_symbolic_clausification(name, gd, query):
                 continue
             assert not isinstance(templated, str), (where, templated)
             cnf = templated.cnf()
-            assert cnf.var_count == symbolic.var_count, where
-            assert cnf.clauses == symbolic.clauses, where
             assert cnf.atoms == symbolic.table, where
-            assert [cnf.var_of(ta) for ta in cnf.atoms] == list(range(1, len(cnf.atoms) + 1))
+            assert len(set(cnf.index.values())) == len(cnf.atoms), where
+            # numbered but unused: h + 1 activation variables, and a last
+            # step's definition variables that only its next class needs
+            assert cnf.var_count >= symbolic.var_count + h + 1, where
+            assert _used(cnf.clauses) == _used(symbolic.clauses), where
+            got = _by_meaning(cnf.clauses, {v: ta for ta, v in cnf.index.items()})
+            want = _by_meaning(symbolic.clauses, dict(enumerate(symbolic.table, 1)))
+            assert got == want, where
 
 
 def test_templated_encoder_rejects_actions_at_the_final_step_alike():
@@ -511,17 +553,6 @@ def test_templated_encoder_rejects_actions_at_the_final_step_alike():
             with pytest.raises(CompileError) as want:
                 ref.assert_formula(AtomF(flip), step)
             assert str(got.value) == str(want.value)
-
-
-def _real_vars(enc):
-    """An encoder's timed-atom variables, in atom_table order."""
-    width, nf, base = enc.width, enc.n_fluents, enc.base
-    out = []
-    for t in range(enc.horizon + 1):
-        out += range(base[t] + 1, base[t] + nf + 1)
-        if t < enc.horizon:
-            out += range(base[t + 1] - width + nf + 1, base[t + 1] + 1)
-    return out
 
 
 def caused_by_action():
@@ -540,25 +571,18 @@ def caused_by_action():
                          + [("caused by an action", caused_by_action())],
                          ids=lambda x: x if isinstance(x, str) else "")
 def test_growing_encoder_has_the_fixed_encodings_models(name, gd):
-    # grown step by step, with the current activation literal assumed, the
-    # encoding has exactly the fixed encoding's models on the timed atoms
+    # grown step by step, the guarded clauses with the current activation
+    # literal assumed have exactly cnf()'s models on the timed atoms
     for noconcurrency in (False, True):
-        enc = Encoder(gd, 0, noconcurrency=noconcurrency, extensible=True)
+        enc = Encoder(gd, 0, noconcurrency=noconcurrency)
         for h in range(3):
             if h:
                 enc.extend()
-            fixed = compile_cnf(gd, h, noconcurrency=noconcurrency)
-            want = set(enumerate_models(fixed, range(1, fixed.n_real + 1)))
+            cnf = enc.cnf()
+            real = [cnf.var_of(ta) for ta in cnf.atoms]
+            want = set(enumerate_models(cnf, real))
             grown = (enc.var_count, enc.clauses + [(enc.active,)])
-            got = set(enumerate_models(grown, _real_vars(enc)))
+            got = set(enumerate_models(grown, real))
             assert got == want, (name, h, noconcurrency)
-            direct = Encoder(gd, h, noconcurrency=noconcurrency, extensible=True)
+            direct = Encoder(gd, h, noconcurrency=noconcurrency)
             assert (direct.var_count, direct.clauses) == (enc.var_count, enc.clauses)
-
-
-def test_only_an_extensible_encoder_grows_and_only_a_fixed_one_has_a_cnf():
-    gd = gd_of(toy_domains.TOGGLE)
-    with pytest.raises(CompileError):
-        Encoder(gd, 1).extend()
-    with pytest.raises(CompileError):
-        Encoder(gd, 1, extensible=True).cnf()

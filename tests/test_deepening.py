@@ -44,12 +44,11 @@ def reference_horizon(gd, problem, registry=None, costs=()):
             res = solver.solve()
             if not res.is_sat:
                 break
-            found = decode_model(gd, cnf, res.model, h)
+            found = decode_model(cnf, res.model)
             if plan_cost(found, costs, registry) <= problem.cost_deadline:
                 return h
-            first = cnf.n_fluents + 1
-            block = [-v if res.model[v] else v for t in range(h)
-                     for v in range(t * cnf.width + first, (t + 1) * cnf.width + 1)]
+            block = [-v if res.model[v] else v for ta, v in cnf.index.items()
+                     if ta.atom.constant.is_action]
             if not block:
                 break
             solver.add_clause(block)
@@ -122,7 +121,7 @@ def _sample_cases():
 def test_growing_search_agrees_with_a_fresh_solver_per_horizon(name, gd, problem,
                                                               registry, costs):
     want = reference_horizon(gd, problem, registry, costs)
-    got = plan(gd.domain, problem, registry, costs=costs, gd=gd)
+    got = plan(gd.domain, problem, registry, costs=costs)
     if want is None:
         assert isinstance(got, NoPlanUpTo) and got.max_horizon == problem.horizon[1]
         return
@@ -276,7 +275,7 @@ def test_deadline_search_agrees_with_the_blocking_loop_and_every_priced_path(cas
     gd = ground(b.domain, registry)
     want = exact_horizon(gd, problem, registry, costs)
     assert reference_horizon(gd, problem, registry, costs) == want
-    got = plan(b.domain, problem, registry, costs=costs, gd=gd)
+    got = plan(b.domain, problem, registry, costs=costs)
     if want is None:
         assert isinstance(got, NoPlanUpTo)
         return

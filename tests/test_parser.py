@@ -213,6 +213,21 @@ def test_non_decimal_digit_is_not_an_integer(bad):
     assert astuple(only.span)[1:] == (1, 10, 1, 11)
 
 
+@pytest.mark.parametrize("text,at", [
+    (":init holding(B1) x;\n", (1, 19)), (":goal atObj(B1)=L2 x;\n", (1, 20)),
+    (":at 0 holding(B1) x;\n", (1, 19)), (":at final holding(B1) x;\n", (1, 23)),
+    (":goal atObj(B1)=L2;\n:horizon 0..5 x;\n", (2, 15)), (":maxcost 3 x;\n", (1, 12)),
+    (":noconcurrency x;\n", (1, 16))])
+def test_missing_semicolon_is_one_diagnostic(text, at):
+    # the section recovers past the stray token, which the main loop would
+    # otherwise report again as a section
+    with pytest.raises(ParseError) as e:
+        parse_problem(text, parse_domain(BOXES))
+    [only] = e.value.diagnostics
+    assert only.message == "expected ';', found 'x'"
+    assert astuple(only.span)[1:] == (*at, at[0], at[1] + 1)
+
+
 # --- problems --------------------------------------------------------------------
 
 def test_parse_problem_sections():
