@@ -6,8 +6,9 @@ Pipeline (each stage is exposed for testing):
     unroll    triples -> time-stamped definite rules, bodies in DNF
     complete  rules -> support biconditionals + nogoods + exactly-one
     template  StepTemplate: the completion of a reference horizon (0 or
-              2), clausified once per ground domain into integer clause
-              blocks per step class (only, first, middle, final)
+              2), clausified once per ground domain (which ground() keeps
+              across queries) into integer clause blocks per step class
+              (only, first, middle, final)
     grow      Encoder: horizon h = the blocks placed one step at a time
               from horizon 0, each step after every variable in use,
               with the clauses that hold only at the last step under an
@@ -532,6 +533,9 @@ class StepTemplate:
         self.ground = ground
         self.n_fluents = len(ground.fluent_atoms)
         self.width = self.n_fluents + len(ground.action_atoms)
+        # a template lives as long as its ground domain, across queries:
+        # its blocks share one int object per window literal
+        self._ints: dict[int, int] = {}
         rules = desugar(ground)
         for rule in rules:
             # validation rejects these; the if-part would need actions at
@@ -551,6 +555,7 @@ class StepTemplate:
             (self._block([Nogood(r.body) for t, r in _stamp_rule(rule, 1) if t == 0], 0),
              rule.after is not None or _mentions_action(rule))
             for rule in rules if rule.head is None]
+        del self._ints
 
     def _block(self, formulas, step: int) -> Block:
         """Clausify formulas stamped around step into window variables."""
@@ -563,7 +568,8 @@ class StepTemplate:
         sink = _ClauseSink(3 * width)
         for f in formulas:
             sink._add_formula(f, lit)
-        return sink.clauses, sink.var_count - 3 * width
+        ints = self._ints.setdefault
+        return [tuple([ints(l, l) for l in c]) for c in sink.clauses], sink.var_count - 3 * width
 
     def _supports(self, rules: list[Desugared], ref: int) -> list[Block]:
         """The support block of every step of reference horizon ref, in

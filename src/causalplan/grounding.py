@@ -31,6 +31,9 @@ class ExternalRegistry:
 
     Evaluators must be pure; results are memoized per grounding run, not
     here, so a registry can be shared across worlds and runs safely.
+    Every ground() call evaluates the externals afresh, so registering a
+    new evaluator takes effect at the next grounding run; ground() reuses
+    a domain's kept GroundDomain only when the new laws equal its laws.
     """
 
     def __init__(self):
@@ -173,7 +176,12 @@ def ground(domain: DomainDescription, registry: ExternalRegistry | None = None,
            *, simplify: bool = True) -> GroundDomain:
     """Instantiate every schema.  With simplify=False the vacuous-law drop and
     TRUE/FALSE folding are skipped (the compiler copes; used to test that
-    simplification never changes the model set)."""
+    simplification never changes the model set).
+
+    The result is kept on domain, one per simplify setting.  When a later
+    run gives laws equal to the kept ones, the kept GroundDomain is
+    returned, with its cached atom tables and step template, so repeated
+    queries on one domain build them once; otherwise the new one is kept."""
     diags = validate_signature(domain)
     if diags:
         raise GroundingError("invalid domain: " + "; ".join(str(d) for d in diags))
@@ -194,7 +202,12 @@ def ground(domain: DomainDescription, registry: ExternalRegistry | None = None,
             g = _ground_one(law, env, closer, simplify)
             if g is not None:
                 out.append(g)
-    return GroundDomain(domain=domain, laws=tuple(out))
+    laws = tuple(out)
+    kept = domain.__dict__.setdefault("_grounded", {})
+    gd = kept.get(simplify)
+    if gd is None or gd.laws != laws:
+        gd = kept[simplify] = GroundDomain(domain=domain, laws=laws)
+    return gd
 
 
 def _ground_one(law: Law, env: dict[str, str], closer: _Closer, simplify: bool) -> Law | None:

@@ -25,6 +25,7 @@ import heapq
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 class ResourceLimit(Exception):
@@ -79,6 +80,7 @@ class Solver:
         self.ok = True
         self.clauses: list[list[int]] = []  # attached clauses by index
         self.given: list = []  # every clause handed in, as given
+        self._fixed: set[int] = set()  # see _level0
         # per-variable arrays, index 0 unused; _grow sizes them to n_vars
         self.nvars = 0
         self.watches: list[list[int]] = [[], []]  # by _widx
@@ -167,37 +169,67 @@ class Solver:
 
     def extend(self, n_vars: int, clauses) -> bool:
         """Grow to n_vars variables and add clauses that are already clean:
-        no literal twice, no complementary pair (an encoder's output).  This
-        skips add_clause's duplicate and tautology scans but still checks
-        every literal's range and simplifies against level 0.  Returns
-        False if the formula is now trivially unsatisfiable."""
+        no literal twice, no complementary pair (an encoder's output).
+
+        This skips add_clause's duplicate and tautology scans and checks
+        the range of all the literals at once, raising before any clause
+        is added.  A clause costs little more than attaching it: the
+        solver keeps the set of literals with a level-0 value, and only a
+        clause shorter than two literals or touching that set is
+        simplified first, with add_clause's outcome: a satisfied clause
+        is dropped, false literals are stripped, and a unit is enqueued
+        and propagated.  Clauses and watches come out in the order
+        add_clause would give them.  Returns False if the formula is now
+        trivially unsatisfiable."""
         self._grow(n_vars)
         clauses = list(clauses)
         if not self.ok:
             return False
+        lits = set(chain.from_iterable(clauses))
+        if lits and (min(lits) < -self.nvars or max(lits) > self.nvars or 0 in lits):
+            for c in clauses:
+                self._check_range(c)
         self._backtrack(0)
         self.given += clauses
-        lo, hi = -self.nvars, self.nvars
-        store, watches, trail = self.clauses, self.watches, self.trail
-        # literals with a level-0 value; the common clause touches none
-        fixed = set(trail)
-        fixed.update([-l for l in trail])
+        store, watches, assign = self.clauses, self.watches, self.assign
+        fixed = self._level0()
         for c in clauses:
-            if c and (min(c) < lo or max(c) > hi or 0 in c):
-                self._check_range(c)
-            if len(c) < 2 or not fixed.isdisjoint(c):
-                n = len(trail)
-                if not self._attach_problem(c):
-                    return False
-                fixed.update(trail[n:])
-                fixed.update([-l for l in trail[n:]])
+            if len(c) > 1 and fixed.isdisjoint(c):
+                ci = len(store)
+                store.append(list(c))
+                l0, l1 = c[0], c[1]
+                watches[(l0 << 1) if l0 > 0 else ((-l0) << 1) | 1].append(ci)
+                watches[(l1 << 1) if l1 > 0 else ((-l1) << 1) | 1].append(ci)
                 continue
-            ci = len(store)
-            store.append(list(c))
-            l0, l1 = c[0], c[1]
-            watches[(l0 << 1) if l0 > 0 else ((-l0) << 1) | 1].append(ci)
-            watches[(l1 << 1) if l1 > 0 else ((-l1) << 1) | 1].append(ci)
+            rest: list[int] = []
+            for l in c:
+                a = assign[l if l > 0 else -l]
+                if not a:
+                    rest.append(l)
+                elif (a if l > 0 else -a) == 1:
+                    break  # satisfied at level 0
+            else:
+                if len(rest) > 1:
+                    self._attach(rest)
+                    continue
+                if rest:
+                    self._enqueue(rest[0])
+                if not rest or self._propagate() != -1:
+                    self.ok = False
+                    return False
+                self._level0()
         return True
+
+    def _level0(self) -> set[int]:
+        """The literals with a level-0 value, both signs, brought up to date
+        with the trail's level-0 part, which only ever grows (call at level
+        0).  The set holds two literals per trail entry it has seen."""
+        fixed = self._fixed
+        new = self.trail[len(fixed) >> 1:]
+        if new:
+            fixed.update(new)
+            fixed.update([-l for l in new])
+        return fixed
 
     def _check_range(self, lits) -> None:
         for l in lits:

@@ -14,7 +14,8 @@ from causalplan import (NoPlanUpTo, PlanFound, check_consistency, parse_domain,
                         parse_problem, parse_world, plan, registry_for,
                         validate_plan)
 from causalplan import planner
-from causalplan.domains import build_robot_boxes, build_toh
+from causalplan.compiler import Encoder
+from causalplan.domains import build_mapp, build_robot_boxes, build_toh
 from causalplan.grounding import ExternalRegistry, ground
 from causalplan.model import AtomF, PlanningProblem, eval_formula
 from causalplan.oracle import oracle_paths, oracle_states
@@ -333,3 +334,65 @@ def test_search_counters_on_toh4_are_pinned(monkeypatch):
     assert len(made) == 1
     stats = made[0].stats
     assert (stats.conflicts, stats.decisions, stats.propagations) == (235, 506, 22566)
+
+
+# --- loading a grown encoding ------------------------------------------------------
+
+def reference_extend(solver, n_vars, clauses):
+    """Solver.extend as add_clause loads clauses: one _attach_problem per
+    clause, after a range check of each."""
+    solver._grow(n_vars)
+    if not solver.ok:
+        return False
+    clauses = list(clauses)
+    for c in clauses:
+        solver._check_range(c)
+    solver._backtrack(0)
+    solver.given += clauses
+    return all(solver._attach_problem(c) for c in clauses)
+
+
+def _grown_cases():
+    out = []
+    world = registry_for(parse_world((samples_dir() / "corridor.world").read_text()))
+    for name in ("boxes", "boxes-grid", "mapp", "toh"):
+        domain = parse_domain((samples_dir() / f"{name}.cp").read_text())
+        problem = parse_problem((samples_dir() / f"{name}.prob").read_text(), domain)
+        registry = world if domain.externals else None
+        out.append((name, ground(domain, registry), problem, registry))
+    toh = build_toh(4)
+    out.append(("build_toh(4)", ground(toh.domain), toh.problem, None))
+    mapp = build_mapp(parse_world("...\n.#.\n..."), 2, [(0, 0), (2, 2)], [(2, 2), (0, 0)])
+    out.append(("build_mapp 3x3", ground(mapp.domain), mapp.problem, None))
+    return out
+
+
+@pytest.mark.parametrize("name,gd,problem,registry", _grown_cases(),
+                         ids=lambda x: x if isinstance(x, str) else "")
+def test_extend_loads_a_grown_encoding_as_one_attach_per_clause(name, gd, problem, registry):
+    # Grow the plan search's encoding horizon by horizon on two solvers,
+    # one loaded by extend and one by the reference loader, solving each
+    # horizon and adding a level-0 unit between extends (besides the
+    # initial state and the retirement units), so that later batches
+    # meet satisfied clauses, false literals and new units.
+    init, goal, _, _, hi = close_problem(gd.domain, problem, registry)
+    enc = Encoder(gd, 0, noconcurrency=problem.noconcurrency)
+    enc.assert_formula(init, 0)
+    fast, ref = Solver(0, (), seed=0), Solver(0, (), seed=0)
+    loaded = 0
+    for h in range(min(hi, 8) + 1):
+        if h:
+            enc.extend()
+        enc.assert_formula(goal, h, guard=enc.active)
+        batch = enc.clauses[loaded:]
+        loaded = len(enc.clauses)
+        assert fast.extend(enc.var_count, batch) == reference_extend(ref, enc.var_count, batch)
+        assert fast.clauses == ref.clauses, (name, h)
+        assert fast.watches == ref.watches, (name, h)
+        assert fast.trail == ref.trail and fast.given == ref.given, (name, h)
+        got, want = fast.solve([enc.active]), ref.solve([enc.active])
+        assert (got.status, got.model) == (want.status, want.model), (name, h)
+        if h:
+            # the last action of step h - 1 does not occur
+            unit = (-enc.base[h],)
+            assert fast.add_clause(unit) == ref.add_clause(unit)

@@ -2,7 +2,11 @@
 
 import pytest
 
-from causalplan import parse_domain, parse_world, registry_for
+from sample_files import samples_dir
+from causalplan import (Consistent, NoPlanUpTo, PlanFound, check_consistency, compiler,
+                        emit_plan, parse_domain, parse_problem, parse_world,
+                        plan, predict, registry_for)
+from causalplan.domains import build_robot_boxes
 from causalplan.grounding import (ExternalRegistry, GroundingError,
                                   close_formula, ground, signature_atoms)
 from causalplan.model import Caused, Causes, FalseF, Nonexecutable, TrueF
@@ -125,3 +129,64 @@ def test_non_boolean_external_in_formula_rejected():
     with pytest.raises(GroundingError) as e:
         ground(parse_domain(WALLED), reg)
     assert "bool" in str(e.value).lower()
+
+
+# --- the ground domain kept across queries ------------------------------------------
+
+def _count_templates(monkeypatch) -> list:
+    made = []
+
+    class Counted(compiler.StepTemplate):
+        def __init__(self, gd):
+            made.append(gd)
+            super().__init__(gd)
+
+    monkeypatch.setattr(compiler, "StepTemplate", Counted)
+    return made
+
+
+def test_queries_on_one_domain_build_one_step_template(monkeypatch):
+    made = _count_templates(monkeypatch)
+    b = build_robot_boxes(2, 1)
+    first = plan(b.domain, b.problem)
+    second = plan(b.domain, b.problem)
+    assert isinstance(first, PlanFound) and isinstance(second, PlanFound)
+    assert emit_plan(first.plan) == emit_plan(second.plan)
+    assert len(made) == 1
+    init = parse_problem(":init atRobo=L1 & holding(B1);\n", b.domain).init
+    assert len(predict(b.domain, init, [[("goto", ("L2",))]]).outcomes) == 1
+    assert isinstance(check_consistency(b.domain), Consistent)
+    assert len(made) == 1
+    assert ground(b.domain) is made[0]
+
+
+def test_unsimplified_grounding_never_returns_the_simplified_domain():
+    # nothing here folds, so both settings give equal laws
+    d = parse_domain(":constants p :: inertialFluent; a :: action;\n"
+                     ":laws\n  inertial p;\n  a causes p;\n  caused false after p;\n")
+    simple = ground(d)
+    raw = ground(d, simplify=False)
+    assert raw.laws == simple.laws and raw is not simple
+    assert ground(d, simplify=False) is raw
+    assert ground(d) is simple
+
+
+def test_a_changed_external_takes_effect_at_the_next_query():
+    domain = parse_domain((samples_dir() / "boxes-grid.cp").read_text())
+    problem = parse_problem((samples_dir() / "boxes-grid.prob").read_text(), domain)
+    world = parse_world((samples_dir() / "corridor.world").read_text())
+    registry = registry_for(world)
+    kept = ground(domain, registry)
+    assert ground(domain, registry) is kept
+    found = plan(domain, problem, registry)
+    assert isinstance(found, PlanFound) and found.horizon == 4
+
+    registry.register("pathExists", 2, lambda x, y: False)
+    blocked = ground(domain, registry)
+    assert blocked is not kept and blocked.laws != kept.laws
+    assert plan(domain, problem, registry) == NoPlanUpTo(8)
+
+    registry.register("pathExists", 2, world.path_exists)
+    assert ground(domain, registry).laws == kept.laws
+    again = plan(domain, problem, registry)
+    assert isinstance(again, PlanFound) and emit_plan(again.plan) == emit_plan(found.plan)

@@ -214,6 +214,15 @@ def test_extend_loads_clean_clauses_in_batches():
                 assert check_model_satisfies(res.model, loaded)
     with pytest.raises(ValueError):
         Solver(0, ()).extend(2, [(1, 3)])
+    # a bad literal is found whether or not its clause holds a level-0
+    # literal (1 is fixed true), and before any clause of the batch loads
+    for bad in [(1, 3), (-1, -3), (2, -3), (-3, 2), (1, 0), (2, 0), (0,)]:
+        s = Solver(2, [(1,)])
+        before = (list(s.given), [list(c) for c in s.clauses], list(s.trail))
+        with pytest.raises(ValueError):
+            s.extend(2, [(-1, 2), bad])
+        assert (s.given, s.clauses, s.trail) == before, bad
+        assert s.extend(2, [(-1, 2)]) and s.trail == [1, 2]
 
 
 def test_retired_activation_literal_leaves_its_clauses_satisfied():
