@@ -535,30 +535,30 @@ class StepTemplate:
         self.width = self.n_fluents + len(ground.action_atoms)
         # a template lives as long as its ground domain, across queries:
         # its blocks share one int object per window literal
-        self._ints: dict[int, int] = {}
+        ints: dict[int, int] = {}
         rules = desugar(ground)
         for rule in rules:
             # validation rejects these; the if-part would need actions at
             # the final step, where none exist
             if rule.after is not None and mentions_action(rule.cond):
                 raise CompileError(f"the if-part {rule.cond} of an after-rule mentions an action")
-        (only,) = self._supports(rules, 0)
-        first, middle, final = self._supports(rules, 2)
+        (only,) = self._supports(rules, 0, ints)
+        first, middle, final = self._supports(rules, 2, ints)
         # how the last step's support block changes when an Encoder grows:
         # (only -> first, final -> middle)
         self.growth = _growth(only, first), _growth(final, middle)
-        self.exactly_one = [self._block([_exactly_one(c, args, 0)], 0)
+        self.exactly_one = [self._block([_exactly_one(c, args, 0)], 0, ints)
                             for c, args in ground.fluent_instances if not c.is_boolean]
         # (block, stops early) per headless rule: a rule that mentions an
         # action or has an after-part stops one step before the horizon
         self.nogoods = [
-            (self._block([Nogood(r.body) for t, r in _stamp_rule(rule, 1) if t == 0], 0),
+            (self._block([Nogood(r.body) for t, r in _stamp_rule(rule, 1) if t == 0], 0, ints),
              rule.after is not None or _mentions_action(rule))
             for rule in rules if rule.head is None]
-        del self._ints
 
-    def _block(self, formulas, step: int) -> Block:
-        """Clausify formulas stamped around step into window variables."""
+    def _block(self, formulas, step: int, ints: dict[int, int]) -> Block:
+        """Clausify formulas stamped around step into window variables,
+        taking each literal's int object from ints."""
         width, position = self.width, self.ground.atom_position
 
         def lit(l: TimedLit) -> int:
@@ -568,17 +568,17 @@ class StepTemplate:
         sink = _ClauseSink(3 * width)
         for f in formulas:
             sink._add_formula(f, lit)
-        ints = self._ints.setdefault
-        return [tuple([ints(l, l) for l in c]) for c in sink.clauses], sink.var_count - 3 * width
+        one = ints.setdefault
+        return [tuple([one(l, l) for l in c]) for c in sink.clauses], sink.var_count - 3 * width
 
-    def _supports(self, rules: list[Desugared], ref: int) -> list[Block]:
+    def _supports(self, rules: list[Desugared], ref: int, ints: dict[int, int]) -> list[Block]:
         """The support block of every step of reference horizon ref, in
         step order."""
         by_step: list[list[Support]] = [[] for _ in range(ref + 1)]
         for f in complete(unroll(rules, self.ground, ref), self.ground, ref):
             if isinstance(f, Support):
                 by_step[f.head.step].append(f)
-        return [self._block(fs, t) for t, fs in enumerate(by_step)]
+        return [self._block(fs, t, ints) for t, fs in enumerate(by_step)]
 
 
 def step_template(ground: GroundDomain) -> StepTemplate:

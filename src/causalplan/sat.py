@@ -165,7 +165,7 @@ class Solver:
             if any(-l in distinct for l in distinct):
                 return True  # tautology
             lits = tuple(dict.fromkeys(lits))
-        return self._attach_problem(lits)
+        return self._load((lits,))
 
     def extend(self, n_vars: int, clauses) -> bool:
         """Grow to n_vars variables and add clauses that are already clean:
@@ -173,14 +173,9 @@ class Solver:
 
         This skips add_clause's duplicate and tautology scans and checks
         the range of all the literals at once, raising before any clause
-        is added.  A clause costs little more than attaching it: the
-        solver keeps the set of literals with a level-0 value, and only a
-        clause shorter than two literals or touching that set is
-        simplified first, with add_clause's outcome: a satisfied clause
-        is dropped, false literals are stripped, and a unit is enqueued
-        and propagated.  Clauses and watches come out in the order
-        add_clause would give them.  Returns False if the formula is now
-        trivially unsatisfiable."""
+        is added; then it loads the batch as add_clause loads one clause
+        (see _load).  Returns False if the formula is now trivially
+        unsatisfiable."""
         self._grow(n_vars)
         clauses = list(clauses)
         if not self.ok:
@@ -191,6 +186,16 @@ class Solver:
                 self._check_range(c)
         self._backtrack(0)
         self.given += clauses
+        return self._load(clauses)
+
+    def _load(self, clauses) -> bool:
+        """Attach clean clauses at level 0, in order.  A clause costs little
+        more than attaching it: the solver keeps the set of literals with a
+        level-0 value, and only a clause shorter than two literals or
+        touching that set is simplified first: a satisfied clause is
+        dropped, false literals are stripped, and a unit is enqueued and
+        propagated.  Returns False if the formula is now trivially
+        unsatisfiable."""
         store, watches, assign = self.clauses, self.watches, self.assign
         fixed = self._level0()
         for c in clauses:
@@ -235,27 +240,6 @@ class Solver:
         for l in lits:
             if not (1 <= abs(l) <= self.nvars):
                 raise ValueError(f"literal {l} out of range for {self.nvars} variables")
-
-    def _attach_problem(self, lits) -> bool:
-        """Attach a clean clause at level 0, dropping its false literals."""
-        c: list[int] = []
-        for l in lits:
-            val = self._value(l)
-            if val == 1:
-                return True  # already satisfied forever
-            if val == 0:
-                c.append(l)
-        if not c:
-            self.ok = False
-            return False
-        if len(c) == 1:
-            self._enqueue(c[0])
-            if self._propagate() != -1:
-                self.ok = False
-                return False
-            return True
-        self._attach(c)
-        return True
 
     def _grow(self, n_vars: int) -> None:
         extra = n_vars - self.nvars

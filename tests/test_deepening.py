@@ -339,8 +339,9 @@ def test_search_counters_on_toh4_are_pinned(monkeypatch):
 # --- loading a grown encoding ------------------------------------------------------
 
 def reference_extend(solver, n_vars, clauses):
-    """Solver.extend as add_clause loads clauses: one _attach_problem per
-    clause, after a range check of each."""
+    """Solver.extend written out clause by clause: a range check of each,
+    then level-0 simplification from each literal's value, with no kept
+    set of level-0 literals."""
     solver._grow(n_vars)
     if not solver.ok:
         return False
@@ -349,7 +350,20 @@ def reference_extend(solver, n_vars, clauses):
         solver._check_range(c)
     solver._backtrack(0)
     solver.given += clauses
-    return all(solver._attach_problem(c) for c in clauses)
+    for c in clauses:
+        values = [solver._value(l) for l in c]
+        if 1 in values:
+            continue  # satisfied at level 0
+        rest = [l for l, v in zip(c, values) if v == 0]
+        if len(rest) > 1:
+            solver._attach(rest)
+            continue
+        if rest:
+            solver._enqueue(rest[0])
+        if not rest or solver._propagate() != -1:
+            solver.ok = False
+            return False
+    return True
 
 
 def _grown_cases():
@@ -372,9 +386,10 @@ def _grown_cases():
 def test_extend_loads_a_grown_encoding_as_one_attach_per_clause(name, gd, problem, registry):
     # Grow the plan search's encoding horizon by horizon on two solvers,
     # one loaded by extend and one by the reference loader, solving each
-    # horizon and adding a level-0 unit between extends (besides the
-    # initial state and the retirement units), so that later batches
-    # meet satisfied clauses, false literals and new units.
+    # horizon and adding a level-0 unit between extends (by add_clause on
+    # the first; besides the initial state and the retirement units), so
+    # that later batches meet satisfied clauses, false literals and new
+    # units.
     init, goal, _, _, hi = close_problem(gd.domain, problem, registry)
     enc = Encoder(gd, 0, noconcurrency=problem.noconcurrency)
     enc.assert_formula(init, 0)
@@ -395,4 +410,4 @@ def test_extend_loads_a_grown_encoding_as_one_attach_per_clause(name, gd, proble
         if h:
             # the last action of step h - 1 does not occur
             unit = (-enc.base[h],)
-            assert fast.add_clause(unit) == ref.add_clause(unit)
+            assert fast.add_clause(unit) == reference_extend(ref, ref.nvars, [unit])
