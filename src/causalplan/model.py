@@ -459,7 +459,7 @@ class ActionCost:
 # --- signature validation ---------------------------------------------------
 
 def _check_term(term: str, expected: Sort, scope: dict[str, Sort],
-                domain: DomainDescription, span, where: str, out: list[Diagnostic]):
+                domain: DomainDescription, span, where: str | Law, out: list[Diagnostic]):
     if term in scope:
         # accept narrower sorts by extension (every disk is a place)
         extra = [m for m in scope[term].members if m not in expected.members]
@@ -474,7 +474,7 @@ def _check_term(term: str, expected: Sort, scope: dict[str, Sort],
 
 
 def _check_atom(atom: Atom, scope: dict[str, Sort], domain: DomainDescription,
-                span, where: str, out: list[Diagnostic]):
+                span, where: str | Law, out: list[Diagnostic]):
     const = atom.constant
     if domain.constant_by_key.get(const.key) != const:
         out.append(Diagnostic(f"{where}: unknown constant '{const.name}/{len(atom.args)}'", span))
@@ -552,7 +552,7 @@ def validate_signature(domain: DomainDescription) -> list[Diagnostic]:
 
     for law in domain.laws:
         scope = dict(law.vars)
-        where = str(law)
+        where = law  # formatted only when a diagnostic is made
         for v, _sort in law.vars:
             if v in domain.object_sorts:
                 out.append(Diagnostic(f"{where}: variable '{v}' shadows an object name", law.span))

@@ -25,10 +25,23 @@ Problems:
 its tokens are plain tuples, and a token's SourceSpan is built only for
 what keeps one: a diagnostic, a sort, a constant or a law.
 
-Parsing never raises on bad input by accident:
-every failure is reported as a Diagnostic with a source span, collected
-in a ParseError.  Panic-mode recovery (skip to the next ``;`` or
-section) lets one pass report several errors.
+Parsing never raises on bad input by accident: every failure is
+reported as a Diagnostic with a source span, at most MAX_DIAGNOSTICS of
+them collected in a ParseError.  Every statement -- an object, constant
+or external declaration, a law, a ``vars`` line, a problem or query
+section -- ends in ``;``, and one rule recovers from a mistake in any of
+them, so that one mistake gives one diagnostic:
+
+* a mistake inside a statement is reported where it is found, and
+  parsing skips past the statement's ``;`` (or to the next section);
+* a statement that parses but lacks its ``;`` is kept: the missing
+  ``;`` is reported, and parsing resumes at the token found instead, so
+  a statement on the next line is still read;
+* after either, nothing more is reported until a ``;`` or a section
+  name is passed.
+
+A constant whose declaration was reported is not reported again as
+unknown where a law uses it.
 """
 
 from __future__ import annotations
@@ -40,7 +53,7 @@ from .model import (
     BOOLEAN, FALSE, FINAL, TRUE, And, Atom, AtomF, Caused, Causes, Constant,
     Constraint, Diagnostic, DomainDescription, Exogenous, ExternalCall,
     Formula, Inertial, Kind, Law, Nonexecutable, Not, Or, PlanningProblem,
-    Sort, SourceSpan, TrueF, canonical, conj, disj, neg,
+    Sort, SourceSpan, TrueF, canonical, conj, disj, instance_str, neg,
 )
 
 MAX_DIAGNOSTICS = 25
@@ -114,6 +127,7 @@ def _lex(text: str, source: str, error) -> list[Token]:
 class _Parser:
     def __init__(self, text: str, source: str):
         self.diags: list[Diagnostic] = []
+        self.quiet = False  # reports held back after a broken statement
         self.toks = _lex(text, source, self.error)
         self.pos = 0
 
@@ -124,17 +138,19 @@ class _Parser:
         return self.toks[self.pos]
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.cur
+        t = self.toks[self.pos]
         return t.kind == kind and (text is None or t.text == text)
 
     def advance(self) -> Token:
-        t = self.cur
+        t = self.toks[self.pos]
         if t.kind != "EOF":
             self.pos += 1
+            if t.kind == "SEMI" or t.kind == "SECTION":
+                self.quiet = False  # a statement boundary: report again
         return t
 
     def error(self, msg: str, span: SourceSpan | None = None):
-        if len(self.diags) < MAX_DIAGNOSTICS:
+        if not self.quiet and len(self.diags) < MAX_DIAGNOSTICS:
             self.diags.append(Diagnostic(msg, span or self.cur.span))
 
     def expect(self, kind: str, what: str) -> Token | None:
@@ -143,35 +159,36 @@ class _Parser:
         self.error(f"expected {what}, found {self.cur.text or 'end of input'!r}")
         return None
 
-    def recover(self):
-        """Skip to just past the next ';' (or stop at a section/EOF)."""
-        while not self.at("EOF") and not self.at("SECTION"):
-            if self.advance().kind == "SEMI":
-                return
+    def statement(self, parse):
+        """Parse one statement with parse() and take the ';' that closes
+        it, recovering as the module docstring says.  parse() reports the
+        statement's first mistake and returns None; otherwise its result
+        is returned, even when the ';' is missing."""
+        result = parse()
+        if result is None:
+            self.quiet = True
+            while not self.at("EOF") and not self.at("SECTION"):
+                if self.advance().kind == "SEMI":
+                    break
+        elif self.expect("SEMI", "';'") is None:
+            self.quiet = True
+        return result
 
-    def end_section(self) -> None:
-        """Expect the ';' that closes a section; on anything else, report
-        it once and skip past the next ';'."""
-        if self.expect("SEMI", "';'") is None:
-            self.recover()
+    def separated(self, item, *args, sep: str = "COMMA") -> list | None:
+        """One or more items read by item(*args), separated by sep; None
+        as soon as an item fails."""
+        items = []
+        while (x := item(*args)) is not None:
+            items.append(x)
+            if not self.at(sep):
+                return items
+            self.advance()
+        return None
 
     def fail(self) -> ParseError:
         if not self.diags:
             self.error("parse failed")
         return ParseError(self.diags)
-
-
-def _parse_name_list(p: _Parser) -> list[Token]:
-    names = []
-    t = p.expect("NAME", "a name")
-    if t:
-        names.append(t)
-    while p.at("COMMA"):
-        p.advance()
-        t = p.expect("NAME", "a name")
-        if t:
-            names.append(t)
-    return names
 
 
 class _DomainParser(_Parser):
@@ -181,6 +198,7 @@ class _DomainParser(_Parser):
         self.sort_spans: dict[str, SourceSpan] = {}
         self.sorts: dict[str, Sort] = {}  # built when :constants starts
         self.constants: dict[tuple[str, int], Constant] = {}
+        self.broken: set[str] = set()  # names of constants declared wrongly
         self.externals: list[tuple[str, int]] = []
         self.laws: list[Law] = []
         self.scope: dict[str, Sort] = {}  # current `vars` scope
@@ -210,36 +228,26 @@ class _DomainParser(_Parser):
         )
 
     def section_sorts(self):
-        if not self.at("SECTION", ":sorts"):
-            self.error("missing :sorts section")
-            raise self.fail()
         self.advance()
-        got = False
+        if not self.at("NAME"):
+            # the token found is not reported again, say as a missing section
+            self.error("expected at least one sort name after :sorts")
+            self.quiet = True
         while self.at("NAME"):
             t = self.advance()
-            got = True
             if t.text in self.members:
                 self.error(f"duplicate sort '{t.text}'", t.span)
             else:
                 self.members[t.text] = []
                 self.sort_spans[t.text] = t.span
-        if not got:
-            self.error("expected at least one sort name after :sorts")
 
     def section_objects(self):
-        if not self.at("SECTION", ":objects"):
-            self.error("missing :objects section")
-            raise self.fail()
         self.advance()
         while self.at("NAME"):
-            names = _parse_name_list(self)
-            if not self.expect("DCOLON", "'::'"):
-                self.recover()
+            decl = self.statement(self.object_decl)
+            if decl is None:
                 continue
-            sort_t = self.expect("NAME", "a sort name")
-            self.expect("SEMI", "';'")
-            if sort_t is None:
-                continue
+            names, sort_t = decl
             members = self.members.get(sort_t.text)
             if members is None:
                 self.error(f"unknown sort '{sort_t.text}'", sort_t.span)
@@ -252,10 +260,18 @@ class _DomainParser(_Parser):
                 else:
                     members.append(t.text)
 
-    def get_sort(self, tok: Token) -> Sort | None:
-        s = self.sorts.get(tok.text)
+    def object_decl(self):
+        names = self.separated(self.expect, "NAME", "a name")
+        sort_t = names and self.expect("DCOLON", "'::'") and self.expect("NAME", "a sort name")
+        return (names, sort_t) if sort_t else None
+
+    def sort(self, what: str = "a sort name") -> Sort | None:
+        t = self.expect("NAME", what)
+        if t is None:
+            return None
+        s = self.sorts.get(t.text)
         if s is None:
-            self.error(f"unknown sort '{tok.text}'", tok.span)
+            self.error(f"unknown sort '{t.text}'", t.span)
         return s
 
     def section_constants(self):
@@ -266,93 +282,78 @@ class _DomainParser(_Parser):
         # :objects is behind us, so every sort has its final members
         self.sorts = {n: Sort(n, tuple(m), self.sort_spans[n]) for n, m in self.members.items()}
         while self.at("NAME"):
-            name_t = self.advance()
-            arg_sorts: list[Sort] = []
-            if self.at("LPAREN"):
-                self.advance()
-                while True:
-                    t = self.expect("NAME", "a sort name")
-                    if t is None:
-                        break
-                    s = self.get_sort(t)
-                    if s is not None:
-                        arg_sorts.append(s)
-                    if self.at("COMMA"):
-                        self.advance()
-                        continue
-                    break
-                self.expect("RPAREN", "')'")
-            if not self.expect("DCOLON", "'::'"):
-                self.recover()
-                continue
-            kind_t = self.expect("NAME", "a constant kind")
-            if kind_t is None:
-                self.recover()
-                continue
-            try:
-                kind = Kind(kind_t.text)
-            except ValueError:
-                self.error(f"unknown constant kind '{kind_t.text}' "
-                           "(expected inertialFluent, simpleFluent, or action)", kind_t.span)
-                self.recover()
-                continue
-            value_sort = BOOLEAN
-            if self.at("LPAREN"):
-                self.advance()
-                t = self.expect("NAME", "a value sort")
-                if t is not None:
-                    s = self.get_sort(t)
-                    if s is not None:
-                        value_sort = s
-                self.expect("RPAREN", "')'")
-            self.expect("SEMI", "';'")
-            const = Constant(name_t.text, tuple(arg_sorts), kind, value_sort, name_t.span)
-            if const.key in self.constants:
-                self.error(f"duplicate constant '{const.name}/{len(arg_sorts)}'", name_t.span)
+            name_t = self.cur
+            const = self.statement(self.constant_decl)
+            if const is None:
+                self.broken.add(name_t.text)
+            elif const.key in self.constants:
+                self.error(f"duplicate constant '{const.name}/{len(const.arg_sorts)}'", name_t.span)
             else:
                 self.constants[const.key] = const
+
+    def constant_decl(self) -> Constant | None:
+        name_t = self.advance()
+        arg_sorts: list[Sort] = []
+        if self.at("LPAREN"):
+            self.advance()
+            arg_sorts = self.separated(self.sort)
+            if arg_sorts is None or not self.expect("RPAREN", "')'"):
+                return None
+        kind_t = self.expect("DCOLON", "'::'") and self.expect("NAME", "a constant kind")
+        if kind_t is None:
+            return None
+        try:
+            kind = Kind(kind_t.text)
+        except ValueError:
+            self.error(f"unknown constant kind '{kind_t.text}' "
+                       "(expected inertialFluent, simpleFluent, or action)", kind_t.span)
+            return None
+        value_sort = BOOLEAN
+        if self.at("LPAREN"):
+            self.advance()
+            value_sort = self.sort("a value sort")
+            if value_sort is None or not self.expect("RPAREN", "')'"):
+                return None
+        return Constant(name_t.text, tuple(arg_sorts), kind, value_sort, name_t.span)
 
     def section_externals(self):
         self.advance()
         while self.at("NAME"):
-            name_t = self.advance()
-            if not self.expect("SLASH", "'/'"):
-                self.recover()
+            decl = self.statement(self.external_decl)
+            if decl is None:
                 continue
-            arity_t = self.expect("INT", "an arity")
-            if arity_t is None:
-                self.recover()
-                continue
-            self.expect("SEMI", "';'")
-            decl = (name_t.text, int(arity_t.text))
-            if decl in self.externals:
-                self.error(f"duplicate external declaration '{name_t.text}/{arity_t.text}'", name_t.span)
+            name_t, arity = decl
+            if (name_t.text, arity) in self.externals:
+                self.error(f"duplicate external declaration '{name_t.text}/{arity}'", name_t.span)
             else:
-                self.externals.append(decl)
+                self.externals.append((name_t.text, arity))
+
+    def external_decl(self):
+        name_t = self.advance()
+        arity_t = self.expect("SLASH", "'/'") and self.expect("INT", "an arity")
+        return (name_t, int(arity_t.text)) if arity_t else None
 
     # terms, atoms, formulas ---------------------------------------------------
+
+    def unknown_constant(self, name_t: Token, what: str) -> None:
+        # a constant whose declaration was reported is not reported again
+        if name_t.text not in self.broken:
+            self.error(f"unknown constant '{what}'", name_t.span)
 
     def parse_atom(self) -> Atom | None:
         name_t = self.expect("NAME", "a constant name")
         if name_t is None:
             return None
-        args: list[str] = []
+        args: tuple[str, ...] = ()
         if self.at("LPAREN"):
             self.advance()
-            while True:
-                t = self.expect("NAME", "an argument")
-                if t is None:
-                    return None
-                args.append(t.text)
-                if self.at("COMMA"):
-                    self.advance()
-                    continue
-                break
-            if not self.expect("RPAREN", "')'"):
+            arg_toks = self.separated(self.expect, "NAME", "an argument")
+            if arg_toks is None or not self.expect("RPAREN", "')'"):
                 return None
+            args = tuple(t.text for t in arg_toks)
         const = self.constants.get((name_t.text, len(args)))
         if const is None:
-            self.error(f"unknown constant '{name_t.text}/{len(args)}'", name_t.span)
+            self.unknown_constant(name_t, f"{name_t.text}/{len(args)}")
             return None
         if self.at("EQ"):
             self.advance()
@@ -366,23 +367,17 @@ class _DomainParser(_Parser):
                            "'=value' is required", name_t.span)
                 return None
             value = "true"
-        return Atom(const, tuple(args), value)
+        return Atom(const, args, value)
 
     def parse_formula(self) -> Formula | None:
-        parts = [self.parse_and()]
-        while self.at("PIPE"):
-            self.advance()
-            parts.append(self.parse_and())
-        if any(p is None for p in parts):
+        parts = self.separated(self.parse_and, sep="PIPE")
+        if parts is None:
             return None
         return disj(parts) if len(parts) > 1 else parts[0]
 
     def parse_and(self) -> Formula | None:
-        parts = [self.parse_unary()]
-        while self.at("AMP"):
-            self.advance()
-            parts.append(self.parse_unary())
-        if any(p is None for p in parts):
+        parts = self.separated(self.parse_unary, sep="AMP")
+        if parts is None:
             return None
         return conj(parts) if len(parts) > 1 else parts[0]
 
@@ -394,8 +389,7 @@ class _DomainParser(_Parser):
         if self.at("LPAREN"):
             self.advance()
             f = self.parse_formula()
-            self.expect("RPAREN", "')'")
-            return f
+            return f if f is not None and self.expect("RPAREN", "')'") else None
         if self.at("AT"):
             return self.parse_external()
         if self.at("NAME", "true"):
@@ -415,20 +409,10 @@ class _DomainParser(_Parser):
         name_t = self.expect("NAME", "an external name")
         if name_t is None or not self.expect("LPAREN", "'('"):
             return None
-        args: list[str] = []
-        if not self.at("RPAREN"):
-            while True:
-                t = self.expect("NAME", "an argument")
-                if t is None:
-                    return None
-                args.append(t.text)
-                if self.at("COMMA"):
-                    self.advance()
-                    continue
-                break
-        if not self.expect("RPAREN", "')'"):
+        args = [] if self.at("RPAREN") else self.separated(self.expect, "NAME", "an argument")
+        if args is None or not self.expect("RPAREN", "')'"):
             return None
-        return ExternalCall(name_t.text, tuple(args))
+        return ExternalCall(name_t.text, tuple(t.text for t in args))
 
     # laws ---------------------------------------------------------------------
 
@@ -462,131 +446,96 @@ class _DomainParser(_Parser):
             raise self.fail()
         self.advance()
         while not self.at("EOF"):
-            if self.at("SECTION"):
-                self.error(f"unexpected section '{self.cur.text}' inside :laws")
+            t = self.cur
+            if t.kind == "SECTION":
+                self.error(f"unexpected section '{t.text}' inside :laws")
                 self.advance()
-                continue
-            before = self.pos
-            self.parse_law()
-            if self.pos == before:  # always make progress
-                self.advance()
+            elif t.text == "vars":
+                scope = self.statement(self.vars_line)
+                if scope == {}:
+                    # reported at the next statement's first token, which
+                    # is not reported again
+                    self.error("vars declaration needs at least one binding")
+                    self.quiet = True
+                elif scope is not None:
+                    self.scope = scope  # a new declaration replaces the scope
+            elif t.text in ("inertial", "exogenous"):
+                name_t = self.statement(
+                    lambda: self.advance() and self.expect("NAME", "a constant name"))
+                if name_t is not None:
+                    matches = [c for (n, _a), c in self.constants.items() if n == name_t.text]
+                    if not matches:
+                        self.unknown_constant(name_t, name_t.text)
+                    else:
+                        cls = Inertial if t.text == "inertial" else Exogenous
+                        self.laws.append(cls(matches[0], t.span))
+            else:
+                law = self.statement(self.parse_law)
+                if law is not None:
+                    self.laws.append(law)
             if len(self.diags) >= MAX_DIAGNOSTICS:
                 raise self.fail()
 
-    def parse_law(self):
+    def parse_law(self) -> Law | None:
         t = self.cur
         if t.kind != "NAME":
             self.error(f"expected a law, found {t.text!r}")
-            self.recover()
-            return
-        if t.text == "vars":
-            self.parse_vars()
-            return
+            return None
         span = t.span
         if t.text == "caused":
             self.advance()
             if self.at("NAME", "false"):
                 self.advance()
                 head = None
-            else:
-                head = self.parse_atom()
-                if head is None:
-                    self.recover()
-                    return
-            cond: Formula = TRUE
-            after: Formula | None = None
-            if self.at("NAME", "if"):
-                self.advance()
-                cond = self.parse_formula()
-            has_after = self.at("NAME", "after")
-            if has_after:
-                self.advance()
-                after = self.parse_formula()
+            elif (head := self.parse_atom()) is None:
+                return None
+            cond = self.condition("if")
+            has_after = cond is not None and self.at("NAME", "after")
+            after = self.condition("after") if has_after else None
             if cond is None or (has_after and after is None):
-                self.recover()
-                return
-            self.expect("SEMI", "';'")
-            self.laws.append(Caused(head, cond, after,
-                                    self.law_vars(head, cond, after), span))
-        elif t.text == "nonexecutable":
+                return None
+            return Caused(head, cond, after, self.law_vars(head, cond, after), span)
+        if t.text == "nonexecutable":
             self.advance()
             act = self.parse_atom()
-            if act is None:
-                self.recover()
-                return
-            cond = TRUE
-            if self.at("NAME", "if"):
-                self.advance()
-                cond = self.parse_formula()
-                if cond is None:
-                    self.recover()
-                    return
-            self.expect("SEMI", "';'")
-            self.laws.append(Nonexecutable(act, cond, self.law_vars(act, cond), span))
-        elif t.text == "constraint":
+            cond = act and self.condition("if")
+            if cond is None:
+                return None
+            return Nonexecutable(act, cond, self.law_vars(act, cond), span)
+        if t.text == "constraint":
             self.advance()
             body = self.parse_formula()
-            if body is None:
-                self.recover()
-                return
-            self.expect("SEMI", "';'")
-            self.laws.append(Constraint(body, self.law_vars(body), span))
-        elif t.text in ("inertial", "exogenous"):
-            self.advance()
-            name_t = self.expect("NAME", "a constant name")
-            self.expect("SEMI", "';'")
-            if name_t is None:
-                return
-            matches = [c for (n, _a), c in self.constants.items() if n == name_t.text]
-            if not matches:
-                self.error(f"unknown constant '{name_t.text}'", name_t.span)
-                return
-            cls = Inertial if t.text == "inertial" else Exogenous
-            self.laws.append(cls(matches[0], span))
-        else:
-            act = self.parse_atom()
-            if act is None:
-                self.recover()
-                return
-            if not self.at("NAME", "causes"):
-                self.error("expected 'causes'")
-                self.recover()
-                return
-            self.advance()
-            effect = self.parse_atom()
-            if effect is None:
-                self.recover()
-                return
-            cond = TRUE
-            if self.at("NAME", "if"):
-                self.advance()
-                cond = self.parse_formula()
-                if cond is None:
-                    self.recover()
-                    return
-            self.expect("SEMI", "';'")
-            self.laws.append(Causes(act, effect, cond,
-                                    self.law_vars(act, effect, cond), span))
+            return body and Constraint(body, self.law_vars(body), span)
+        act = self.parse_atom()
+        if act is None:
+            return None
+        if not self.at("NAME", "causes"):
+            self.error("expected 'causes'")
+            return None
+        self.advance()
+        effect = self.parse_atom()
+        cond = effect and self.condition("if")
+        if cond is None:
+            return None
+        return Causes(act, effect, cond, self.law_vars(act, effect, cond), span)
 
-    def parse_vars(self):
+    def condition(self, keyword: str) -> Formula | None:
+        """The formula after keyword, TRUE without it; None if it fails."""
+        if not self.at("NAME", keyword):
+            return TRUE
+        self.advance()
+        return self.parse_formula()
+
+    def vars_line(self) -> dict[str, Sort] | None:
         self.advance()  # 'vars'
-        bindings: list[tuple[str, Sort]] = []
+        bindings: dict[str, Sort] = {}
         while self.at("NAME"):
             v = self.advance()
-            if not self.expect("DCOLON", "'::'"):
-                self.recover()
-                return
-            sort_t = self.expect("NAME", "a sort name")
-            if sort_t is None:
-                self.recover()
-                return
-            s = self.get_sort(sort_t)
-            if s is not None:
-                bindings.append((v.text, s))
-        self.expect("SEMI", "';'")
-        if not bindings:
-            self.error("vars declaration needs at least one binding")
-        self.scope = dict(bindings)  # a new declaration replaces the scope
+            s = self.expect("DCOLON", "'::'") and self.sort()
+            if s is None:
+                return None
+            bindings[v.text] = s
+        return bindings
 
 
 def parse_domain(text: str, source: str = "<domain>") -> DomainDescription:
@@ -594,7 +543,7 @@ def parse_domain(text: str, source: str = "<domain>") -> DomainDescription:
     return _DomainParser(text, source).parse()
 
 
-# --- problems ----------------------------------------------------------------
+# --- problems and prediction queries -----------------------------------------
 
 class _ProblemParser(_DomainParser):
     """Reuses the formula machinery with a fixed domain signature."""
@@ -602,81 +551,117 @@ class _ProblemParser(_DomainParser):
     def __init__(self, text: str, source: str, domain: DomainDescription):
         _Parser.__init__(self, text, source)
         self.constants = dict(domain.constant_by_key)
+        self.broken = set()
         self.scope = {}
 
-    def parse_problem(self) -> PlanningProblem:
-        init: Formula | None = None
-        goal: Formula | None = None
-        extra: list[tuple] = []
-        horizon: tuple[int, int] | None = None
-        deadline: int | None = None
-        noconc = False
+    def sections(self, parsers: dict, expected: str, kind: str):
+        """Yield (section name token, value) for each section statement
+        that parses; parsers maps a section name to its body's parser."""
+        def section():
+            t = self.cur
+            if t.kind != "SECTION":
+                self.error(f"expected {expected}, found {t.text!r}")
+                return None
+            self.advance()
+            if t.text not in parsers:
+                self.error(f"unknown {kind} section '{t.text}'", t.span)
+                return None
+            return parsers[t.text]()
+
         while not self.at("EOF"):
-            if not self.at("SECTION"):
-                self.error(f"expected a problem section, found {self.cur.text!r}")
-                self.recover()
+            t = self.cur
+            value = self.statement(section)
+            if value is not None:
+                yield t, value
+
+    def parse_problem(self) -> PlanningProblem:
+        parsers = {":init": self.parse_formula, ":goal": self.parse_formula,
+                   ":at": self.at_section, ":horizon": self.horizon,
+                   ":maxcost": self.cost_bound, ":noconcurrency": lambda: True}
+        got: dict = {}  # section name -> its last value
+        extra: list[tuple] = []
+        for t, value in self.sections(parsers, "a problem section", "problem"):
+            if t.text == ":at":
+                extra.append(value)
                 continue
-            t = self.advance()
-            if t.text == ":init":
-                if init is not None:
-                    self.error("duplicate :init section", t.span)
-                init = self.parse_formula()
-                self.end_section()
-            elif t.text == ":goal":
-                if goal is not None:
-                    self.error("duplicate :goal section", t.span)
-                goal = self.parse_formula()
-                self.end_section()
-            elif t.text == ":at":
-                if self.at("INT"):
-                    tag = int(self.advance().text)
-                elif self.at("NAME", "final"):
-                    self.advance()
-                    tag = FINAL
-                else:
-                    self.error("expected a step number or 'final' after :at")
-                    self.recover()
-                    continue
-                f = self.parse_formula()
-                self.end_section()
-                if f is not None:
-                    extra.append((tag, f))
-            elif t.text == ":horizon":
-                lo = self.expect("INT", "a horizon bound")
-                hi = lo and self.expect("DOTDOT", "'..'") and self.expect("INT", "a horizon bound")
-                if hi is None:
-                    self.recover()
-                    continue
-                self.end_section()
-                if horizon is not None:
-                    self.error("duplicate :horizon section", t.span)
-                horizon = (int(lo.text), int(hi.text))
-                if horizon[0] > horizon[1]:
-                    self.error(f"empty horizon range {horizon[0]}..{horizon[1]}", t.span)
-                    horizon = (horizon[0], horizon[0])
-            elif t.text == ":maxcost":
-                v = self.expect("INT", "a cost bound")
-                if v is None:
-                    self.recover()
-                    continue
-                self.end_section()
-                deadline = int(v.text)
-            elif t.text == ":noconcurrency":
-                self.end_section()
-                noconc = True
-            else:
-                self.error(f"unknown problem section '{t.text}'", t.span)
-                self.recover()
+            if t.text in got and t.text in (":init", ":goal", ":horizon"):
+                self.error(f"duplicate {t.text} section", t.span)
+            got[t.text] = value
+            if t.text == ":horizon" and value[0] > value[1]:
+                self.error(f"empty horizon range {value[0]}..{value[1]}", t.span)
         if self.diags:
             raise self.fail()
         return PlanningProblem(
-            init=init if init is not None else TRUE,
-            goal=goal if goal is not None else TRUE,
+            init=got.get(":init", TRUE),
+            goal=got.get(":goal", TRUE),
             extra=tuple(extra),
-            horizon=horizon if horizon is not None else (0, 20),
-            cost_deadline=deadline,
-            noconcurrency=noconc,
+            horizon=got.get(":horizon", (0, 20)),
+            cost_deadline=got.get(":maxcost"),
+            noconcurrency=":noconcurrency" in got,
         )
+
+    def at_section(self):
+        if self.at("INT"):
+            tag = int(self.advance().text)
+        elif self.at("NAME", "final"):
+            self.advance()
+            tag = FINAL
+        else:
+            self.error("expected a step number or 'final' after :at")
+            return None
+        f = self.parse_formula()
+        return None if f is None else (tag, f)
+
+    def horizon(self):
+        lo = self.expect("INT", "a horizon bound")
+        hi = lo and self.expect("DOTDOT", "'..'") and self.expect("INT", "a horizon bound")
+        return (int(lo.text), int(hi.text)) if hi else None
+
+    def cost_bound(self):
+        v = self.expect("INT", "a cost bound")
+        return None if v is None else int(v.text)
+
+    def parse_query(self):
+        init: Formula | None = None
+        steps: list[list[tuple[str, tuple[str, ...]]]] = []
+        for t, value in self.sections({":state": self.parse_formula, ":do": self.actions},
+                                      ":state or :do", "query"):
+            if t.text == ":do":
+                steps.append(value)
+                continue
+            if init is not None:
+                self.error("duplicate :state section", t.span)
+            init = value
+        if self.diags:
+            raise self.fail()
+        return (init if init is not None else TRUE), steps
+
+    def actions(self):
+        """The sorted action instances after ':do'; ':do;' alone is a wait step."""
+        do_t = self.toks[self.pos - 1]  # the ':do' just read
+        acts: list[tuple[str, tuple[str, ...]]] = []
+
+        def action():
+            name_t = self.cur
+            a = self.parse_atom()
+            if a is None:
+                return None
+            if not a.constant.is_action:
+                self.error(f"'{a.constant.name}' is not an action", do_t.span)
+                return None
+            if a.value != "true":
+                self.error("an action in :do cannot carry '=value'", do_t.span)
+                return None
+            inst = (a.constant.name, a.args)
+            if inst in acts:
+                self.error(f"action '{instance_str(inst)}' appears twice in one step", name_t.span)
+                return None
+            acts.append(inst)
+            return inst
+
+        if self.at("SEMI") or self.separated(action) is not None:
+            return sorted(acts)
+        return None
 
 
 def parse_problem(text: str, domain: DomainDescription,
@@ -686,53 +671,6 @@ def parse_problem(text: str, domain: DomainDescription,
     return _ProblemParser(text, source, domain).parse_problem()
 
 
-# --- prediction queries --------------------------------------------------------
-
-class _QueryParser(_ProblemParser):
-    def parse_query(self):
-        init: Formula | None = None
-        steps: list[list[tuple[str, tuple[str, ...]]]] = []
-        while not self.at("EOF"):
-            if not self.at("SECTION"):
-                self.error(f"expected :state or :do, found {self.cur.text!r}")
-                self.recover()
-                continue
-            t = self.advance()
-            if t.text == ":state":
-                if init is not None:
-                    self.error("duplicate :state section", t.span)
-                init = self.parse_formula()
-                self.expect("SEMI", "';'")
-            elif t.text == ":do":
-                acts: list[tuple[str, tuple[str, ...]]] = []
-                if not self.at("SEMI"):
-                    while True:
-                        a = self.parse_atom()
-                        if a is None:
-                            self.recover()
-                            break
-                        if not a.constant.is_action:
-                            self.error(f"'{a.constant.name}' is not an action", t.span)
-                        elif a.value != "true":
-                            self.error("an action in :do cannot carry '=value'", t.span)
-                        else:
-                            acts.append((a.constant.name, a.args))
-                        if self.at("COMMA"):
-                            self.advance()
-                            continue
-                        self.expect("SEMI", "';'")
-                        break
-                else:
-                    self.advance()  # bare ':do;' is a wait step
-                steps.append(sorted(acts))
-            else:
-                self.error(f"unknown query section '{t.text}'", t.span)
-                self.recover()
-        if self.diags:
-            raise self.fail()
-        return (init if init is not None else TRUE), steps
-
-
 def parse_query(text: str, domain: DomainDescription,
                 source: str = "<query>"):
     """Parse a prediction query: one ':state <formula>;' section and one
@@ -740,7 +678,7 @@ def parse_query(text: str, domain: DomainDescription,
     (initial formula, action steps)."""
     if not text.strip():
         raise ParseError([Diagnostic("empty query file", SourceSpan(source, 1, 1, 1, 1))])
-    return _QueryParser(text, source, domain).parse_query()
+    return _ProblemParser(text, source, domain).parse_query()
 
 
 # --- pretty printer ----------------------------------------------------------

@@ -108,9 +108,12 @@ def parse_plan(text: str) -> Plan:
         else:
             if idx in steps:
                 raise PlanfileError(f"{where}: duplicate step {idx}")
-            acts = []
-            if rest:
-                acts = [_parse_instance(part, where) for part in _split_actions(rest)]
+            acts: list = []
+            for part in _split_actions(rest) if rest else []:
+                inst = _parse_instance(part, where)
+                if inst in acts:
+                    raise PlanfileError(f"{where}: {instance_str(inst)} occurs twice")
+                acts.append(inst)
             steps[idx] = sorted(acts)
 
     if not states:

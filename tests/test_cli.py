@@ -100,6 +100,19 @@ def test_validate_rejects_wrong_goal(toggle, tmp_path, capsys):
     assert "invalid:" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_repeated_action(tmp_path, capsys):
+    samples = samples_dir()
+    domain, problem = str(samples / "boxes.cp"), str(samples / "boxes.prob")
+    plan_file = tmp_path / "boxes.plan"
+    assert main(["plan", domain, problem, "--plan-out", str(plan_file)]) == 0
+    text = plan_file.read_text()
+    assert "step 0: goto(L1)\n" in text
+    plan_file.write_text(text.replace("step 0: goto(L1)\n", "step 0: goto(L1), goto(L1)\n"))
+    capsys.readouterr()
+    assert main(["validate", domain, problem, str(plan_file)]) == 2
+    assert capsys.readouterr().err == "error: line 2: goto(L1) occurs twice\n"
+
+
 def test_predict_prints_outcomes(toggle, tmp_path, capsys):
     domain, _ = toggle
     q = tmp_path / "q.query"

@@ -11,7 +11,10 @@ from causalplan import parse_domain, parse_problem, parse_query, pretty_print
 from causalplan.model import (BOOLEAN, And, AtomF, Caused, Causes,
                               Constraint, Exogenous, Inertial, Nonexecutable,
                               Not, Or, TrueF, canonical, formula_atoms)
-from causalplan.parser import MAX_DIAGNOSTICS, ParseError, _lex
+from causalplan.parser import (_PUNCT, MAX_DIAGNOSTICS, ParseError, _DomainParser,
+                               _lex, _ProblemParser)
+
+import sample_files
 
 
 BOXES = """
@@ -228,6 +231,81 @@ def test_missing_semicolon_is_one_diagnostic(text, at):
     assert astuple(only.span)[1:] == (*at, at[0], at[1] + 1)
 
 
+_WITH_EXTERNALS = BOXES.replace(":laws", ":externals\n  near/2;\n  far/2;\n:laws")
+
+
+def _failed_domain(text):
+    """The diagnostics of a domain that does not parse, and the parser,
+    which holds the statements it kept."""
+    p = _DomainParser(text, "t")
+    with pytest.raises(ParseError):
+        p.parse()
+    return [(d.message, astuple(d.span)[1:3]) for d in p.diags], p
+
+
+def _failed_query(text):
+    """The diagnostics of a query that does not parse, and the sections
+    it kept."""
+    p = _ProblemParser(text, "t", parse_domain(BOXES))
+    kept = [(t.text, value) for t, value in p.sections(
+        {":state": p.parse_formula, ":do": p.actions}, ":state or :do", "query")]
+    assert p.diags
+    return [(d.message, astuple(d.span)[1:3]) for d in p.diags], kept
+
+
+# a stray token before a statement's ';'
+@pytest.mark.parametrize("old,new,at", [
+    ("B1 :: box;", "B1 :: box x;", (5, 13)),
+    ("goto(location) :: action;", "goto(location) :: action x;", (8, 28)),
+    ("near/2;", "near/2 x;", (11, 10)),
+    ("inertial atObj;", "inertial atObj x;", (14, 18)),
+    ("vars b :: box y :: location;", "vars b :: box y :: location =;", (15, 31)),
+])
+def test_missing_semicolon_in_a_domain_is_one_diagnostic(old, new, at):
+    text = _WITH_EXTERNALS.replace(old, new)
+    found = new[-2]
+    assert _failed_domain(text)[0] == [(f"expected ';', found {found!r}", at)]
+
+
+# a statement without its ';' and a valid statement on the next line,
+# which is kept
+@pytest.mark.parametrize("old,found,at,kept", [
+    ("L1, L2 :: location;", "B1", (5, 3), lambda p: p.members["box"] == ["B1"]),
+    ("atObj(box) :: inertialFluent(location);", "goto", (8, 3),
+     lambda p: ("goto", 1) in p.constants),
+    ("near/2;", "far", (12, 3), lambda p: p.externals == [("near", 2), ("far", 2)]),
+    ("caused atObj(b)=y if holding(b);", "goto", (17, 3),
+     lambda p: [type(law) for law in p.laws]
+     == [Inertial, Caused, Causes, Nonexecutable, Constraint]),
+])
+def test_missing_semicolon_keeps_the_next_statement(old, found, at, kept):
+    diags, p = _failed_domain(_WITH_EXTERNALS.replace(old, old[:-1]))
+    assert diags == [(f"expected ';', found {found!r}", at)]
+    assert kept(p)
+
+
+@pytest.mark.parametrize("text,found,at,kept", [
+    (":state atObj(B1)=L1 & holding(B1) x;\n:do goto(L2);\n", "x", (1, 35), [":state", ":do"]),
+    (":state atObj(B1)=L1 & holding(B1);\n:do goto(L2) x;\n", "x", (2, 14), [":state", ":do"]),
+    (":state atObj(B1)=L1 & holding(B1)\n:do goto(L2);\n", ":do", (2, 1), [":state", ":do"]),
+    (":do goto(L2)\n:do goto(L1);\n", ":do", (2, 1), [":do", ":do"]),
+])
+def test_missing_semicolon_in_a_query_is_one_diagnostic(text, found, at, kept):
+    diags, sections = _failed_query(text)
+    assert diags == [(f"expected ';', found {found!r}", at)]
+    assert [name for name, _ in sections] == kept
+
+
+@pytest.mark.parametrize("law,message,at", [
+    # a failed sub-parse does not go on to expect what would follow it
+    ("constraint (holding(B1) & ;", "expected a formula, found ';'", (17, 29)),
+    ("goto(;", "expected an argument, found ';'", (17, 8)),
+    ("inertial holding(B1);", "expected ';', found '('", (17, 19)),
+])
+def test_one_mistake_in_a_law_is_one_diagnostic(law, message, at):
+    assert _failed_domain(BOXES + "  " + law + "\n")[0] == [(message, at)]
+
+
 # --- problems --------------------------------------------------------------------
 
 def test_parse_problem_sections():
@@ -281,6 +359,14 @@ def test_query_rejects_fluent_in_do():
     with pytest.raises(ParseError) as e:
         parse_query(":do holding(B1);", d)
     assert any("action" in str(x) for x in e.value.diagnostics)
+
+
+def test_query_rejects_a_repeated_action():
+    with pytest.raises(ParseError) as e:
+        parse_query(":do goto(L2), goto(L1), goto(L2);\n", parse_domain(BOXES))
+    [only] = e.value.diagnostics
+    assert only.message == "action 'goto(L2)' appears twice in one step"
+    assert astuple(only.span)[1:] == (1, 25, 1, 29)
 
 
 # --- round trip -------------------------------------------------------------------
@@ -379,3 +465,44 @@ def test_roundtrip_random_domains(text):
     _assert_shared(d)
     printed = pretty_print(d)
     assert parse_domain(printed) == canonical(d), printed
+
+
+# --- property: one mistake is reported once -----------------------------------------
+
+# each mutated sample with the domain it is parsed against
+_MUTATED = {"boxes.cp": None, "boxes-grid.cp": None, "mapp.cp": None, "toh.cp": None,
+            "boxes.prob": "boxes.cp", "boxes-grid.prob": "boxes-grid.cp",
+            "mapp.prob": "mapp.cp", "toh.prob": "toh.cp", "boxes.query": "boxes.cp"}
+
+
+@st.composite
+def _mutants(draw):
+    """A sample file with one token deleted, replaced by ';', or preceded
+    by an inserted name or punctuation mark."""
+    name = draw(st.sampled_from(sorted(_MUTATED)))
+    text = (sample_files.samples_dir() / name).read_text()
+    toks = _lex(text, name, lambda msg, span: None)
+    tok = toks[draw(st.integers(0, len(toks) - 1))]
+    start = sum(len(line) + 1 for line in text.split("\n")[:tok.line - 1]) + tok.col - 1
+    op = draw(st.sampled_from(["delete", "semi", "name", "punct"]))
+    if op in ("delete", "semi"):
+        new = "" if op == "delete" else ";"
+        return name, text[:start] + new + text[start + len(tok.text):]
+    names = ["x"] + [t.text for t in toks if t.kind == "NAME"]
+    new = draw(st.sampled_from(names if op == "name" else sorted(_PUNCT)))
+    return name, text[:start] + f" {new} " + text[start:]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_mutants())
+def test_a_mutated_sample_reports_no_place_twice(mutant):
+    name, text = mutant
+    try:
+        if _MUTATED[name] is None:
+            parse_domain(text, name)
+        else:
+            domain = parse_domain((sample_files.samples_dir() / _MUTATED[name]).read_text())
+            (parse_query if name.endswith(".query") else parse_problem)(text, domain, name)
+    except ParseError as e:
+        places = [astuple(d.span)[1:3] for d in e.diagnostics]
+        assert len(places) == len(set(places)), [str(d) for d in e.diagnostics]

@@ -58,6 +58,7 @@ def test_comments_and_order_insensitive():
     ("state 0: at\n", "instance=value"),
     ("wat 0: x\n", "expected"),
     ("state 0: at=L1\nstep 0: go(\n", "instance"),
+    ("state 0: at=L1\nstep 0: go(L2), go(L2)\nstate 1: at=L2\n", "line 2: go(L2) occurs twice"),
 ])
 def test_malformed_inputs(bad, fragment):
     with pytest.raises(PlanfileError) as e:
