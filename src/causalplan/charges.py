@@ -47,16 +47,10 @@ class ChargeCounter:
 
     def update(self, enc) -> None:
         clauses = enc.clauses
-        nf = enc.n_fluents
-        for t in range(self.steps, enc.horizon):
-            fluents, actions = enc.base[t], enc.base[t + 1] - enc.width
-
-            def var(w: int) -> int:
-                """Window literal (+-(position + 1)) -> literal at step t."""
-                q = abs(w) - 1
-                v = (fluents if q < nf else actions) + q + 1
-                return v if w > 0 else -v
-
+        for row in enc.rows[self.steps:enc.horizon]:
+            # window literal +-(p + 1) -> entry +-(p + 1), which Python's
+            # negative indexing maps to -row[p]
+            var = [0, *row, *(-v for v in reversed(row))].__getitem__
             clauses += [tuple(-var(w) for w in cond) for cond in self.nogoods]
             for group in self.groups:
                 self._count(enc, [(weight, enc.arms([list(map(var, cond))])[0])

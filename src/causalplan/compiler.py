@@ -10,12 +10,13 @@ Pipeline (each stage is exposed for testing):
               across queries) into integer clause blocks per step class
               (only, first, middle, final)
     grow      Encoder: horizon h = the blocks placed one step at a time
-              from horizon 0, each step after every variable in use,
-              with the clauses that hold only at the last step under an
-              activation literal, plus asserted query formulas; plan
-              search grows one encoding on one solver, and cnf() gives
-              the plain CNF of the current horizon, which compile_cnf
-              returns for the query-free case
+              from horizon 0, each step after every variable in use
+              (its rows table records where each step's atoms land),
+              with the clauses that hold only at the last step under
+              an activation literal, plus asserted query formulas;
+              every query grows one encoding on one solver, and cnf()
+              gives the plain CNF of the current horizon, which
+              compile_cnf returns for the query-free case
 
 cnf() is, up to the numbering of its variables, clause for clause the
 clausified completion_for(h); completion_for and eval_completion stay
@@ -396,27 +397,17 @@ def completion_for(ground: GroundDomain, horizon: int,
 
 @dataclass
 class CnfFormula:
-    """Plain CNF over one horizon, as Encoder.cnf() gives it.  base places
-    the timed atoms as the Encoder does: fluent atom position p at step t
-    is variable base[t] + p + 1, and action position p at step t is
-    base[t + 1] - width + p + 1.  Every other variable is a definition
-    variable or an unused activation variable.  The atom table (in
-    atom_table order) and its index are built on first use."""
+    """Plain CNF over one horizon, as Encoder.cnf() gives it.  rows is a
+    copy of the Encoder's: rows[t][p] is the variable of the atom at
+    position p at step t, 0 where no atom exists.  Every other variable is
+    a definition variable or an unused activation variable.  The atom
+    table (in atom_table order) and its index are built on first use."""
 
     var_count: int
     clauses: list[tuple[int, ...]]
     ground: GroundDomain = field(repr=False)
     horizon: int
-    base: list[int]
-
-    @property
-    def width(self) -> int:
-        """Variables per step below the horizon: fluent atoms, then actions."""
-        return len(self.ground.fluent_atoms) + len(self.ground.action_atoms)
-
-    @property
-    def n_fluents(self) -> int:
-        return len(self.ground.fluent_atoms)
+    rows: list[tuple[int, ...]]
 
     @cached_property
     def atoms(self) -> tuple[TimedAtom, ...]:
@@ -424,13 +415,7 @@ class CnfFormula:
 
     @cached_property
     def index(self) -> dict[TimedAtom, int]:
-        position, nf, width, base = (self.ground.atom_position, self.n_fluents,
-                                     self.width, self.base)
-        return {ta: (base[ta.step] if position[ta.atom] < nf else base[ta.step + 1] - width)
-                + position[ta.atom] + 1 for ta in self.atoms}
-
-    def var_of(self, ta: TimedAtom) -> int:
-        return self.index[ta]
+        return dict(zip(self.atoms, (v for row in self.rows for v in row if v)))
 
 
 class _ClauseSink:
@@ -618,9 +603,10 @@ class Encoder(_ClauseSink):
     step at a time, from the ground domain's StepTemplate blocks.  A new
     step's variables, real and definition alike, are numbered after every
     variable in use, so a step's variables keep their numbers at every
-    later horizon; base gives the layout: fluent atom position p at step t
-    is variable base[t] + p + 1, and action position p at step t is
-    base[t + 1] - width + p + 1.  Clauses that hold only while the current
+    later horizon.  rows holds the layout, and only __init__ and extend()
+    number atoms: rows[t][p] is the variable of the atom at position p
+    (GroundDomain.atom_position) at step t, and 0 for the last step's
+    actions, which do not exist.  Clauses that hold only while the current
     horizon is the last one (support clauses the next step class lacks,
     and asserted formulas given guard=active) end in -active, the negation
     of the horizon's activation variable: solve under the assumption
@@ -632,13 +618,12 @@ class Encoder(_ClauseSink):
         tpl = step_template(ground)
         if horizon < 0:
             raise CompileError("horizon must be nonnegative")
-        super().__init__(tpl.n_fluents)
+        nf = tpl.n_fluents
+        super().__init__(nf)
         self.ground = ground
-        self.width = tpl.width
-        self.n_fluents = tpl.n_fluents
         self.noconcurrency = noconcurrency
         self.horizon = 0
-        self.base = [0]
+        self.rows = [(*range(1, nf + 1), *[0] * (tpl.width - nf))]
         self.retired: list[int] = []
         self.active = self.fresh()
         self._place_last(tpl, tpl.growth[0])
@@ -648,11 +633,13 @@ class Encoder(_ClauseSink):
     def extend(self) -> None:
         """Grow the encoding by one step; see the class docstring."""
         tpl = step_template(self.ground)
-        h, width, nf = self.horizon, self.width, self.n_fluents
+        h, width, nf, rows = self.horizon, tpl.width, tpl.n_fluents, self.rows
         self.retired.append(self.active)
         self.clauses.append((-self.active,))
         # the actions of step h, then the fluents of step h + 1
-        self.base.append(self.var_count + width - nf)
+        n = self.var_count + width - nf
+        rows[h] = (*rows[h][:nf], *range(self.var_count + 1, n + 1))
+        rows.append((*range(n + 1, n + nf + 1), *[0] * (width - nf)))
         self.var_count += width
         self.horizon = h + 1
         self.active = self.fresh()
@@ -662,9 +649,7 @@ class Encoder(_ClauseSink):
             if stops_early:
                 self._place_at(block, h, get)
         if self.noconcurrency:
-            first = self.base[h + 1] - width + nf + 1
-            self.clauses += [(-(first + j), -(first + i))
-                             for i, j in itertools.combinations(range(width - nf), 2)]
+            self.clauses += [(-b, -a) for a, b in itertools.combinations(rows[h][nf:], 2)]
         self._place_last(tpl, tpl.growth[1])
 
     def _place_last(self, tpl: StepTemplate, growth: Growth) -> None:
@@ -688,17 +673,10 @@ class Encoder(_ClauseSink):
         definition variables (0, which no solver accepts, where no atom
         exists).  A negative window literal -v reads entry -v, which
         Python's negative indexing maps to -table[v]."""
-        width, nf, base = self.width, self.n_fluents, self.base
+        rows = self.rows
         pos: list[int] = [0]
         for t in (step - 1, step, step + 1):
-            if 0 <= t < len(base):
-                pos += range(base[t] + 1, base[t] + nf + 1)
-            else:
-                pos += [0] * nf
-            if 0 <= t < len(base) - 1:
-                pos += range(base[t + 1] - width + nf + 1, base[t + 1] + 1)
-            else:
-                pos += [0] * (width - nf)
+            pos += rows[t] if 0 <= t < len(rows) else [0] * len(rows[0])
         pos += aux
         neg = [-v for v in pos[:0:-1]]
         return (pos + neg).__getitem__
@@ -721,11 +699,9 @@ class Encoder(_ClauseSink):
 
     def _lit(self, l: TimedLit) -> int:
         p = self.ground.atom_position.get(l.atom)
-        fluent = p is not None and p < self.n_fluents
-        last = self.horizon if fluent else self.horizon - 1
-        if p is None or not 0 <= l.step <= last:
+        v = self.rows[l.step][p] if p is not None and 0 <= l.step < len(self.rows) else 0
+        if not v:
             raise CompileError(f"{l.atom}@{l.step} is outside the encoding horizon")
-        v = (self.base[l.step] if fluent else self.base[l.step + 1] - self.width) + p + 1
         return v if l.positive else -v
 
     def assert_formula(self, f: Formula, step: int, guard: int | None = None) -> None:
@@ -760,7 +736,7 @@ class Encoder(_ClauseSink):
         retired, now = {-a for a in self.retired}, -self.active
         clauses = [c[:-1] if c[-1] == now else c
                    for c in self.clauses if c[-1] not in retired]
-        return CnfFormula(self.var_count, clauses, self.ground, self.horizon, list(self.base))
+        return CnfFormula(self.var_count, clauses, self.ground, self.horizon, list(self.rows))
 
 
 def compile_cnf(ground: GroundDomain, horizon: int,

@@ -459,7 +459,7 @@ class ActionCost:
 # --- signature validation ---------------------------------------------------
 
 def _check_term(term: str, expected: Sort, scope: dict[str, Sort],
-                domain: DomainDescription, span, where: str | Law, out: list[Diagnostic]):
+                span, where: str | Law, out: list[Diagnostic]):
     if term in scope:
         # accept narrower sorts by extension (every disk is a place)
         extra = [m for m in scope[term].members if m not in expected.members]
@@ -483,12 +483,11 @@ def _check_atom(atom: Atom, scope: dict[str, Sort], domain: DomainDescription,
         out.append(Diagnostic(f"{where}: '{const.name}' expects {len(const.arg_sorts)} arguments", span))
         return
     for term, sort in zip(atom.args, const.arg_sorts):
-        _check_term(term, sort, scope, domain, span, where, out)
-    _check_term(atom.value, const.value_sort, scope, domain, span, where, out)
+        _check_term(term, sort, scope, span, where, out)
+    _check_term(atom.value, const.value_sort, scope, span, where, out)
 
 
-def _check_formula(f: Formula, scope, domain, span, where, out,
-                   *, allow_actions: bool, declared_externals=None):
+def _check_formula(f: Formula, scope, domain, span, where, out, *, allow_actions: bool):
     if isinstance(f, (TrueF, FalseF)):
         return
     if isinstance(f, AtomF):
@@ -497,15 +496,12 @@ def _check_formula(f: Formula, scope, domain, span, where, out,
             out.append(Diagnostic(
                 f"{where}: action constant '{f.atom.constant.name}' not allowed here", span))
     elif isinstance(f, Not):
-        _check_formula(f.sub, scope, domain, span, where, out,
-                       allow_actions=allow_actions, declared_externals=declared_externals)
+        _check_formula(f.sub, scope, domain, span, where, out, allow_actions=allow_actions)
     elif isinstance(f, (And, Or)):
         for p in f.parts:
-            _check_formula(p, scope, domain, span, where, out,
-                           allow_actions=allow_actions, declared_externals=declared_externals)
+            _check_formula(p, scope, domain, span, where, out, allow_actions=allow_actions)
     elif isinstance(f, ExternalCall):
-        decls = declared_externals if declared_externals is not None else set(domain.externals)
-        if (f.name, len(f.args)) not in decls:
+        if (f.name, len(f.args)) not in domain.externals:
             out.append(Diagnostic(f"{where}: undeclared external '@{f.name}/{len(f.args)}'", span))
         for term in f.args:
             if term not in scope and term not in domain.object_sorts:

@@ -453,9 +453,9 @@ class _DomainParser(_Parser):
             elif t.text == "vars":
                 scope = self.statement(self.vars_line)
                 if scope == {}:
-                    # reported at the next statement's first token, which
-                    # is not reported again
-                    self.error("vars declaration needs at least one binding")
+                    # what follows is most likely the lost bindings, so
+                    # report nothing more until the next ';'
+                    self.error("vars declaration needs at least one binding", t.span)
                     self.quiet = True
                 elif scope is not None:
                     self.scope = scope  # a new declaration replaces the scope
@@ -527,9 +527,15 @@ class _DomainParser(_Parser):
         return self.parse_formula()
 
     def vars_line(self) -> dict[str, Sort] | None:
+        """The bindings 'v :: sort' after 'vars'.  A name that starts a new
+        line and is not followed by '::' ends them: it begins the next
+        statement, after a missing ';'."""
         self.advance()  # 'vars'
         bindings: dict[str, Sort] = {}
         while self.at("NAME"):
+            if (self.cur.line > self.toks[self.pos - 1].line
+                    and self.toks[self.pos + 1].kind != "DCOLON"):
+                break
             v = self.advance()
             s = self.expect("DCOLON", "'::'") and self.sort()
             if s is None:
@@ -638,7 +644,6 @@ class _ProblemParser(_DomainParser):
 
     def actions(self):
         """The sorted action instances after ':do'; ':do;' alone is a wait step."""
-        do_t = self.toks[self.pos - 1]  # the ':do' just read
         acts: list[tuple[str, tuple[str, ...]]] = []
 
         def action():
@@ -647,10 +652,10 @@ class _ProblemParser(_DomainParser):
             if a is None:
                 return None
             if not a.constant.is_action:
-                self.error(f"'{a.constant.name}' is not an action", do_t.span)
+                self.error(f"'{a.constant.name}' is not an action", name_t.span)
                 return None
             if a.value != "true":
-                self.error("an action in :do cannot carry '=value'", do_t.span)
+                self.error("an action in :do cannot carry '=value'", name_t.span)
                 return None
             inst = (a.constant.name, a.args)
             if inst in acts:

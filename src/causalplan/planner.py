@@ -12,9 +12,11 @@ call assumes and the next horizon retires.  A cost deadline is encoded
 too (charges.ChargeCounter), so every horizon is one solve call, and
 plan_cost prices the plan found on its own.  check_consistency asks
 horizon 0 and then 1 the same way.  predict grows the encoding to its
-one horizon and enumerates the models of its cnf().  validate_plan
-checks a trajectory against the completion formulas without any
-solver.
+one horizon, loads it into its solver with the activation literal
+asserted, and enumerates the models there, blocking the fluent values
+of each.  decode_model reads every model through the encoding's rows.
+validate_plan checks a trajectory against the completion formulas
+without any solver.
 """
 
 from __future__ import annotations
@@ -178,29 +180,21 @@ def plan_cost(plan: Plan, costs, registry: ExternalRegistry) -> int | float:
 def decode_model(layout, model) -> Plan:
     """Turn a satisfying assignment into states plus per-step action sets.
     model must be indexable by variable number; layout is the Encoder or
-    CnfFormula that the model satisfies, whose ground domain, horizon,
-    base and width place each step."""
-    gd, horizon = layout.ground, layout.horizon
+    CnfFormula that the model satisfies, whose rows place each step."""
+    gd, rows = layout.ground, layout.rows
     trajectory: list[State] = []
-    for t in range(horizon + 1):
-        base = layout.base[t] + 1
+    for row in rows:
         state: State = {}
         for key, boolean, values in gd.fluent_slots:
             if boolean:
-                state[key] = "true" if model[base + values[0][1]] else "false"
+                state[key] = "true" if model[row[values[0][1]]] else "false"
             else:
-                state[key] = next(v for v, p in values if model[base + p])
+                state[key] = next(v for v, p in values if model[row[p]])
         trajectory.append(state)
+    nf = len(gd.fluent_atoms)
     acts = [(a.constant.name, a.args) for a in gd.action_atoms]
-    steps = [sorted(k for k, v in zip(acts, _action_vars(layout, t)) if model[v])
-             for t in range(horizon)]
+    steps = [sorted(k for k, v in zip(acts, row[nf:]) if model[v]) for row in rows[:-1]]
     return Plan(steps, trajectory)
-
-
-def _action_vars(layout, step: int) -> range:
-    """The variables of step's action atoms, in action_atoms order."""
-    end = layout.base[step + 1]
-    return range(end - layout.width + layout.n_fluents + 1, end + 1)
 
 
 def _state_formula(domain: DomainDescription, state: State) -> Formula:
@@ -221,14 +215,18 @@ class _Deepening:
         self.solver = Solver(0, (), seed=seed)
         self.loaded = 0
 
-    def solve(self, **limits):
-        """Solve the current horizon: load what the encoder added since the
-        last call, assume the activation literal.  A retired horizon's
-        clauses stay loaded, satisfied at level 0, and never propagate."""
-        enc, solver = self.enc, self.solver
-        solver.extend(enc.var_count, enc.clauses[self.loaded:])
+    def load(self) -> None:
+        """Hand the solver what the encoder added since the last load."""
+        enc = self.enc
+        self.solver.extend(enc.var_count, enc.clauses[self.loaded:])
         self.loaded = len(enc.clauses)
-        return solver.solve([enc.active], **limits)
+
+    def solve(self, **limits):
+        """Solve the current horizon: load, then assume the activation
+        literal.  A retired horizon's clauses stay loaded, satisfied at
+        level 0, and never propagate."""
+        self.load()
+        return self.solver.solve([self.enc.active], **limits)
 
 
 def check_consistency(domain: DomainDescription,
@@ -370,20 +368,23 @@ def predict(domain: DomainDescription, init, actions,
         steps.append(sorted(insts))
     h = len(steps)
 
-    enc = Encoder(gd, h)
+    search = _Deepening(gd, h, noconcurrency=False, seed=seed)
+    enc = search.enc
     enc.assert_formula(init, 0)
     for t, step in enumerate(steps):
         want = set(step)
         fixed = [AtomF(a) if (a.constant.name, a.args) in want else
                  AtomF(Atom(a.constant, a.args, "false")) for a in gd.action_atoms]
         enc.assert_formula(conj(fixed), t)
-    cnf = enc.cnf()
+    enc.clauses.append((enc.active,))  # the horizon never grows
+    search.load()
 
-    # the schedule fixes every action variable, so projecting onto all real
-    # atoms blocks exactly the fluent values already seen
-    real = sorted(cnf.index.values())
-    outcomes = [decode_model(cnf, dict(zip(real, proj))).trajectory
-                for proj in enumerate_models(cnf, real, seed=seed, limit=limit)]
+    # the schedule fixes every action variable, so blocking the fluent
+    # values seen blocks exactly the trajectories seen
+    nf = len(gd.fluent_atoms)
+    fluents = [v for row in enc.rows for v in row[:nf]]
+    outcomes = [decode_model(enc, model).trajectory
+                for model in enumerate_models(search.solver, fluents, limit=limit)]
     outcomes.sort(key=lambda tr: [sorted(s.items()) for s in tr])
     return Predicted(steps, outcomes)
 

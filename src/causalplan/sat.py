@@ -7,16 +7,18 @@ seed (default 0); wall-clock time never influences a decision unless a
 time limit is set.  Every SAT answer is verified against the clause set
 before it is returned.
 
-Clauses can be added between solve() calls (blocking clauses for model
-enumeration), which keeps learned clauses alive.  A
-solver can also grow: extend() adds variables and bulk-loads clauses
-that are already clean (no repeated literal, no complementary pair),
-which is how a plan search appends one step of its encoding per
-horizon.  Clauses that hold only for one horizon carry the negation of
-an activation literal that solve() assumes; once that literal is fixed
-false, they stay loaded but are satisfied at level 0, so they never
-propagate or conflict again.  No clause is ever deleted.  Every SAT
-model is checked against every clause the solver was given, as given.
+Clauses can be added between solve() calls, which keeps learned
+clauses alive: enumerate_models blocks each model it finds on the
+solver it is given.  A solver can also grow: extend() adds variables
+and bulk-loads clauses that are already clean (no repeated literal, no
+complementary pair), which is how a query loads its encoding: a plan
+search appends one step per horizon, and predict loads its one horizon
+before it enumerates.  Clauses that hold only for one horizon carry
+the negation of an activation literal that solve() assumes; once that
+literal is fixed false, they stay loaded but are satisfied at level 0,
+so they never propagate or conflict again.  No clause is ever deleted.
+Every SAT model is checked against every clause the solver was given,
+as given.
 """
 
 from __future__ import annotations
@@ -476,21 +478,18 @@ def solve(cnf, assumptions=(), *, seed: int = 0, max_conflicts: int | None = Non
         assumptions, max_conflicts=max_conflicts, max_seconds=max_seconds)
 
 
-def enumerate_models(cnf, project_vars, *, seed: int = 0, limit: int | None = None):
-    """All satisfying assignments projected onto project_vars, via repeated
-    solving with blocking clauses.  Returns a list of bool tuples aligned
-    with project_vars (deduplicated by construction)."""
-    n, clauses = _as_pair(cnf)
-    solver = Solver(n, clauses, seed=seed)
+def enumerate_models(solver: Solver, project_vars, *, limit: int | None = None):
+    """The models of solver's clauses, one per assignment to project_vars,
+    via repeated solving with blocking clauses over project_vars, which
+    stay on the solver.  Returns full models (bool tuples indexed by
+    variable, index 0 unused), at most limit of them."""
     out: list[tuple[bool, ...]] = []
     while limit is None or len(out) < limit:
         res = solver.solve()
         if not res.is_sat:
             break
-        proj = tuple(res.model[v] for v in project_vars)
-        out.append(proj)
-        blocking = [-v if res.model[v] else v for v in project_vars]
-        if not solver.add_clause(blocking):
+        out.append(res.model)
+        if not solver.add_clause([-v if res.model[v] else v for v in project_vars]):
             break
     return out
 

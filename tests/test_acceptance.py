@@ -25,7 +25,7 @@ from causalplan.grounding import ground
 from causalplan.model import TRUE, Atom, freeze_state
 from causalplan.oracle import oracle_paths, oracle_states
 from causalplan.planner import encode_problem, parse_cost_spec
-from causalplan.sat import enumerate_models, solve
+from causalplan.sat import Solver, enumerate_models, solve
 
 from oracles import (boxes_optimal, mapp_optimal, php_clauses, toh_optimal,
                      truth_table_sat)
@@ -36,8 +36,8 @@ def _cnf_trajectories(gd, h, *, seed=0):
     and decoded to a (state, actions, ..., state) tuple."""
     cnf = compile_cnf(gd, h)
     out = set()
-    for model in enumerate_models(cnf, [cnf.var_of(ta) for ta in cnf.atoms], seed=seed):
-        truth = dict(zip(cnf.atoms, model))
+    for model in enumerate_models(Solver(cnf.var_count, cnf.clauses, seed=seed), cnf.index.values()):
+        truth = {ta: model[v] for ta, v in cnf.index.items()}
         parts = []
         for t in range(h + 1):
             state = {}
@@ -160,8 +160,8 @@ def test_walls_make_unreachable_landmarks_unusable():
         cnf = encode_problem(gd, TRUE, TRUE, [], h, noconcurrency=True).cnf()
         for t in range(h):
             for x, y in cut:
-                here = cnf.var_of(TimedAtom(Atom(at_robo, (), x), t))
-                go = cnf.var_of(TimedAtom(Atom(goto, (y,), "true"), t))
+                here = cnf.index[TimedAtom(Atom(at_robo, (), x), t)]
+                go = cnf.index[TimedAtom(Atom(goto, (y,), "true"), t)]
                 assert not solve(cnf, assumptions=(here, go)).is_sat, (h, t, x, y)
 
 

@@ -17,7 +17,7 @@ from causalplan.compiler import (CompileError, Encoder, ExactlyOne, Nogood,
                                  completion_for, desugar, eval_completion, unroll)
 from causalplan.grounding import GroundDomain, ground
 from causalplan.model import FINAL, And, AtomF, Caused, Not, formula_atoms
-from causalplan.sat import emit_dimacs, enumerate_models
+from causalplan.sat import Solver, emit_dimacs, enumerate_models
 
 
 def gd_of(text):
@@ -28,7 +28,7 @@ def model_set(cnf):
     """Projections of all models onto the timed atoms, in atom table order,
     via truth tables."""
     models = oracles.truth_table_models(cnf.var_count, cnf.clauses)
-    real = [cnf.var_of(ta) - 1 for ta in cnf.atoms]
+    real = [cnf.index[ta] - 1 for ta in cnf.atoms]
     return {tuple(m[i] for i in real) for m in models}
 
 
@@ -247,8 +247,8 @@ def test_variable_numbering_keeps_each_steps_numbers_as_it_grows():
     # b@0 and step 0's activation variable 2; each new step numbers, after
     # every variable in use, the actions before it, its fluents, its
     # activation variable and its definition variables (6 and 7 at step 1)
-    assert [cnf.var_of(ta) for ta in cnf.atoms] == [1, 3, 4, 8, 9]
-    assert cnf.base == [0, 3, 8]
+    assert [cnf.index[ta] for ta in cnf.atoms] == [1, 3, 4, 8, 9]
+    assert cnf.rows == [(1, 3), (4, 8), (9, 0)]
     assert compile_cnf(gd, 1).index.items() <= cnf.index.items()
 
 
@@ -579,10 +579,11 @@ def test_growing_encoder_has_the_fixed_encodings_models(name, gd):
             if h:
                 enc.extend()
             cnf = enc.cnf()
-            real = [cnf.var_of(ta) for ta in cnf.atoms]
-            want = set(enumerate_models(cnf, real))
-            grown = (enc.var_count, enc.clauses + [(enc.active,)])
-            got = set(enumerate_models(grown, real))
+            real = [cnf.index[ta] for ta in cnf.atoms]
+            want = {tuple(m[v] for v in real)
+                    for m in enumerate_models(Solver(cnf.var_count, cnf.clauses), real)}
+            grown = Solver(enc.var_count, enc.clauses + [(enc.active,)])
+            got = {tuple(m[v] for v in real) for m in enumerate_models(grown, real)}
             assert got == want, (name, h, noconcurrency)
             direct = Encoder(gd, h, noconcurrency=noconcurrency)
             assert (direct.var_count, direct.clauses) == (enc.var_count, enc.clauses)

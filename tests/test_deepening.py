@@ -409,5 +409,5 @@ def test_extend_loads_a_grown_encoding_as_one_attach_per_clause(name, gd, proble
         assert (got.status, got.model) == (want.status, want.model), (name, h)
         if h:
             # the last action of step h - 1 does not occur
-            unit = (-enc.base[h],)
+            unit = (-enc.rows[h - 1][-1],)
             assert fast.add_clause(unit) == reference_extend(ref, ref.nvars, [unit])

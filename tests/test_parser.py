@@ -284,6 +284,29 @@ def test_missing_semicolon_keeps_the_next_statement(old, found, at, kept):
     assert kept(p)
 
 
+def test_vars_line_without_semicolon_keeps_the_next_law():
+    # the law's first name starts a new line and is not followed by '::',
+    # so it ends the bindings instead of being read as another variable
+    text = sample_files.samples_dir().joinpath("toh.cp").read_text()
+    old = "  vars d :: disk p :: place;\n  move(d, p) causes on(d)=p;\n"
+    assert old in text
+    diags, p = _failed_domain(text.replace(old, old.replace("place;", "place", 1)))
+    assert diags == [("expected ';', found 'move'", (18, 3))]
+    assert "move(d, p) causes on(d)=p;" in [str(law) for law in p.laws]
+    assert p.laws == list(parse_domain(text).laws)
+    # a name on the same line still reads as a variable
+    diags, _ = _failed_domain(text.replace("vars d :: disk p :: place;", "vars d :: disk p place;", 1))
+    assert diags == [("expected '::', found 'place'", (17, 20))]
+
+
+# the second: what follows the ';' is the lost bindings, and goes unreported
+@pytest.mark.parametrize("line", ["vars;", "vars ; :: p;"])
+def test_empty_vars_line_is_reported_at_vars(line):
+    diags, p = _failed_domain(f":constants p :: inertialFluent;\n:laws\n  {line}\n  caused p if p;\n")
+    assert diags == [("vars declaration needs at least one binding", (3, 3))]
+    assert [type(law) for law in p.laws] == [Caused]
+
+
 @pytest.mark.parametrize("text,found,at,kept", [
     (":state atObj(B1)=L1 & holding(B1) x;\n:do goto(L2);\n", "x", (1, 35), [":state", ":do"]),
     (":state atObj(B1)=L1 & holding(B1);\n:do goto(L2) x;\n", "x", (2, 14), [":state", ":do"]),
@@ -359,6 +382,19 @@ def test_query_rejects_fluent_in_do():
     with pytest.raises(ParseError) as e:
         parse_query(":do holding(B1);", d)
     assert any("action" in str(x) for x in e.value.diagnostics)
+
+
+@pytest.mark.parametrize("step,message", [
+    ("holding(B1)", "'holding' is not an action"),
+    ("goto(L1), goto(L2)=false", "an action in :do cannot carry '=value'"),
+])
+def test_query_reports_a_bad_action_at_the_atom(step, message):
+    with pytest.raises(ParseError) as e:
+        parse_query(f":state atObj(B1)=L1;\n:do {step};\n", parse_domain(BOXES))
+    [only] = e.value.diagnostics
+    assert only.message == message
+    col = 5 + step.rindex(step.split(", ")[-1])
+    assert astuple(only.span)[1:3] == (2, col)
 
 
 def test_query_rejects_a_repeated_action():

@@ -6,10 +6,11 @@ import math
 
 import pytest
 
+import sample_files
 import toy_domains
 from causalplan import (NoPlanUpTo, Plan, PlanFound, check_consistency,
-                        parse_domain, parse_problem, parse_world, plan,
-                        predict, registry_for, validate_plan)
+                        parse_domain, parse_problem, parse_query, parse_world,
+                        plan, predict, registry_for, validate_plan)
 from causalplan.domains import build_robot_boxes
 from causalplan.grounding import ground
 from causalplan.model import freeze_state
@@ -229,6 +230,27 @@ def test_predict_rejects_unknown_action():
     gd = toy_domains.load("toggle")
     with pytest.raises(ValueError):
         predict(gd.domain, {("b", ()): "false"}, [[("warp", ())]])
+
+
+def test_predict_limit_gives_distinct_outcomes_of_the_full_set():
+    # a partial start with several completions: each limit k gives k
+    # different outcomes, all of them among the unlimited ones, and the
+    # unlimited ones are exactly the oracle's trajectories
+    domain = parse_domain((sample_files.samples_dir() / "boxes.cp").read_text())
+    init, steps = parse_query(":state atRobo=L1;\n:do goto(L2);\n", domain)
+
+    def key(trajectory):
+        return tuple(map(freeze_state, trajectory))
+
+    full = [key(tr) for tr in predict(domain, init, steps).outcomes]
+    want = {(p[0], p[2]) for p in oracle_paths(ground(domain), 1)
+            if ("atRobo", (), "L1") in p[0] and p[1] == frozenset({("goto", ("L2",))})}
+    assert len(full) == len(set(full)) == len(want) > 1
+    assert set(full) == want
+    for k in range(1, len(full) + 1):
+        got = [key(tr) for tr in predict(domain, init, steps, limit=k).outcomes]
+        assert len(set(got)) == len(got) == k
+        assert set(got) <= set(full)
 
 
 @pytest.mark.parametrize("limit", [0, -2])

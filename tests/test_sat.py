@@ -95,15 +95,15 @@ def test_conflict_limit_raises():
 
 def test_enumerate_models_counts():
     # 3 free vars constrained by one clause: 7 models over vars 1..3
-    models = enumerate_models((3, [[1, 2, 3]]), [1, 2, 3])
+    models = enumerate_models(Solver(3, [[1, 2, 3]]), [1, 2, 3])
     assert len(models) == 7
     assert len({tuple(m) for m in models}) == 7
 
 
 def test_enumerate_models_projection():
     # projecting onto var 1 collapses var 2's freedom
-    models = enumerate_models((2, [[1, 2]]), [1])
-    assert sorted(tuple(m) for m in models) == [(False,), (True,)]
+    models = enumerate_models(Solver(2, [[1, 2]]), [1])
+    assert sorted((m[1],) for m in models) == [(False,), (True,)]
 
 
 @settings(max_examples=100, deadline=None)
