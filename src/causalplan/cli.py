@@ -70,6 +70,11 @@ def _world_of(args) -> GridWorld | None:
     return load_world(path) if path else None
 
 
+def _registry_of(args):
+    world = _world_of(args)
+    return registry_for(world) if world is not None else None
+
+
 def _costs_of(args):
     return tuple(parse_cost_spec(s) for s in getattr(args, "cost", None) or ())
 
@@ -126,7 +131,7 @@ def _require_valid_problem(problem, domain) -> None:
 
 def cmd_check(args) -> int:
     domain = _load_domain(args)
-    registry = registry_for(_world_of(args)) if args.world else None
+    registry = _registry_of(args)
     verdict = run_check(domain, registry, seed=_seed_of(args))
     if isinstance(verdict, Consistent):
         print("consistent")
@@ -139,7 +144,7 @@ def cmd_check(args) -> int:
 
 def cmd_ground(args) -> int:
     domain = _load_domain(args)
-    registry = registry_for(_world_of(args)) if args.world else None
+    registry = _registry_of(args)
     gd = ground(domain, registry)
     if args.emit == "theory":
         for law in gd.laws:
@@ -193,7 +198,7 @@ def cmd_plan(args) -> int:
     domain = _load_domain(args)
     problem = _load_problem(args, domain)
     _require_valid_problem(problem, domain)
-    registry = registry_for(_world_of(args)) if args.world else None
+    registry = _registry_of(args)
     costs = _costs_of(args)
 
     mode = args.solver
@@ -232,7 +237,7 @@ def cmd_plan(args) -> int:
 
 def cmd_predict(args) -> int:
     domain = _load_domain(args)
-    registry = registry_for(_world_of(args)) if args.world else None
+    registry = _registry_of(args)
     init, steps = parse_query(_read(args.query), domain, source=args.query)
     result = run_predict(domain, init, steps, registry,
                          seed=_seed_of(args), limit=args.limit)
@@ -252,7 +257,7 @@ def cmd_validate(args) -> int:
     domain = _load_domain(args)
     problem = _load_problem(args, domain)
     _require_valid_problem(problem, domain)
-    registry = registry_for(_world_of(args)) if args.world else None
+    registry = _registry_of(args)
     p = parse_plan(_read(args.planfile))
     ok, issues = validate_plan(domain, problem, p, registry, costs=_costs_of(args))
     if ok:

@@ -5,18 +5,19 @@ Pipeline (each stage is exposed for testing):
     desugar   ground laws -> (head literal, if-part, after-part) triples
     unroll    triples -> time-stamped definite rules, bodies in DNF
     complete  rules -> support biconditionals + nogoods + exactly-one
-    template  StepTemplate: the completion of a reference horizon (0 or
-              2), clausified once per ground domain (which ground() keeps
-              across queries) into integer clause blocks per step class
-              (only, first, middle, final)
+    template  StepTemplate: the completion of reference horizon 1,
+              clausified once per ground domain (which ground() keeps
+              across queries) into three integer clause blocks: the
+              first step, any later step, and the nogoods that read a
+              step's actions
     grow      Encoder: horizon h = the blocks placed one step at a time
               from horizon 0, each step after every variable in use
               (its rows table records where each step's atoms land),
-              with the clauses that hold only at the last step under
-              an activation literal, plus asserted query formulas;
-              every query grows one encoding on one solver, and cnf()
-              gives the plain CNF of the current horizon, which
-              compile_cnf returns for the query-free case
+              plus asserted query formulas, those that hold only at the
+              last step under an activation literal; every query grows
+              one encoding on one solver, and cnf() gives the plain CNF
+              of the current horizon, which compile_cnf returns for the
+              query-free case
 
 cnf() is, up to the numbering of its variables, clause for clause the
 clausified completion_for(h); completion_for and eval_completion stay
@@ -109,16 +110,6 @@ class Desugared:
     head: Lit | None  # None = FALSE
     cond: Formula = TRUE
     after: Formula | None = None
-
-    # in DNF once per rule: a StepTemplate stamps each rule at reference
-    # horizons 0, 1 and 2, and drops the rules once its blocks are built
-    @cached_property
-    def cond_dnf(self) -> list[frozenset[Lit]] | None:
-        return _dnf(self.cond)
-
-    @cached_property
-    def after_dnf(self) -> list[frozenset[Lit]] | None:
-        return _dnf(self.after)
 
 
 def _instances(const):
@@ -219,6 +210,16 @@ def _mentions_action(rule: Desugared) -> bool:
     return any(f is not None and mentions_action(f) for f in (rule.cond, rule.after))
 
 
+def _sets_last_step_apart(law: Caused) -> bool:
+    """Whether the law's rules would differ at the last step, where no
+    actions exist: an after-law's if-part sits at the step after its
+    after-part, and a static law with a head is stamped only where the
+    atoms it mentions exist."""
+    if law.after is not None:
+        return mentions_action(law.cond)
+    return law.head is not None and (law.head.constant.is_action or mentions_action(law.cond))
+
+
 def _stamp(lits: frozenset[Lit], step: int) -> frozenset[TimedLit]:
     return frozenset(TimedLit(a, step, pos) for a, pos in lits)
 
@@ -227,7 +228,7 @@ def _stamp_rule(rule: Desugared, horizon: int):
     """Yield (step, CausalRule) for one desugared rule over 0..horizon.  The
     step is the rule's own step for a static rule and the step of the
     after-part for an after-rule."""
-    cond_dnf = rule.cond_dnf
+    cond_dnf = _dnf(rule.cond)
     head = rule.head
     if rule.after is None:
         if cond_dnf is None:
@@ -241,7 +242,7 @@ def _stamp_rule(rule: Desugared, horizon: int):
         return
     if head is not None and head[0].constant.is_action:
         raise CompileError(f"after-rule head {head[0]} is an action atom")
-    after_dnf = rule.after_dnf
+    after_dnf = _dnf(rule.after)
     if after_dnf is None or cond_dnf is None:
         return
     for t in range(0, horizon):
@@ -358,15 +359,11 @@ def complete(rules: list[CausalRule], ground: GroundDomain,
         if const.is_boolean:
             continue
         for t in range(0, horizon + 1):
-            out.append(_exactly_one(const, args, t))
+            out.append(ExactlyOne(tuple(TimedAtom(Atom(const, args, v), t)
+                                        for v in const.value_sort.members)))
 
     out.extend(nogoods)
     return out
-
-
-def _exactly_one(const, args, step: int) -> ExactlyOne:
-    return ExactlyOne(tuple(TimedAtom(Atom(const, args, v), step)
-                            for v in const.value_sort.members))
 
 
 def eval_completion(formulas: list[CompletionFormula], lit_truth) -> CompletionFormula | None:
@@ -503,43 +500,40 @@ class StepTemplate:
     """Integer clause blocks from which Encoder grows any horizon of one
     ground domain, step by step.
 
-    Step t of horizon h falls into one class: the only step (h = 0), the
-    first (t = 0 < h), a middle step (0 < t < h) or the final step
-    (t = h > 0).  Each class has one block of support clauses, taken from
-    the symbolic completion of a reference horizon at a step of that
-    class: horizon 0 for the only step and horizon 2 for the others (a
-    step's supports read only that step and the one before, so horizon 1
-    is horizon 2's first and final steps).  Exactly-one blocks (one per
-    multi-valued fluent instance) and nogood blocks (one per headless
-    desugared rule) are the same at every step.
+    The blocks clausify the symbolic completion of reference horizon 1.
+    first holds step 0's supports, exactly-one clauses and the nogoods
+    that read only that step; step holds the same for step 1, which
+    stands for any later step, since a step's supports read only that
+    step and the one before; actions holds the nogoods that read a
+    step's actions or the step after it.  A step's blocks are the same
+    whether or not it is the last one: the template refuses the laws
+    that would set the last step apart, which validation rejects too.
     """
 
     def __init__(self, ground: GroundDomain):
         self.ground = ground
         self.n_fluents = len(ground.fluent_atoms)
         self.width = self.n_fluents + len(ground.action_atoms)
+        for law in ground.laws:
+            if isinstance(law, Caused) and _sets_last_step_apart(law):
+                raise CompileError(f"cannot compile '{law}': its rules would differ "
+                                   "at the last step, which has no actions")
+        rules = desugar(ground)
+        # formulas of the first step, of a later step, and of a step's actions
+        parts: tuple[list, list, list] = ([], [], [])
+        for f in complete(unroll([r for r in rules if r.head is not None], ground, 1),
+                          ground, 1):
+            parts[f.head.step if isinstance(f, Support) else f.atoms[0].step].append(f)
+        for rule in rules:
+            if rule.head is None:
+                stops_early = rule.after is not None or _mentions_action(rule)
+                for t, r in _stamp_rule(rule, 1):
+                    parts[2 if stops_early else t].append(Nogood(r.body))
         # a template lives as long as its ground domain, across queries:
         # its blocks share one int object per window literal
         ints: dict[int, int] = {}
-        rules = desugar(ground)
-        for rule in rules:
-            # validation rejects these; the if-part would need actions at
-            # the final step, where none exist
-            if rule.after is not None and mentions_action(rule.cond):
-                raise CompileError(f"the if-part {rule.cond} of an after-rule mentions an action")
-        (only,) = self._supports(rules, 0, ints)
-        first, middle, final = self._supports(rules, 2, ints)
-        # how the last step's support block changes when an Encoder grows:
-        # (only -> first, final -> middle)
-        self.growth = _growth(only, first), _growth(final, middle)
-        self.exactly_one = [self._block([_exactly_one(c, args, 0)], 0, ints)
-                            for c, args in ground.fluent_instances if not c.is_boolean]
-        # (block, stops early) per headless rule: a rule that mentions an
-        # action or has an after-part stops one step before the horizon
-        self.nogoods = [
-            (self._block([Nogood(r.body) for t, r in _stamp_rule(rule, 1) if t == 0], 0, ints),
-             rule.after is not None or _mentions_action(rule))
-            for rule in rules if rule.head is None]
+        self.first, self.step, self.actions = (
+            self._block(fs, step, ints) for fs, step in zip(parts, (0, 1, 0)))
 
     def _block(self, formulas, step: int, ints: dict[int, int]) -> Block:
         """Clausify formulas stamped around step into window variables,
@@ -556,15 +550,6 @@ class StepTemplate:
         one = ints.setdefault
         return [tuple([one(l, l) for l in c]) for c in sink.clauses], sink.var_count - 3 * width
 
-    def _supports(self, rules: list[Desugared], ref: int, ints: dict[int, int]) -> list[Block]:
-        """The support block of every step of reference horizon ref, in
-        step order."""
-        by_step: list[list[Support]] = [[] for _ in range(ref + 1)]
-        for f in complete(unroll(rules, self.ground, ref), self.ground, ref):
-            if isinstance(f, Support):
-                by_step[f.head.step].append(f)
-        return [self._block(fs, t, ints) for t, fs in enumerate(by_step)]
-
 
 def step_template(ground: GroundDomain) -> StepTemplate:
     """The ground domain's template, made on first use and kept on it (in
@@ -573,25 +558,6 @@ def step_template(ground: GroundDomain) -> StepTemplate:
     if tpl is None:
         tpl = ground.__dict__["_step_template"] = StepTemplate(ground)
     return tpl
-
-
-@dataclass(frozen=True)
-class Growth:
-    """How a step's support block changes when the step stops being the
-    last one: keep holds in both classes, drop only while the step is
-    last, add only afterwards.  n_aux definition variables cover both
-    blocks, whose window numbering they share."""
-
-    keep: list[tuple[int, ...]]
-    drop: list[tuple[int, ...]]
-    add: list[tuple[int, ...]]
-    n_aux: int
-
-
-def _growth(last: Block, later: Block) -> Growth:
-    stays, was = set(later[0]), set(last[0])
-    return Growth([c for c in last[0] if c in stays], [c for c in last[0] if c not in stays],
-                  [c for c in later[0] if c not in was], max(last[1], later[1]))
 
 
 class Encoder(_ClauseSink):
@@ -606,13 +572,13 @@ class Encoder(_ClauseSink):
     later horizon.  rows holds the layout, and only __init__ and extend()
     number atoms: rows[t][p] is the variable of the atom at position p
     (GroundDomain.atom_position) at step t, and 0 for the last step's
-    actions, which do not exist.  Clauses that hold only while the current
-    horizon is the last one (support clauses the next step class lacks,
-    and asserted formulas given guard=active) end in -active, the negation
-    of the horizon's activation variable: solve under the assumption
-    active.  extend() retires it with the unit clause (-active,) and makes
-    a new one.  An activation literal appears nowhere but as the last
-    literal of the clauses it guards, which is what cnf() relies on."""
+    actions, which do not exist.  Asserted formulas given guard=active
+    hold only while the current horizon is the last one: their clauses
+    end in -active, the negation of the horizon's activation variable, so
+    solve under the assumption active.  extend() retires it with the unit
+    clause (-active,) and makes a new one.  An activation literal appears
+    nowhere but as the last literal of the clauses it guards, which is
+    what cnf() relies on."""
 
     def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False):
         tpl = step_template(ground)
@@ -626,7 +592,7 @@ class Encoder(_ClauseSink):
         self.rows = [(*range(1, nf + 1), *[0] * (tpl.width - nf))]
         self.retired: list[int] = []
         self.active = self.fresh()
-        self._place_last(tpl, tpl.growth[0])
+        self._place(tpl.first, 0)
         for _ in range(horizon):
             self.extend()
 
@@ -643,59 +609,26 @@ class Encoder(_ClauseSink):
         self.var_count += width
         self.horizon = h + 1
         self.active = self.fresh()
-        get = self._lut(h, self._last_aux)
-        self._put(tpl.growth[h > 0].add, get)
-        for block, stops_early in tpl.nogoods:
-            if stops_early:
-                self._place_at(block, h, get)
+        self._place(tpl.actions, h)
         if self.noconcurrency:
             self.clauses += [(-b, -a) for a, b in itertools.combinations(rows[h][nf:], 2)]
-        self._place_last(tpl, tpl.growth[1])
+        self._place(tpl.step, h + 1)
 
-    def _place_last(self, tpl: StepTemplate, growth: Growth) -> None:
-        """Place the blocks of a new last step: its support clauses, those
-        that hold only while it is last under -active, then its
-        exactly-one blocks and the nogoods that reach the last step."""
-        step = self.horizon
-        self._last_aux = range(self.var_count + 1, self.var_count + growth.n_aux + 1)
-        self.var_count += growth.n_aux
-        get = self._lut(step, self._last_aux)
-        self._put(growth.keep, get)
-        self._put(growth.drop, get, self.active)
-        for block in tpl.exactly_one:
-            self._place_at(block, step, get)
-        for block, stops_early in tpl.nogoods:
-            if not stops_early:
-                self._place_at(block, step, get)
-
-    def _lut(self, step: int, aux):
-        """Window literal -> literal at step, with aux for the block's
-        definition variables (0, which no solver accepts, where no atom
-        exists).  A negative window literal -v reads entry -v, which
-        Python's negative indexing maps to -table[v]."""
+    def _place(self, block: Block, step: int) -> None:
+        """Append the block's clauses at step, numbering its definition
+        variables after every variable in use.  Window literal v reads
+        entry v of a lookup table, 0 (which no solver accepts) where no
+        atom exists; a negative -v reads entry -v, which Python's negative
+        indexing maps to -table[v]."""
+        clauses, n_aux = block
         rows = self.rows
         pos: list[int] = [0]
         for t in (step - 1, step, step + 1):
             pos += rows[t] if 0 <= t < len(rows) else [0] * len(rows[0])
-        pos += aux
-        neg = [-v for v in pos[:0:-1]]
-        return (pos + neg).__getitem__
-
-    def _put(self, clauses, get, guard: int | None = None) -> None:
-        if guard is None:
-            self.clauses += [tuple(map(get, c)) for c in clauses]
-        else:
-            self.clauses += [(*map(get, c), -guard) for c in clauses]
-
-    def _place_at(self, block: Block, step: int, get) -> None:
-        """Append the block's clauses at step through get, the step's
-        lookup, or through one with fresh definition variables if the
-        block has its own."""
-        clauses, n_aux = block
-        if n_aux:
-            get = self._lut(step, range(self.var_count + 1, self.var_count + n_aux + 1))
-            self.var_count += n_aux
-        self._put(clauses, get)
+        pos += range(self.var_count + 1, self.var_count + n_aux + 1)
+        self.var_count += n_aux
+        get = (pos + [-v for v in pos[:0:-1]]).__getitem__
+        self.clauses += [tuple(map(get, c)) for c in clauses]
 
     def _lit(self, l: TimedLit) -> int:
         p = self.ground.atom_position.get(l.atom)

@@ -69,6 +69,12 @@ class GroundDomain:
         return tuple(a for a in signature_atoms(self) if a.constant.is_action)
 
     @cached_property
+    def action_instances(self) -> tuple[tuple[str, tuple[str, ...]], ...]:
+        """The (name, args) instance of each action atom, in action_atoms
+        order."""
+        return tuple((a.constant.name, a.args) for a in self.action_atoms)
+
+    @cached_property
     def atom_position(self) -> dict[Atom, int]:
         """Index of each atom in fluent_atoms + action_atoms: the order of one
         step's variables in every encoding."""

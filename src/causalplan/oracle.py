@@ -121,8 +121,7 @@ def oracle_transitions(gd: GroundDomain, *, noconcurrency: bool = False,
     statics = [f for f in completion_for(gd, 0) if isinstance(f, Nogood)]
     cand1 = [s for s in _value_complete_states(gd, 1 << 18)
              if eval_completion(statics, window_truth([s], [])) is None]
-    action_insts = [(a.constant.name, a.args) for a in gd.action_atoms]
-    n_subsets = 2 ** len(action_insts)
+    n_subsets = 2 ** len(gd.action_instances)
     if len(states0) * len(cand1) * n_subsets > max_triples:
         raise ValueError("too many candidate transitions; enumeration refused")
 
@@ -152,8 +151,8 @@ def oracle_transitions(gd: GroundDomain, *, noconcurrency: bool = False,
         else:
             flu1.append((i, (a.constant.name, a.args), a.value))
 
-    subsets = [frozenset(inst for inst, on in zip(action_insts, mask) if on)
-               for mask in itertools.product((False, True), repeat=len(action_insts))]
+    subsets = [frozenset(inst for inst, on in zip(gd.action_instances, mask) if on)
+               for mask in itertools.product((False, True), repeat=len(gd.action_instances))]
     if noconcurrency:
         subsets = [s for s in subsets if len(s) <= 1]
 

@@ -6,10 +6,10 @@ goal, observations), and hands the clauses to the embedded solver.
 Planning deepens the horizon one step at a time on one growing
 encoding and one solver, which keeps what it learnt: each horizon adds
 a step, and the clauses that hold only while h is the last step (the
-goal, :at final constraints, final-step support clauses, the cost
-bound) carry the negation of h's activation literal, which the solve
-call assumes and the next horizon retires.  A cost deadline is encoded
-too (charges.ChargeCounter), so every horizon is one solve call, and
+goal, :at final constraints and the cost bound) carry the negation of
+h's activation literal, which the solve call assumes and the next
+horizon retires.  A cost deadline is encoded too
+(charges.ChargeCounter), so every horizon is one solve call, and
 plan_cost prices the plan found on its own.  check_consistency asks
 horizon 0 and then 1 the same way.  predict grows the encoding to its
 one horizon, loads it into its solver with the activation literal
@@ -192,8 +192,8 @@ def decode_model(layout, model) -> Plan:
                 state[key] = next(v for v, p in values if model[row[p]])
         trajectory.append(state)
     nf = len(gd.fluent_atoms)
-    acts = [(a.constant.name, a.args) for a in gd.action_atoms]
-    steps = [sorted(k for k, v in zip(acts, row[nf:]) if model[v]) for row in rows[:-1]]
+    steps = [sorted(k for k, v in zip(gd.action_instances, row[nf:]) if model[v])
+             for row in rows[:-1]]
     return Plan(steps, trajectory)
 
 
@@ -358,7 +358,7 @@ def predict(domain: DomainDescription, init, actions,
         init = _state_formula(domain, init)
     init = close_formula(init, domain, registry)
 
-    declared = {(a.constant.name, a.args) for a in gd.action_atoms}
+    declared = set(gd.action_instances)
     steps: list[list[GroundInstance]] = []
     for step in actions:
         insts = [(name, tuple(args)) for name, args in step]
@@ -371,17 +371,16 @@ def predict(domain: DomainDescription, init, actions,
     search = _Deepening(gd, h, noconcurrency=False, seed=seed)
     enc = search.enc
     enc.assert_formula(init, 0)
-    for t, step in enumerate(steps):
+    nf = len(gd.fluent_atoms)
+    for row, step in zip(enc.rows, steps):
         want = set(step)
-        fixed = [AtomF(a) if (a.constant.name, a.args) in want else
-                 AtomF(Atom(a.constant, a.args, "false")) for a in gd.action_atoms]
-        enc.assert_formula(conj(fixed), t)
+        enc.clauses += [(l,) for l in sorted(v if inst in want else -v
+                                             for inst, v in zip(gd.action_instances, row[nf:]))]
     enc.clauses.append((enc.active,))  # the horizon never grows
     search.load()
 
     # the schedule fixes every action variable, so blocking the fluent
     # values seen blocks exactly the trajectories seen
-    nf = len(gd.fluent_atoms)
     fluents = [v for row in enc.rows for v in row[:nf]]
     outcomes = [decode_model(enc, model).trajectory
                 for model in enumerate_models(search.solver, fluents, limit=limit)]
@@ -412,7 +411,7 @@ def validate_plan(domain: DomainDescription, problem: PlanningProblem, p: Plan,
         for key in state:
             if key not in instances:
                 issues.append(f"state {t} mentions unknown fluent {instance_str(key)}")
-    declared = {(a.constant.name, a.args) for a in gd.action_atoms}
+    declared = set(gd.action_instances)
     step_sets: list[set[GroundInstance]] = []
     for t, step in enumerate(p.steps):
         insts = {(name, tuple(args)) for name, args in step}

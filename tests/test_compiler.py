@@ -5,6 +5,8 @@ against truth-table enumeration (tests/oracles.py), never against the
 package's own solver.
 """
 
+import hashlib
+import re
 from collections import Counter
 
 import pytest
@@ -433,20 +435,29 @@ TOGGLE_EXTRAS = (":init ~b & flip;\n:goal b;\n:at 1 b | flip;\n:at final b | ~b 
                  ":horizon 0..3;\n")
 
 
-def _equivalence_cases():
+def _sample(name):
+    """A sample domain, its problem, and the corridor world's registry if
+    the domain declares externals."""
     from sample_files import samples_dir
 
-    from causalplan.domains import build_toh
     from causalplan.grid import parse_world, registry_for
+    from causalplan.parser import parse_problem
+
+    domain = parse_domain((samples_dir() / f"{name}.cp").read_text())
+    problem = parse_problem((samples_dir() / f"{name}.prob").read_text(), domain)
+    registry = (registry_for(parse_world((samples_dir() / "corridor.world").read_text()))
+                if domain.externals else None)
+    return domain, problem, registry
+
+
+def _equivalence_cases():
+    from causalplan.domains import build_toh
     from causalplan.parser import parse_problem
     from causalplan.planner import close_problem
 
     out = []
     for name in ("boxes", "boxes-grid", "mapp", "toh"):
-        domain = parse_domain((samples_dir() / f"{name}.cp").read_text())
-        problem = parse_problem((samples_dir() / f"{name}.prob").read_text(), domain)
-        registry = (registry_for(parse_world((samples_dir() / "corridor.world").read_text()))
-                    if domain.externals else None)
+        domain, problem, registry = _sample(name)
         out.append((name, ground(domain, registry), close_problem(domain, problem, registry)))
     toh = build_toh(3)
     out.append(("build_toh(3)", ground(toh.domain),
@@ -457,13 +468,6 @@ def _equivalence_cases():
     for name in toy_domains.ALL_SMALL:
         out.append((name, toy_domains.load(name), None))
     out.append(("edges", gd_of(EDGES), None))
-    # validation forbids causing an action, but the compiler stamps such a
-    # rule only below the horizon, which sets the final step apart
-    edges = gd_of(EDGES)
-    a = edges.action_atoms[0]
-    q = next(atom for atom in edges.fluent_atoms if atom.constant.name == "q")
-    out.append(("caused action", GroundDomain(edges.domain, edges.laws + (
-        Caused(a, And((AtomF(q), Not(AtomF(a))))), Caused(a, AtomF(q)))), None))
     out.append(("falsum", gd_of(FALSUM), None))
     return out
 
@@ -533,9 +537,8 @@ def test_templated_encoder_equals_symbolic_clausification(name, gd, query):
             cnf = templated.cnf()
             assert cnf.atoms == symbolic.table, where
             assert len(set(cnf.index.values())) == len(cnf.atoms), where
-            # numbered but unused: h + 1 activation variables, and a last
-            # step's definition variables that only its next class needs
-            assert cnf.var_count >= symbolic.var_count + h + 1, where
+            # numbered but unused: h + 1 activation variables
+            assert cnf.var_count == symbolic.var_count + h + 1, where
             assert _used(cnf.clauses) == _used(symbolic.clauses), where
             got = _by_meaning(cnf.clauses, {v: ta for ta, v in cnf.index.items()})
             want = _by_meaning(symbolic.clauses, dict(enumerate(symbolic.table, 1)))
@@ -555,20 +558,8 @@ def test_templated_encoder_rejects_actions_at_the_final_step_alike():
             assert str(got.value) == str(want.value)
 
 
-def caused_by_action():
-    """A toggle with a simple fluent r that only the action causes, in a
-    static law.  Validation forbids an action in an if-part, but the
-    compiler stamps such a law only below the horizon: r is forced false at
-    the last step and holds exactly when flip does at any other."""
-    base = gd_of(":constants b :: inertialFluent; r :: simpleFluent; flip :: action;\n"
-                 ":laws\n  inertial b;\n  flip causes b if ~b;\n  flip causes b=false if b;\n")
-    r = next(atom for atom in base.fluent_atoms if atom.constant.name == "r")
-    return GroundDomain(base.domain, base.laws + (Caused(r, AtomF(base.action_atoms[0])),))
-
-
 @pytest.mark.parametrize("name,gd", [(n, gd) for n, gd, query in _equivalence_cases()
-                                     if query is None]
-                         + [("caused by an action", caused_by_action())],
+                                     if query is None],
                          ids=lambda x: x if isinstance(x, str) else "")
 def test_growing_encoder_has_the_fixed_encodings_models(name, gd):
     # grown step by step, the guarded clauses with the current activation
@@ -587,3 +578,70 @@ def test_growing_encoder_has_the_fixed_encodings_models(name, gd):
             assert got == want, (name, h, noconcurrency)
             direct = Encoder(gd, h, noconcurrency=noconcurrency)
             assert (direct.var_count, direct.clauses) == (enc.var_count, enc.clauses)
+
+
+def caused_action():
+    """EDGES with two static laws that cause an action, which validation
+    rejects: "action constants cannot be caused explicitly"."""
+    edges = gd_of(EDGES)
+    a = edges.action_atoms[0]
+    q = next(atom for atom in edges.fluent_atoms if atom.constant.name == "q")
+    laws = (Caused(a, And((AtomF(q), Not(AtomF(a))))), Caused(a, AtomF(q)))
+    return GroundDomain(edges.domain, edges.laws + laws), laws
+
+
+def caused_by_action():
+    """A toggle with a simple fluent r that only the action causes, in a
+    static law, which validation rejects: "action constant 'flip' not
+    allowed here"."""
+    base = gd_of(":constants b :: inertialFluent; r :: simpleFluent; flip :: action;\n"
+                 ":laws\n  inertial b;\n  flip causes b if ~b;\n  flip causes b=false if b;\n")
+    r = next(atom for atom in base.fluent_atoms if atom.constant.name == "r")
+    laws = (Caused(r, AtomF(base.action_atoms[0])),)
+    return GroundDomain(base.domain, base.laws + laws), laws
+
+
+@pytest.mark.parametrize("make", [caused_action, caused_by_action],
+                         ids=["caused action", "caused by an action"])
+def test_encoder_refuses_a_law_that_sets_the_last_step_apart(make):
+    # completion_for stamps such a law only below the last step, where its
+    # actions exist, so the last step's supports would differ from every
+    # other step's; the encoder, which grows every step from one block,
+    # names the first such law instead
+    gd, laws = make()
+    for h in range(7):
+        with pytest.raises(CompileError, match=re.escape(f"'{laws[0]}'")):
+            Encoder(gd, h)
+        bodies = {f.head: f.bodies for f in completion_for(gd, h) if isinstance(f, Support)}
+        for law in laws:
+            (cond,) = _dnf(law.cond)
+            stamped = [frozenset(TimedLit(a, t, pos) for a, pos in cond)
+                       in bodies.get(TimedLit(law.head, t), ()) for t in range(h + 1)]
+            assert stamped == [True] * h + [False], (law, h)
+
+
+# sha256 of the (var_count, clauses) of each encoding, in order: a sample
+# at h = 0..3, each without and then with :noconcurrency, or build_toh(4)
+# at h = 15
+ENCODING_DIGESTS = {
+    "boxes": "02419a8216ef6ca5",
+    "boxes-grid": "3ce68e4c7f80bfa0",
+    "mapp": "38147d6b38492e29",
+    "toh": "bae41bc9d9e4cbd0",
+    "build_toh(4)": "f4c580e7cb31d946",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENCODING_DIGESTS))
+def test_encodings_are_pinned(name):
+    if name == "build_toh(4)":
+        from causalplan.domains import build_toh
+        encs = [Encoder(ground(build_toh(4).domain), 15)]
+    else:
+        domain, _, registry = _sample(name)
+        gd = ground(domain, registry)
+        encs = [Encoder(gd, h, noconcurrency=nc) for h in range(4) for nc in (False, True)]
+    digest = hashlib.sha256()
+    for enc in encs:
+        digest.update(repr((enc.var_count, enc.clauses)).encode())
+    assert digest.hexdigest()[:16] == ENCODING_DIGESTS[name]
