@@ -7,9 +7,10 @@ translate to completion form and grow its per-step integer clause
 template over the horizon one step at a time (compiler),
 solve with the embedded CDCL engine (sat), and answer planning,
 prediction, and consistency queries on top (planner), with a cost
-deadline summed in the encoding (charges).  oracle cross-checks the SAT
-route by brute enumeration.  domains bundles ready-made
+deadline summed in the encoding (charges).  domains bundles ready-made
 sample instances and cli exposes everything as a command-line tool.
+The brute-force oracles that cross-check the SAT route live with the
+tests, not here.
 """
 
 from .compiler import (CnfFormula, CompileError, Encoder, TimedAtom,
@@ -25,7 +26,6 @@ from .model import (BOOLEAN, Atom, AtomF, Caused, Causes, Constant,
 from .parser import (ParseError, parse_domain, parse_problem, parse_query,
                      pretty_print)
 from .planfile import PlanfileError, emit_plan, parse_plan
-from .oracle import oracle_paths, oracle_states, oracle_transitions
 from .planner import (ActionArg, ActionCost, Consistent, FluentRef,
                       Inconsistent, NoPlanUpTo, Plan, PlanFound, Predicted,
                       check_consistency, parse_cost_spec, plan, plan_cost,
@@ -48,8 +48,7 @@ __all__ = [
     "WorldError", "build_mapp", "build_robot_boxes", "build_toh",
     "check_consistency", "close_formula", "compile_cnf", "completion_for",
     "desugar", "emit_dimacs", "emit_plan", "enumerate_models", "ground",
-    "load_world", "oracle_paths", "oracle_states", "oracle_transitions",
-    "parse_cost_spec", "parse_dimacs", "parse_domain", "parse_plan",
+    "load_world", "parse_cost_spec", "parse_dimacs", "parse_domain", "parse_plan",
     "parse_problem", "parse_query", "parse_world", "plan", "plan_cost",
     "predict", "pretty_print", "read_dimacs_model", "registry_for", "solve",
     "unroll", "validate_plan", "validate_problem", "validate_signature",

@@ -27,8 +27,9 @@ from .parser import ParseError, parse_domain, parse_problem, parse_query
 from .planfile import PlanfileError, emit_plan, parse_plan
 from .planner import (Consistent, NoPlanUpTo, Plan, close_problem,
                       decode_model, encode_problem, parse_cost_spec,
-                      plan_cost, plan_grounded, validate_plan)
+                      plan_cost, validate_plan)
 from .planner import check_consistency as run_check
+from .planner import plan as run_plan
 from .planner import predict as run_predict
 from .sat import DimacsError, ResourceLimit, emit_dimacs, read_dimacs_model
 
@@ -155,11 +156,12 @@ def cmd_ground(args) -> int:
     return 0
 
 
-def _encode_at_hi(gd, problem, registry, dimacs_out=None):
-    """Encode the problem on gd, its domain grounded against registry, at
-    its largest horizon; with dimacs_out, also write that encoding there.
+def _encode_at_hi(domain, problem, registry, dimacs_out=None):
+    """Encode the problem on domain, ground against registry, at its
+    largest horizon; with dimacs_out, also write that encoding there.
     Returns the CnfFormula."""
-    init, goal, extras, _, hi = close_problem(gd.domain, problem, registry)
+    gd = ground(domain, registry)
+    init, goal, extras, _, hi = close_problem(domain, problem, registry)
     cnf = encode_problem(gd, init, goal, extras, hi,
                          noconcurrency=problem.noconcurrency).cnf()
     if dimacs_out:
@@ -171,11 +173,10 @@ def _encode_at_hi(gd, problem, registry, dimacs_out=None):
 
 def _solve_and_report(domain, problem, registry, args, *, costs,
                       plan_out=None, dimacs_out=None) -> int:
-    gd = ground(domain, registry)
     if dimacs_out:
-        _encode_at_hi(gd, problem, registry, dimacs_out)
-    outcome = plan_grounded(gd, problem, registry, costs=costs, seed=_seed_of(args),
-                            max_conflicts=args.max_conflicts, max_seconds=args.max_seconds)
+        _encode_at_hi(domain, problem, registry, dimacs_out)
+    outcome = run_plan(domain, problem, registry, costs=costs, seed=_seed_of(args),
+                       max_conflicts=args.max_conflicts, max_seconds=args.max_seconds)
     if isinstance(outcome, NoPlanUpTo):
         print(f"no plan up to horizon {outcome.max_horizon}")
         return 1
@@ -205,13 +206,13 @@ def cmd_plan(args) -> int:
     if mode[0] == "dimacs-out":
         if len(mode) != 2:
             raise _UsageError("--solver dimacs-out needs a file name")
-        _encode_at_hi(ground(domain, registry), problem, registry, mode[1])
+        _encode_at_hi(domain, problem, registry, mode[1])
         return 0
     if mode != ["internal"]:
         raise _UsageError(f"unknown solver mode {' '.join(mode)!r}")
 
     if args.model_in:
-        cnf = _encode_at_hi(ground(domain, registry), problem, registry)
+        cnf = _encode_at_hi(domain, problem, registry)
         res = read_dimacs_model(_read(args.model_in), cnf)
         if not res.is_sat:
             print("the supplied assignment reports unsatisfiable")

@@ -21,8 +21,9 @@ Pipeline (each stage is exposed for testing):
 
 cnf() is, up to the numbering of its variables, clause for clause the
 clausified completion_for(h); completion_for and eval_completion stay
-symbolic, so validate_plan and the oracles check plans without touching
-the template.
+symbolic, and window_truth values timed literals over a trajectory, so
+validate_plan and the test suite's enumeration oracles check plans
+without touching the template.
 
 Semantics in brief: a rule ``head <- body`` says the head literal is
 caused whenever the body holds.  The completion asserts that a literal
@@ -384,6 +385,20 @@ def eval_completion(formulas: list[CompletionFormula], lit_truth) -> CompletionF
     return None
 
 
+def window_truth(trajectory, step_actions):
+    """TimedLit -> bool over a trajectory and its per-step action sets, for
+    eval_completion."""
+    def truth(l: TimedLit) -> bool:
+        a = l.atom
+        if a.constant.is_action:
+            held = (a.constant.name, a.args) in step_actions[l.step]
+            v = held if a.value == "true" else not held
+        else:
+            v = trajectory[l.step][(a.constant.name, a.args)] == a.value
+        return v if l.positive else not v
+    return truth
+
+
 def completion_for(ground: GroundDomain, horizon: int,
                    *, noconcurrency: bool = False) -> list[CompletionFormula]:
     rules = unroll(desugar(ground), ground, horizon, noconcurrency=noconcurrency)
@@ -530,14 +545,16 @@ class StepTemplate:
                 for t, r in _stamp_rule(rule, 1):
                     parts[2 if stops_early else t].append(Nogood(r.body))
         # a template lives as long as its ground domain, across queries:
-        # its blocks share one int object per window literal
-        ints: dict[int, int] = {}
+        # its blocks share one int object per window literal and one tuple
+        # per clause (first and step have many clauses in common)
+        ints: dict = {}
         self.first, self.step, self.actions = (
             self._block(fs, step, ints) for fs, step in zip(parts, (0, 1, 0)))
 
-    def _block(self, formulas, step: int, ints: dict[int, int]) -> Block:
+    def _block(self, formulas, step: int, ints: dict) -> Block:
         """Clausify formulas stamped around step into window variables,
-        taking each literal's int object from ints."""
+        taking each literal's int object and each clause's tuple from
+        ints."""
         width, position = self.width, self.ground.atom_position
 
         def lit(l: TimedLit) -> int:
@@ -548,7 +565,8 @@ class StepTemplate:
         for f in formulas:
             sink._add_formula(f, lit)
         one = ints.setdefault
-        return [tuple([one(l, l) for l in c]) for c in sink.clauses], sink.var_count - 3 * width
+        clauses = [tuple([one(l, l) for l in c]) for c in sink.clauses]
+        return [one(c, c) for c in clauses], sink.var_count - 3 * width
 
 
 def step_template(ground: GroundDomain) -> StepTemplate:

@@ -3,9 +3,14 @@
 A schema with variables v1::S1 ... vk::Sk yields one ground law per
 element of S1 x ... x Sk (in declaration order, so two runs over equal
 inputs produce identical law lists).  External calls are evaluated
-against the registry while grounding and replaced by TRUE/FALSE; by
-default the resulting formulas are simplified, and laws whose firing
-condition became FALSE are dropped.
+against the registry while grounding and replaced by TRUE/FALSE; the
+resulting formulas are simplified, and laws whose firing condition
+became FALSE are dropped.
+
+Each domain is ground once: its GroundDomain is kept on it together with
+the external calls that grounding made and their results.  A later
+ground() re-asks only those calls, and grounds afresh when one of them
+gives another result.
 """
 
 from __future__ import annotations
@@ -31,9 +36,10 @@ class ExternalRegistry:
 
     Evaluators must be pure; results are memoized per grounding run, not
     here, so a registry can be shared across worlds and runs safely.
-    Every ground() call evaluates the externals afresh, so registering a
-    new evaluator takes effect at the next grounding run; ground() reuses
-    a domain's kept GroundDomain only when the new laws equal its laws.
+    Every ground() call asks the registry again for each external call
+    that the domain's kept grounding made, so registering a new evaluator
+    takes effect at the next query: when any call gives another result,
+    the domain is ground afresh.
     """
 
     def __init__(self):
@@ -146,20 +152,17 @@ class _Closer:
                     tuple(env.get(t, t) for t in a.args),
                     env.get(a.value, a.value))
 
-    def formula(self, f: Formula, env: dict[str, str], simplify: bool) -> Formula:
+    def formula(self, f: Formula, env: dict[str, str]) -> Formula:
         if isinstance(f, (TrueF, FalseF)):
             return f
         if isinstance(f, AtomF):
             return AtomF(self.atom(f.atom, env))
         if isinstance(f, Not):
-            sub = self.formula(f.sub, env, simplify)
-            return neg(sub) if simplify else Not(sub)
+            return neg(self.formula(f.sub, env))
         if isinstance(f, And):
-            parts = [self.formula(p, env, simplify) for p in f.parts]
-            return conj(parts) if simplify else And(tuple(parts))
+            return conj([self.formula(p, env) for p in f.parts])
         if isinstance(f, Or):
-            parts = [self.formula(p, env, simplify) for p in f.parts]
-            return disj(parts) if simplify else Or(tuple(parts))
+            return disj([self.formula(p, env) for p in f.parts])
         if isinstance(f, ExternalCall):
             args = tuple(env.get(t, t) for t in f.args)
             val = self.call(f.name, args)
@@ -175,26 +178,32 @@ def close_formula(f: Formula, domain: DomainDescription,
                   registry: ExternalRegistry | None = None) -> Formula:
     """Close external calls in an already-ground formula (used for problem
     formulas, which may call externals just like law bodies)."""
-    return _Closer(domain, registry).formula(f, {}, simplify=True)
+    return _Closer(domain, registry).formula(f, {})
 
 
-def ground(domain: DomainDescription, registry: ExternalRegistry | None = None,
-           *, simplify: bool = True) -> GroundDomain:
-    """Instantiate every schema.  With simplify=False the vacuous-law drop and
-    TRUE/FALSE folding are skipped (the compiler copes; used to test that
-    simplification never changes the model set).
+def ground(domain: DomainDescription, registry: ExternalRegistry | None = None) -> GroundDomain:
+    """Instantiate every schema, or return the domain's kept GroundDomain.
 
-    The result is kept on domain, one per simplify setting.  When a later
-    run gives laws equal to the kept ones, the kept GroundDomain is
-    returned, with its cached atom tables and step template, so repeated
-    queries on one domain build them once; otherwise the new one is kept."""
-    diags = validate_signature(domain)
-    if diags:
-        raise GroundingError("invalid domain: " + "; ".join(str(d) for d in diags))
+    The result is kept on domain with the external calls its grounding
+    made and their results.  A later call returns the kept GroundDomain,
+    with its cached atom tables and step template, when the registry
+    gives the identical object for every recorded call (so a True that
+    became 1 counts as changed); it then neither validates nor
+    instantiates.  Otherwise the domain is ground afresh and the new
+    GroundDomain is kept.  This is sound because the domain is frozen
+    and ExternalRegistry requires pure evaluators."""
     for decl in domain.externals:
         if registry is None or decl not in registry:
             raise GroundingError(f"no external registered for '{decl[0]}/{decl[1]}'")
+    kept = domain.__dict__.get("_grounded")
+    if kept is not None:
+        gd, calls = kept
+        if all(registry.evaluate(name, args) is val for (name, args), val in calls):
+            return gd
 
+    diags = validate_signature(domain)
+    if diags:
+        raise GroundingError("invalid domain: " + "; ".join(str(d) for d in diags))
     closer = _Closer(domain, registry)
     out: list[Law] = []
     for law in domain.laws:
@@ -205,39 +214,36 @@ def ground(domain: DomainDescription, registry: ExternalRegistry | None = None,
         domains = [s.members for _, s in law.vars]
         for combo in itertools.product(*domains):
             env = dict(zip(names, combo))
-            g = _ground_one(law, env, closer, simplify)
+            g = _ground_one(law, env, closer)
             if g is not None:
                 out.append(g)
-    laws = tuple(out)
-    kept = domain.__dict__.setdefault("_grounded", {})
-    gd = kept.get(simplify)
-    if gd is None or gd.laws != laws:
-        gd = kept[simplify] = GroundDomain(domain=domain, laws=laws)
+    gd = GroundDomain(domain=domain, laws=tuple(out))
+    domain.__dict__["_grounded"] = (gd, tuple(closer.memo.items()))
     return gd
 
 
-def _ground_one(law: Law, env: dict[str, str], closer: _Closer, simplify: bool) -> Law | None:
+def _ground_one(law: Law, env: dict[str, str], closer: _Closer) -> Law | None:
     if isinstance(law, Caused):
         head = closer.atom(law.head, env) if law.head is not None else None
-        cond = closer.formula(law.cond, env, simplify)
-        after = closer.formula(law.after, env, simplify) if law.after is not None else None
-        if simplify and (isinstance(cond, FalseF) or isinstance(after, FalseF)):
+        cond = closer.formula(law.cond, env)
+        after = closer.formula(law.after, env) if law.after is not None else None
+        if isinstance(cond, FalseF) or isinstance(after, FalseF):
             return None  # can never fire
         return Caused(head, cond, after, (), law.span)
     if isinstance(law, Causes):
-        cond = closer.formula(law.cond, env, simplify)
-        if simplify and isinstance(cond, FalseF):
+        cond = closer.formula(law.cond, env)
+        if isinstance(cond, FalseF):
             return None
         return Causes(closer.atom(law.action, env), closer.atom(law.effect, env),
                       cond, (), law.span)
     if isinstance(law, Nonexecutable):
-        cond = closer.formula(law.cond, env, simplify)
-        if simplify and isinstance(cond, FalseF):
+        cond = closer.formula(law.cond, env)
+        if isinstance(cond, FalseF):
             return None
         return Nonexecutable(closer.atom(law.action, env), cond, (), law.span)
     if isinstance(law, Constraint):
-        body = closer.formula(law.body, env, simplify)
-        if simplify and isinstance(body, TrueF):
+        body = closer.formula(law.body, env)
+        if isinstance(body, TrueF):
             return None  # vacuously satisfied
         return Constraint(body, (), law.span)
     raise GroundingError(f"cannot ground {law!r}")

@@ -633,5 +633,21 @@ def instance_str(inst: GroundInstance) -> str:
     return name + (f"({','.join(args)})" if args else "")
 
 
+def split_top_level(text: str) -> list[str]:
+    """Split text at the commas outside parentheses.  Each part keeps its
+    whitespace, and an empty text is one empty part."""
+    parts, depth, cur = [], 0, []
+    for ch in text:
+        if ch == "," and depth == 0:
+            parts.append("".join(cur))
+            cur = []
+            continue
+        depth += ch == "("
+        depth -= ch == ")"
+        cur.append(ch)
+    parts.append("".join(cur))
+    return parts
+
+
 def freeze_state(state: State) -> frozenset:
     return frozenset((name, args, val) for (name, args), val in state.items())

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .model import State, instance_str
+from .model import State, instance_str, split_top_level
 from .planner import Plan
 
 
@@ -39,21 +39,6 @@ def emit_plan(plan: Plan) -> str:
 
 _INSTANCE = re.compile(r"\s*(\w+)\s*(?:\(([^()]*)\))?\s*$")
 _HEADER = re.compile(r"(state|step)\s+(\d+):(.*)$")
-
-
-def _split_actions(text: str) -> list[str]:
-    # commas inside argument lists do not separate actions
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        depth += ch == "("
-        depth -= ch == ")"
-        cur.append(ch)
-    parts.append("".join(cur))
-    return parts
 
 
 def _parse_instance(text: str, where: str):
@@ -109,7 +94,7 @@ def parse_plan(text: str) -> Plan:
             if idx in steps:
                 raise PlanfileError(f"{where}: duplicate step {idx}")
             acts: list = []
-            for part in _split_actions(rest) if rest else []:
+            for part in split_top_level(rest) if rest else []:
                 inst = _parse_instance(part, where)
                 if inst in acts:
                     raise PlanfileError(f"{where}: {instance_str(inst)} occurs twice")

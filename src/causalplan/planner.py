@@ -28,13 +28,13 @@ from dataclasses import dataclass
 from .charges import ChargeCounter
 # compile_cnf and sat_solve are not called here, but stay importable from
 # this module: tools that trace its layers hook them by name
-from .compiler import Encoder, compile_cnf, completion_for, eval_completion
+from .compiler import (Encoder, compile_cnf, completion_for, eval_completion,
+                       window_truth)
 from .grounding import ExternalRegistry, GroundDomain, close_formula, ground
 from .model import (FINAL, ActionArg, ActionCost, Atom, AtomF,
                     DomainDescription, FluentRef, Formula, GroundInstance,
                     PlanningProblem, State, conj, eval_formula, instance_str,
-                    mentions_action)
-from .oracle import window_truth
+                    mentions_action, split_top_level)
 from .sat import Solver, enumerate_models
 from .sat import solve as sat_solve
 
@@ -42,7 +42,7 @@ __all__ = [
     "ActionArg", "ActionCost", "Consistent", "FluentRef", "Inconsistent",
     "NoPlanUpTo", "Plan", "PlanFound", "Predicted", "check_consistency",
     "close_problem", "decode_model", "encode_problem", "parse_cost_spec",
-    "plan", "plan_cost", "plan_grounded", "predict", "validate_plan",
+    "plan", "plan_cost", "predict", "validate_plan",
 ]
 
 
@@ -92,24 +92,6 @@ class Predicted:
 
 # --- action costs -------------------------------------------------------------
 
-def _split_args(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur).strip())
-            cur = []
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        parts.append(tail)
-    return parts
-
-
 def parse_cost_spec(text: str) -> ActionCost:
     """Parse 'action=external(arg, ...)' where an arg is @fluent, @fluent(a,b),
     $N (action argument index), or a literal object name."""
@@ -118,7 +100,8 @@ def parse_cost_spec(text: str) -> ActionCost:
         raise ValueError(f"bad cost spec {text!r}; expected action=external(args)")
     action, external, argtext = m.groups()
     args: list = []
-    for raw in _split_args(argtext):
+    for raw in split_top_level(argtext) if argtext.strip() else []:
+        raw = raw.strip()
         if raw.startswith("$"):
             try:
                 args.append(ActionArg(int(raw[1:])))
@@ -283,17 +266,8 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
          registry: ExternalRegistry | None = None, *, costs=(), seed: int = 0,
          max_conflicts: int | None = None,
          max_seconds: float | None = None) -> PlanFound | NoPlanUpTo:
-    """Ground domain against registry and search it with plan_grounded."""
-    return plan_grounded(ground(domain, registry), problem, registry, costs=costs, seed=seed,
-                         max_conflicts=max_conflicts, max_seconds=max_seconds)
-
-
-def plan_grounded(gd: GroundDomain, problem: PlanningProblem,
-                  registry: ExternalRegistry | None = None, *, costs=(), seed: int = 0,
-                  max_conflicts: int | None = None,
-                  max_seconds: float | None = None) -> PlanFound | NoPlanUpTo:
     """Iterative-deepening plan search over problem.horizon, on one solver,
-    for gd, the domain gd.domain grounded against registry.
+    for domain ground against registry.
 
     Horizon h asserts the goal and the :at final constraints under h's
     activation literal, solves assuming it, and on UNSAT retires it and
@@ -305,7 +279,8 @@ def plan_grounded(gd: GroundDomain, problem: PlanningProblem,
     would be an internal error.  Resource limits apply per solve call and
     surface as sat.ResourceLimit.
     """
-    init, goal, extras, lo, hi = close_problem(gd.domain, problem, registry)
+    gd = ground(domain, registry)
+    init, goal, extras, lo, hi = close_problem(domain, problem, registry)
     if problem.cost_deadline is not None and not costs:
         raise ValueError("the problem sets a cost deadline but no cost model was given")
     if costs and registry is None:

@@ -4,33 +4,22 @@ Each oracle enumerates value-complete assignments outright and keeps
 those that satisfy the symbolic completion formulas (completion_for),
 evaluated directly.  Nothing here builds clauses or calls a solver, so
 an encoder or solver fault cannot hide itself from these answers.
-window_truth, the valuation of timed literals over a trajectory, is
-shared with planner.validate_plan, the other direct-evaluation route.
+Unlike oracles.py, these draw on the package's compiler: the completion
+is what they enumerate against, through the same window_truth valuation
+that planner.validate_plan uses.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .compiler import (Nogood, Support, TimedAtom, TimedLit, atom_table,
-                       completion_for, desugar, eval_completion)
-from .grounding import GroundDomain
-from .model import Kind, State, freeze_state
+from causalplan.compiler import (Nogood, Support, TimedAtom, TimedLit, atom_table,
+                                 completion_for, desugar, eval_completion,
+                                 window_truth)
+from causalplan.grounding import GroundDomain
+from causalplan.model import Kind, State, freeze_state
 
-__all__ = ["oracle_paths", "oracle_states", "oracle_transitions", "window_truth"]
-
-
-def window_truth(trajectory, step_actions):
-    """TimedLit -> bool over a trajectory and its per-step action sets."""
-    def truth(l: TimedLit) -> bool:
-        a = l.atom
-        if a.constant.is_action:
-            held = (a.constant.name, a.args) in step_actions[l.step]
-            v = held if a.value == "true" else not held
-        else:
-            v = trajectory[l.step][(a.constant.name, a.args)] == a.value
-        return v if l.positive else not v
-    return truth
+__all__ = ["oracle_paths", "oracle_states", "oracle_transitions"]
 
 
 def _value_complete_states(gd: GroundDomain, limit: int):

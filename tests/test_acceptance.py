@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import toy_domains
+from enumeration import oracle_paths, oracle_states
 import causalplan
 from causalplan import (NoPlanUpTo, PlanFound, parse_problem, parse_world,
                         plan, predict)
@@ -23,7 +24,6 @@ from causalplan.compiler import TimedAtom, compile_cnf
 from causalplan.domains import build_mapp, build_robot_boxes, build_toh
 from causalplan.grounding import ground
 from causalplan.model import TRUE, Atom, freeze_state
-from causalplan.oracle import oracle_paths, oracle_states
 from causalplan.planner import encode_problem, parse_cost_spec
 from causalplan.sat import Solver, enumerate_models, solve
 

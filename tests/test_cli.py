@@ -273,20 +273,27 @@ def test_demo_toh_reports_expected(tmp_path, capsys):
 
 
 def test_demo_dimacs_out_grounds_once(tmp_path, monkeypatch, capsys):
-    from causalplan import cli, planner
-    from causalplan.grounding import ground
-    calls = []
+    # the export and the search each enter ground(); the schemas are
+    # instantiated only the first time
+    from causalplan import cli, grounding, planner
+    entered, made = [], []
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return ground(*args, **kwargs)
+        entered.append(args)
+        return grounding.ground(*args, **kwargs)
+
+    class Counted(grounding.GroundDomain):
+        def __init__(self, **kwargs):
+            made.append(kwargs)
+            super().__init__(**kwargs)
 
     monkeypatch.setattr(cli, "ground", counted)
     monkeypatch.setattr(planner, "ground", counted)
+    monkeypatch.setattr(grounding, "GroundDomain", Counted)
     assert main(["demo", "toh", "--disks", "2", "--seed", "0",
                  "--dimacs-out", str(tmp_path / "toh.cnf")]) == 0
     assert "plan: 3 step(s)" in capsys.readouterr().out
-    assert len(calls) == 1
+    assert len(entered) == 2 and len(made) == 1
 
 
 def test_demo_conflict_limit_is_exit_3(capsys):
@@ -363,6 +370,8 @@ def _deadline_problem(tmp_path, deadline: int) -> str:
     ("goto=timeEstimate(@nosuch,$0)", 3, "cost model reads unknown fluent nosuch"),
     ("goto=timeEstimate(@atRobo,$3)", 3, "cost model reads argument $3 of goto/1"),
     ("goto=nosuch(@atRobo,$0)", 2, "no external registered for 'nosuch/2'"),
+    ("goto=timeEstimate(@atRobo,)", 3, "bad cost argument ''"),
+    ("goto=timeEstimate(@atRobo,,$0)", 3, "bad cost argument ''"),
 ])
 def test_cost_spec_errors_keep_their_exit_codes(tmp_path, capsys, spec, code, message):
     domain, *world = _grid_args()

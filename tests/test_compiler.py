@@ -86,7 +86,7 @@ def test_desugar_rejects_simple_fluent_after_head():
   a causes p;
 """)
     with pytest.raises(ValueError):
-        from causalplan.oracle import oracle_paths
+        from enumeration import oracle_paths
         oracle_paths(gd, 2)
 
 

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toy_domains
+from enumeration import oracle_paths, oracle_states
 from sample_files import samples_dir
 from causalplan import (NoPlanUpTo, PlanFound, check_consistency, parse_domain,
                         parse_problem, parse_world, plan, registry_for,
@@ -18,7 +19,6 @@ from causalplan.compiler import Encoder
 from causalplan.domains import build_mapp, build_robot_boxes, build_toh
 from causalplan.grounding import ExternalRegistry, ground
 from causalplan.model import AtomF, PlanningProblem, eval_formula
-from causalplan.oracle import oracle_paths, oracle_states
 from causalplan.planner import (ActionCost, FluentRef, Inconsistent, Plan,
                                 close_problem, decode_model, encode_problem,
                                 parse_cost_spec, plan_cost)

@@ -9,9 +9,9 @@ from causalplan import (PlanFound, check_consistency, parse_problem,
 from causalplan.domains import build_mapp, build_robot_boxes, build_toh
 from causalplan.grounding import ground
 from causalplan.model import Caused, Causes, Nonexecutable
-from causalplan.oracle import oracle_transitions
 from causalplan.planner import Consistent
 
+from enumeration import oracle_transitions
 from oracles import boxes_optimal, mapp_optimal, toh_optimal
 
 CORRIDOR = "1.2...3"

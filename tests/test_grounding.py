@@ -4,7 +4,7 @@ import pytest
 
 from sample_files import samples_dir
 from causalplan import (Consistent, NoPlanUpTo, PlanFound, check_consistency, compiler,
-                        emit_plan, parse_domain, parse_problem, parse_world,
+                        emit_plan, grounding, parse_domain, parse_problem, parse_world,
                         plan, predict, registry_for)
 from causalplan.domains import build_robot_boxes
 from causalplan.grounding import (ExternalRegistry, GroundingError,
@@ -101,13 +101,6 @@ def test_external_closure_open_world_drops_bans():
     assert [l for l in gd.laws if isinstance(l, Nonexecutable)] == []
 
 
-def test_simplify_off_keeps_closed_laws():
-    gd = ground(parse_domain(WALLED), registry_for(parse_world("1.2")),
-                simplify=False)
-    blocks = [l for l in gd.laws if isinstance(l, Nonexecutable)]
-    assert len(blocks) == 4  # every (x, y) pair kept, conditions closed
-
-
 def test_close_formula_memoizes_and_substitutes():
     d = parse_domain(WALLED)
     calls = []
@@ -160,15 +153,57 @@ def test_queries_on_one_domain_build_one_step_template(monkeypatch):
     assert ground(b.domain) is made[0]
 
 
-def test_unsimplified_grounding_never_returns_the_simplified_domain():
-    # nothing here folds, so both settings give equal laws
-    d = parse_domain(":constants p :: inertialFluent; a :: action;\n"
-                     ":laws\n  inertial p;\n  a causes p;\n  caused false after p;\n")
-    simple = ground(d)
-    raw = ground(d, simplify=False)
-    assert raw.laws == simple.laws and raw is not simple
-    assert ground(d, simplify=False) is raw
-    assert ground(d) is simple
+def _count_grounding_steps(monkeypatch) -> dict:
+    counts = {"validate_signature": 0, "_ground_one": 0}
+    for name in counts:
+        fn = getattr(grounding, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(grounding, name, counted)
+    return counts
+
+
+def test_a_repeat_grounding_validates_and_instantiates_nothing(monkeypatch):
+    d = parse_domain(ROBOT)
+    counts = _count_grounding_steps(monkeypatch)
+    first = ground(d)
+    assert counts == {"validate_signature": 1, "_ground_one": 6}
+    assert ground(d) is first and ground(d, ExternalRegistry()) is first
+    assert counts == {"validate_signature": 1, "_ground_one": 6}
+
+
+def test_a_repeat_grounding_asks_each_recorded_call_once(monkeypatch):
+    d = parse_domain(WALLED)
+    world = parse_world("1.2")
+    asked = []
+    reg = ExternalRegistry()
+
+    def path(a, b):
+        asked.append((a, b))
+        return world.path_exists(a, b)
+    reg.register("pathExists", 2, path)
+    first = ground(d, reg)
+    recorded = sorted(asked)
+    assert recorded and len(recorded) == len(set(recorded))
+    counts = _count_grounding_steps(monkeypatch)
+    asked.clear()
+    assert ground(d, reg) is first
+    assert sorted(asked) == recorded
+    assert counts == {"validate_signature": 0, "_ground_one": 0}
+
+
+def test_a_true_that_becomes_one_grounds_afresh(monkeypatch):
+    d = parse_domain(WALLED)
+    reg = ExternalRegistry()
+    reg.register("pathExists", 2, lambda a, b: True)
+    ground(d, reg)
+    counts = _count_grounding_steps(monkeypatch)
+    reg.register("pathExists", 2, lambda a, b: 1)  # == True, but not a bool
+    with pytest.raises(GroundingError, match="only Boolean externals"):
+        ground(d, reg)
+    assert counts["validate_signature"] == 1 and counts["_ground_one"] > 0
 
 
 def test_a_changed_external_takes_effect_at_the_next_query():

@@ -1,5 +1,5 @@
-"""Module layering: the brute-force oracles share no code with the SAT
-route they cross-check, so an encoder or solver fault cannot agree with
+"""Module layering: the brute-force oracles (enumeration.py, beside this
+file) share no code with the SAT route they cross-check, so an encoder or solver fault cannot agree with
 itself through them, and neither they nor validate_plan can reach the
 clauses that encode a cost deadline."""
 
@@ -10,6 +10,7 @@ import causalplan
 
 FORBIDDEN_MODULES = {"causalplan.sat", "causalplan.planner", "causalplan.charges"}
 FORBIDDEN_NAMES = {"Encoder", "compile_cnf", "encode_problem", "ChargeCounter"}
+ENUMERATION = Path(__file__).with_name("enumeration.py")
 
 
 def _imports(path: Path):
@@ -26,14 +27,13 @@ def _imports(path: Path):
 
 
 def test_oracle_imports_nothing_from_the_sat_route():
-    path = Path(causalplan.__file__).with_name("oracle.py")
     bad = []
-    for module, name in _imports(path):
+    for module, name in _imports(ENUMERATION):
         full = f"{module}.{name}" if name else module
         if (module in FORBIDDEN_MODULES or full in FORBIDDEN_MODULES
                 or name in FORBIDDEN_NAMES):
             bad.append(full)
-    assert bad == [], f"oracle.py imports from the route it checks: {bad}"
+    assert bad == [], f"enumeration.py imports from the route it checks: {bad}"
 
 
 
@@ -52,9 +52,8 @@ def _names(node):
 
 
 def test_oracles_do_not_use_the_clause_template():
-    path = Path(causalplan.__file__).with_name("oracle.py")
-    used = set(_names(ast.parse(path.read_text(encoding="utf-8")))) & TEMPLATE_NAMES
-    assert not used, f"oracle.py uses the clause template: {sorted(used)}"
+    used = set(_names(ast.parse(ENUMERATION.read_text(encoding="utf-8")))) & TEMPLATE_NAMES
+    assert not used, f"enumeration.py uses the clause template: {sorted(used)}"
 
 
 def test_validate_plan_evaluates_the_completion_without_the_encoder():
@@ -96,8 +95,8 @@ def test_validate_plan_cannot_reach_the_cost_encoder():
 
 
 def test_modules_the_checks_draw_on_do_not_import_the_cost_encoder():
-    for name in ("oracle", "compiler", "grounding", "model"):
-        path = Path(causalplan.__file__).with_name(f"{name}.py")
+    package = Path(causalplan.__file__).parent
+    for path in (ENUMERATION, *(package / f"{n}.py" for n in ("compiler", "grounding", "model"))):
         bad = [f"{m}.{n}" if n else m for m, n in _imports(path)
                if m == "causalplan.charges" or n in ("charges", "ChargeCounter")]
-        assert bad == [], f"{name}.py imports the cost encoder: {bad}"
+        assert bad == [], f"{path.name} imports the cost encoder: {bad}"

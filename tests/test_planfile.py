@@ -59,6 +59,11 @@ def test_comments_and_order_insensitive():
     ("wat 0: x\n", "expected"),
     ("state 0: at=L1\nstep 0: go(\n", "instance"),
     ("state 0: at=L1\nstep 0: go(L2), go(L2)\nstate 1: at=L2\n", "line 2: go(L2) occurs twice"),
+    # a separating comma needs an action on each side
+    ("state 0: at=L1\nstep 0: go(L2),\nstate 1: at=L2\n", "line 2: cannot read instance ''"),
+    ("state 0: at=L1\nstep 0: go(L2),, go(L1)\nstate 1: at=L2\n", "line 2: cannot read instance ''"),
+    ("state 0: at=L1\nstep 0: ,\nstate 1: at=L2\n", "line 2: cannot read instance ''"),
+    ("state 0: at=L1\nstep 0: move(D1,)\nstate 1: at=L2\n", "line 2: empty argument in 'move(D1,)'"),
 ])
 def test_malformed_inputs(bad, fragment):
     with pytest.raises(PlanfileError) as e:

@@ -8,13 +8,13 @@ import pytest
 
 import sample_files
 import toy_domains
+from enumeration import oracle_paths, oracle_states, oracle_transitions
 from causalplan import (NoPlanUpTo, Plan, PlanFound, check_consistency,
                         parse_domain, parse_problem, parse_query, parse_world,
                         plan, predict, registry_for, validate_plan)
 from causalplan.domains import build_robot_boxes
 from causalplan.grounding import ground
 from causalplan.model import freeze_state
-from causalplan.oracle import oracle_paths, oracle_states, oracle_transitions
 from causalplan.planner import (ActionCost, Consistent, FluentRef,
                                 Inconsistent, ActionArg, parse_cost_spec,
                                 plan_cost)
@@ -161,6 +161,12 @@ def test_parse_cost_spec_shapes():
         parse_cost_spec("goto=")
     with pytest.raises(ValueError):
         parse_cost_spec("no equals sign")
+    assert parse_cost_spec("goto=flat()").args == parse_cost_spec("goto=flat( )").args == ()
+    assert parse_cost_spec("goto=f(@at(a,b), $0)").args == (FluentRef("at", ("a", "b")),
+                                                            ActionArg(0))
+    for bad in ("goto=f(a,)", "goto=f(a,,b)", "goto=f(,)"):
+        with pytest.raises(ValueError, match="bad cost argument ''"):
+            parse_cost_spec(bad)
 
 
 def test_plan_cost_sums_charges():
