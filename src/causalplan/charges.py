@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 
 from .grounding import ExternalRegistry, GroundDomain
-from .model import ActionArg, FluentRef, instance_str
+from .model import FluentRef, charge
 
 __all__ = ["ChargeCounter"]
 
@@ -90,33 +90,16 @@ def _charges(gd: GroundDomain, costs, registry: ExternalRegistry):
             name, args = atom.constant.name, atom.args
             if name != ac.action:
                 continue
-            reads: list = []  # distinct fluent instances read, in order
-            for a in ac.args:
-                if isinstance(a, FluentRef):
-                    key = (a.name, a.args)
-                    if key not in slots:
-                        raise ValueError(f"cost model reads unknown fluent {instance_str(key)}")
-                    if key not in reads:
-                        reads.append(key)
-                elif isinstance(a, ActionArg) and a.index >= len(args):
-                    raise ValueError(f"cost model reads argument ${a.index} of {name}/{len(args)}")
+            # distinct fluent instances read, in order; charge() refuses
+            # an unknown one, and an argument the action lacks
+            reads = list(dict.fromkeys((a.name, a.args) for a in ac.args
+                                       if isinstance(a, FluentRef) and (a.name, a.args) in slots))
             group = []
             for combo in itertools.product(*(_values(*slots[key]) for key in reads)):
-                value = {key: v for key, (v, _) in zip(reads, combo)}
-                call = tuple(value[(a.name, a.args)] if isinstance(a, FluentRef)
-                             else args[a.index] if isinstance(a, ActionArg) else a
-                             for a in ac.args)
-                got = registry.evaluate(ac.external, call)
+                got = charge(ac, args, {key: v for key, (v, _) in zip(reads, combo)}, registry)
                 cond = (nf + i + 1, *(l for _, l in combo))
                 if got is None:
                     nogoods.append(cond)
-                elif isinstance(got, bool) or not isinstance(got, int):
-                    raise ValueError(
-                        f"cost external '{ac.external}' returned {got!r}, expected an integer")
-                elif got < 0:
-                    raise ValueError(
-                        f"cost external '{ac.external}' returned {got} for {instance_str((name, args))},"
-                        " a negative charge, which a cost deadline cannot bound")
                 elif got:
                     group.append((got, cond))
             if group:

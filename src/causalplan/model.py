@@ -456,6 +456,39 @@ class ActionCost:
     args: tuple = ()
 
 
+def charge(cost: ActionCost, args: tuple[str, ...], state, registry) -> int | None:
+    """What cost charges for one occurrence of cost.action(args) in state
+    (fluent instance -> value): its external evaluated on the arguments
+    taken from state and args, or None when the external has no answer.
+    A charge must be a nonnegative integer, which a cost deadline can
+    bound; any other answer, a fluent state lacks, or an argument args
+    lacks, raises ValueError."""
+    call = []
+    for a in cost.args:
+        if isinstance(a, FluentRef):
+            key = (a.name, a.args)
+            if key not in state:
+                raise ValueError(f"cost model reads unknown fluent {instance_str(key)}")
+            call.append(state[key])
+        elif isinstance(a, ActionArg):
+            if a.index >= len(args):
+                raise ValueError(
+                    f"cost model reads argument ${a.index} of {cost.action}/{len(args)}")
+            call.append(args[a.index])
+        else:
+            call.append(a)
+    got = registry.evaluate(cost.external, tuple(call))
+    if got is None:
+        return None
+    if isinstance(got, bool) or not isinstance(got, int):
+        raise ValueError(f"cost external '{cost.external}' returned {got!r}, expected an integer")
+    if got < 0:
+        raise ValueError(
+            f"cost external '{cost.external}' returned {got} for {instance_str((cost.action, args))},"
+            " a negative charge, which a cost deadline cannot bound")
+    return got
+
+
 # --- signature validation ---------------------------------------------------
 
 def _check_term(term: str, expected: Sort, scope: dict[str, Sort],

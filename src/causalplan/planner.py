@@ -33,8 +33,8 @@ from .compiler import (Encoder, compile_cnf, completion_for, eval_completion,
 from .grounding import ExternalRegistry, GroundDomain, close_formula, ground
 from .model import (FINAL, ActionArg, ActionCost, Atom, AtomF,
                     DomainDescription, FluentRef, Formula, GroundInstance,
-                    PlanningProblem, State, conj, eval_formula, instance_str,
-                    mentions_action, split_top_level)
+                    PlanningProblem, State, charge, conj, eval_formula,
+                    instance_str, mentions_action, split_top_level)
 from .sat import Solver, enumerate_models
 from .sat import solve as sat_solve
 
@@ -128,34 +128,21 @@ def plan_cost(plan: Plan, costs, registry: ExternalRegistry) -> int | float:
         state = plan.trajectory[t]
         for name, args in step:
             for ac in costs:
-                if ac.action != name:
-                    continue
-                call_args = []
-                for a in ac.args:
-                    if isinstance(a, FluentRef):
-                        key = (a.name, a.args)
-                        if key not in state:
-                            raise ValueError(f"cost model reads unknown fluent {instance_str(key)}")
-                        call_args.append(state[key])
-                    elif isinstance(a, ActionArg):
-                        if a.index >= len(args):
-                            raise ValueError(
-                                f"cost model reads argument ${a.index} of {name}/{len(args)}")
-                        call_args.append(args[a.index])
-                    else:
-                        call_args.append(a)
-                got = registry.evaluate(ac.external, tuple(call_args))
-                if got is None:
-                    return math.inf
-                if isinstance(got, bool) or not isinstance(got, int):
-                    raise ValueError(
-                        f"cost external '{ac.external}' returned {got!r}, expected an integer")
-                if got < 0:
-                    raise ValueError(
-                        f"cost external '{ac.external}' returned {got} for {instance_str((name, args))},"
-                        " a negative charge, which a cost deadline cannot bound")
-                total += got
+                if ac.action == name:
+                    got = charge(ac, args, state, registry)
+                    if got is None:
+                        return math.inf
+                    total += got
     return total
+
+
+def _check_cost_actions(domain: DomainDescription, costs) -> None:
+    """Refuse a cost model for an action the domain does not declare,
+    which would otherwise charge nothing."""
+    declared = {c.name for c in domain.actions()}
+    for ac in costs:
+        if ac.action not in declared:
+            raise ValueError(f"cost model charges unknown action '{ac.action}'")
 
 
 # --- model decoding -----------------------------------------------------------
@@ -285,6 +272,7 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
         raise ValueError("the problem sets a cost deadline but no cost model was given")
     if costs and registry is None:
         raise ValueError("a cost model needs an external registry to evaluate charges")
+    _check_cost_actions(domain, costs)
     if lo > hi:
         return NoPlanUpTo(hi)
 
@@ -367,7 +355,10 @@ def validate_plan(domain: DomainDescription, problem: PlanningProblem, p: Plan,
                   registry: ExternalRegistry | None = None,
                   *, costs=()) -> tuple[bool, list[str]]:
     """Check a plan by direct evaluation of the completion formulas; the SAT
-    solver is never involved, so this is an independent route."""
+    solver is never involved, so this is an independent route.  As in
+    plan, a cost model for an action the domain does not declare raises
+    ValueError."""
+    _check_cost_actions(domain, costs)
     issues: list[str] = []
     gd = ground(domain, registry)
     h = len(p.steps)

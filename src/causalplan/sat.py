@@ -19,6 +19,10 @@ literal is fixed false, they stay loaded but are satisfied at level 0,
 so they never propagate or conflict again.  No clause is ever deleted.
 Every SAT model is checked against every clause the solver was given,
 as given.
+
+The solver's tables are indexed by the literal (see Solver).  Growing
+inserts new variables' entries in place after the last positive one, so
+each negative entry keeps its distance from the end, and aliases stay valid.
 """
 
 from __future__ import annotations
@@ -72,7 +76,16 @@ def _luby(i: int) -> int:
 
 
 class Solver:
-    """CDCL over variables 1..n_vars.  Literals are nonzero ints."""
+    """CDCL over variables 1..n_vars.  Literals are nonzero ints.
+
+    val[l] is the value of literal l (0 unassigned, 1 true, -1 false) and
+    watches[l] the clauses that watch it; entry 0 is unused, and the 2n
+    entries for n variables run 1..n, then -n..-1, so that Python's
+    negative indexing finds val[-l], the complement's value, counted from
+    the end.  saved, level, reason and activity are indexed by variable.
+    Watch lists and reasons hold the clause itself, a list kept in
+    clauses whose first two literals are watched.
+    """
 
     RESTART_BASE = 128
     VAR_DECAY = 0.95
@@ -80,41 +93,33 @@ class Solver:
 
     def __init__(self, n_vars: int, clauses, seed: int = 0):
         self.ok = True
-        self.clauses: list[list[int]] = []  # attached clauses by index
+        self.clauses: list[list[int]] = []  # attached clauses, learnt ones too
         self.given: list = []  # every clause handed in, as given
         self._fixed: set[int] = set()  # see _level0
-        # per-variable arrays, index 0 unused; _grow sizes them to n_vars
+        # tables by literal or by variable; _grow sizes them to n_vars
         self.nvars = 0
-        self.watches: list[list[int]] = [[], []]  # by _widx
-        self.assign = [0]  # 0 unassigned, 1 true, -1 false
+        self.val = [0]
+        self.watches: list[list[list[int]]] = [[]]
         self.level = [0]
-        self.reason = [-1]
+        self.reason: list[list[int] | None] = [None]
         self.saved = [-1]  # phase saving, prefer false
         self.activity = [0.0]
         self.order: list[tuple[float, int]] = []  # heap of (-activity, variable)
-        self._grow(n_vars)
         self.var_inc = 1.0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.rng = random.Random(seed)
         self.stats = Stats()
-        for c in clauses:
-            self.add_clause(c)
+        given = [tuple(c) for c in clauses]
+        self.extend(n_vars, _cleaned(given), given)
 
     # --- assignment plumbing ---
 
-    def _value(self, lit: int) -> int:
-        a = self.assign[lit if lit > 0 else -lit]
-        return a if lit > 0 else -a
-
-    @staticmethod
-    def _widx(lit: int) -> int:
-        return (lit << 1) if lit > 0 else ((-lit) << 1) | 1
-
-    def _enqueue(self, lit: int, reason: int = -1) -> None:
+    def _enqueue(self, lit: int, reason: list[int] | None = None) -> None:
         v = lit if lit > 0 else -lit
-        self.assign[v] = 1 if lit > 0 else -1
+        self.val[lit] = 1
+        self.val[-lit] = -1
         self.level[v] = len(self.trail_lim)
         self.reason[v] = reason
         self.trail.append(lit)
@@ -124,8 +129,8 @@ class Solver:
         if len(self.order) > 2 * self.nvars + 2:
             # stale entries only cost pops: keep one per unassigned
             # variable, at its current activity
-            activity, assign = self.activity, self.assign
-            self.order = [(-activity[u], u) for u in range(1, self.nvars + 1) if not assign[u]]
+            activity, val = self.activity, self.val
+            self.order = [(-activity[u], u) for u in range(1, self.nvars + 1) if not val[u]]
             heapq.heapify(self.order)
 
     def _bump(self, v: int) -> None:
@@ -140,12 +145,13 @@ class Solver:
         if len(self.trail_lim) <= target:
             return
         limit = self.trail_lim[target]
+        val = self.val
         for i in range(len(self.trail) - 1, limit - 1, -1):
             lit = self.trail[i]
             v = lit if lit > 0 else -lit
             self.saved[v] = 1 if lit > 0 else -1
-            self.assign[v] = 0
-            self.reason[v] = -1
+            val[lit] = val[-lit] = 0
+            self.reason[v] = None
             self._push_order(v)
         del self.trail[limit:]
         del self.trail_lim[target:]
@@ -154,40 +160,32 @@ class Solver:
     # --- clause management ---
 
     def add_clause(self, lits) -> bool:
-        """Add a clause at decision level 0; returns False if it makes the
-        formula trivially unsatisfiable."""
-        if not self.ok:
-            return False
+        """Add a clause at decision level 0; it may repeat a literal or hold
+        a complementary pair (then it is dropped).  Returns False if it
+        makes the formula trivially unsatisfiable."""
         lits = tuple(lits)
-        self._check_range(lits)
-        self.given.append(lits)
-        self._backtrack(0)
-        if len(set(map(abs, lits))) != len(lits):
-            distinct = set(lits)
-            if any(-l in distinct for l in distinct):
-                return True  # tautology
-            lits = tuple(dict.fromkeys(lits))
-        return self._load((lits,))
+        return self.extend(self.nvars, _cleaned((lits,)), (lits,))
 
-    def extend(self, n_vars: int, clauses) -> bool:
+    def extend(self, n_vars: int, clauses, given=None) -> bool:
         """Grow to n_vars variables and add clauses that are already clean:
         no literal twice, no complementary pair (an encoder's output).
 
-        This skips add_clause's duplicate and tautology scans and checks
-        the range of all the literals at once, raising before any clause
-        is added; then it loads the batch as add_clause loads one clause
-        (see _load).  Returns False if the formula is now trivially
-        unsatisfiable."""
+        This checks the range of all the literals at once, raising before
+        any clause is added, then loads the batch (see _load).  given, if
+        set, is what the batch was cleaned from (by add_clause or the
+        constructor); it is range-checked and kept for _verify instead.
+        Returns False if the formula is now trivially unsatisfiable."""
         self._grow(n_vars)
         clauses = list(clauses)
+        given = clauses if given is None else given
         if not self.ok:
             return False
-        lits = set(chain.from_iterable(clauses))
+        lits = set(chain.from_iterable(given))
         if lits and (min(lits) < -self.nvars or max(lits) > self.nvars or 0 in lits):
-            for c in clauses:
+            for c in given:
                 self._check_range(c)
         self._backtrack(0)
-        self.given += clauses
+        self.given += given
         return self._load(clauses)
 
     def _load(self, clauses) -> bool:
@@ -198,22 +196,20 @@ class Solver:
         dropped, false literals are stripped, and a unit is enqueued and
         propagated.  Returns False if the formula is now trivially
         unsatisfiable."""
-        store, watches, assign = self.clauses, self.watches, self.assign
+        store, watches, val = self.clauses, self.watches, self.val
         fixed = self._level0()
         for c in clauses:
             if len(c) > 1 and fixed.isdisjoint(c):
-                ci = len(store)
-                store.append(list(c))
-                l0, l1 = c[0], c[1]
-                watches[(l0 << 1) if l0 > 0 else ((-l0) << 1) | 1].append(ci)
-                watches[(l1 << 1) if l1 > 0 else ((-l1) << 1) | 1].append(ci)
+                c = list(c)
+                store.append(c)
+                watches[c[0]].append(c)
+                watches[c[1]].append(c)
                 continue
             rest: list[int] = []
             for l in c:
-                a = assign[l if l > 0 else -l]
-                if not a:
+                if not val[l]:
                     rest.append(l)
-                elif (a if l > 0 else -a) == 1:
+                elif val[l] == 1:
                     break  # satisfied at level 0
             else:
                 if len(rest) > 1:
@@ -221,7 +217,7 @@ class Solver:
                     continue
                 if rest:
                     self._enqueue(rest[0])
-                if not rest or self._propagate() != -1:
+                if not rest or self._propagate() is not None:
                     self.ok = False
                     return False
                 self._level0()
@@ -247,73 +243,65 @@ class Solver:
         extra = n_vars - self.nvars
         if extra <= 0:
             return
-        self.watches += [[] for _ in range(2 * extra)]
-        self.assign += [0] * extra
+        # new literal entries go between the positive and negative ones
+        at = self.nvars + 1
+        self.val[at:at] = [0] * (2 * extra)
+        self.watches[at:at] = [[] for _ in range(2 * extra)]
         self.level += [0] * extra
-        self.reason += [-1] * extra
+        self.reason += [None] * extra
         self.saved += [-1] * extra
         self.activity += [0.0] * extra
         # every entry already in the heap orders before these
         self.order += [(0.0, v) for v in range(self.nvars + 1, n_vars + 1)]
         self.nvars = n_vars
 
-    def _attach(self, c: list[int]) -> int:
-        ci = len(self.clauses)
+    def _attach(self, c: list[int]) -> None:
         self.clauses.append(c)
-        self.watches[self._widx(c[0])].append(ci)
-        self.watches[self._widx(c[1])].append(ci)
-        return ci
+        self.watches[c[0]].append(c)
+        self.watches[c[1]].append(c)
 
     # --- search ---
 
-    def _propagate(self) -> int:
-        """Unit propagation; returns a conflicting clause index or -1."""
-        clauses = self.clauses
+    def _propagate(self) -> list[int] | None:
+        """Unit propagation; returns a conflicting clause or None."""
         watches = self.watches
-        assign = self.assign
+        val = self.val
         while self.qhead < len(self.trail):
             p = self.trail[self.qhead]
             self.qhead += 1
             self.stats.propagations += 1
             neg = -p
-            widx = self._widx(neg)
-            ws = watches[widx]
-            keep: list[int] = []
+            ws = watches[neg]
+            keep: list[list[int]] = []
             i = 0
             n = len(ws)
             while i < n:
-                ci = ws[i]
+                c = ws[i]
                 i += 1
-                c = clauses[ci]
                 if c[0] == neg:
                     c[0], c[1] = c[1], c[0]
                 w0 = c[0]
-                a0 = assign[w0 if w0 > 0 else -w0]
-                if (a0 if w0 > 0 else -a0) == 1:
-                    keep.append(ci)
+                if val[w0] == 1:
+                    keep.append(c)
                     continue
-                moved = False
                 for k in range(2, len(c)):
                     lk = c[k]
-                    ak = assign[lk if lk > 0 else -lk]
-                    if (ak if lk > 0 else -ak) != -1:
+                    if val[lk] != -1:
                         c[1], c[k] = lk, neg
-                        watches[self._widx(lk)].append(ci)
-                        moved = True
+                        watches[lk].append(c)
                         break
-                if moved:
-                    continue
-                keep.append(ci)
-                if (a0 if w0 > 0 else -a0) == -1:
-                    keep.extend(ws[i:])
-                    watches[widx] = keep
-                    self.qhead = len(self.trail)
-                    return ci
-                self._enqueue(w0, ci)
-            watches[widx] = keep
-        return -1
+                else:
+                    keep.append(c)
+                    if val[w0] == -1:
+                        keep.extend(ws[i:])
+                        watches[neg] = keep
+                        self.qhead = len(self.trail)
+                        return c
+                    self._enqueue(w0, c)
+            watches[neg] = keep
+        return None
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         seen = bytearray(self.nvars + 1)
         learnt: list[int] = [0]
         path = 0
@@ -321,7 +309,7 @@ class Solver:
         idx = len(self.trail)
         cur_level = len(self.trail_lim)
         while True:
-            for q in self.clauses[confl]:
+            for q in confl:
                 if q == p:
                     continue
                 v = q if q > 0 else -q
@@ -347,12 +335,11 @@ class Solver:
 
         # local minimization: drop literals implied by the rest
         def redundant(q: int) -> bool:
-            v = q if q > 0 else -q
-            r = self.reason[v]
-            if r < 0:
+            r = self.reason[q if q > 0 else -q]
+            if r is None:
                 return False
             return all(seen[x if x > 0 else -x] or self.level[x if x > 0 else -x] == 0
-                       for x in self.clauses[r] if x != -q)
+                       for x in r if x != -q)
 
         learnt = [learnt[0]] + [q for q in learnt[1:] if not redundant(q)]
 
@@ -370,13 +357,13 @@ class Solver:
             start = self.rng.randrange(1, self.nvars + 1)
             for off in range(self.nvars):
                 v = (start + off - 1) % self.nvars + 1
-                if self.assign[v] == 0:
+                if self.val[v] == 0:
                     return self.saved[v] * v
         heap = self.order
         pop = heapq.heappop
         while heap:
             _, v = pop(heap)
-            if self.assign[v] == 0:
+            if self.val[v] == 0:
                 return self.saved[v] * v
         return 0
 
@@ -392,7 +379,7 @@ class Solver:
         if not self.ok:
             return done("UNSAT")
         self._backtrack(0)
-        if self._propagate() != -1:
+        if self._propagate() is not None:
             self.ok = False
             return done("UNSAT")
 
@@ -403,7 +390,7 @@ class Solver:
 
         while True:
             confl = self._propagate()
-            if confl != -1:
+            if confl is not None:
                 self.stats.conflicts += 1
                 conflicts_here += 1
                 if len(self.trail_lim) == 0:
@@ -414,8 +401,8 @@ class Solver:
                 if len(learnt) == 1:
                     self._enqueue(learnt[0])
                 else:
-                    ci = self._attach(learnt)
-                    self._enqueue(learnt[0], ci)
+                    self._attach(learnt)
+                    self._enqueue(learnt[0], learnt)
                 self.var_inc /= self.VAR_DECAY
                 if (max_conflicts is not None and conflicts_here >= max_conflicts) or \
                         (deadline is not None and self.stats.conflicts % 256 == 0
@@ -433,17 +420,17 @@ class Solver:
                 lit = assumptions[len(self.trail_lim)]
                 if not (1 <= abs(lit) <= self.nvars):
                     raise ValueError(f"assumption literal {lit} out of range")
-                val = self._value(lit)
-                if val == -1:
+                value = self.val[lit]
+                if value == -1:
                     return done("UNSAT")
                 self.trail_lim.append(len(self.trail))
-                if val == 0:
+                if value == 0:
                     self._enqueue(lit)
                 continue
 
             lit = self._pick_branch()
             if lit == 0:
-                model = tuple(a == 1 for a in self.assign)
+                model = tuple(a == 1 for a in self.val[:self.nvars + 1])
                 self._verify(model)
                 return done("SAT", model)
             self.stats.decisions += 1
@@ -455,6 +442,16 @@ class Solver:
         bad = _falsified(model, self.given)
         if bad is not None:
             raise AssertionError(f"internal error: model does not satisfy {tuple(bad)}")
+
+
+def _cleaned(clauses):
+    """clauses without the tautologies, and with each repeated literal
+    kept once, where it first occurs."""
+    for c in clauses:
+        if len(set(map(abs, c))) == len(c):
+            yield c
+        elif not any(-l in c for l in c):
+            yield tuple(dict.fromkeys(c))
 
 
 def _falsified(model, clauses):

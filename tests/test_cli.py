@@ -372,11 +372,36 @@ def _deadline_problem(tmp_path, deadline: int) -> str:
     ("goto=nosuch(@atRobo,$0)", 2, "no external registered for 'nosuch/2'"),
     ("goto=timeEstimate(@atRobo,)", 3, "bad cost argument ''"),
     ("goto=timeEstimate(@atRobo,,$0)", 3, "bad cost argument ''"),
+    ("Goto=timeEstimate(@atRobo,$0)", 3, "cost model charges unknown action 'Goto'"),
 ])
 def test_cost_spec_errors_keep_their_exit_codes(tmp_path, capsys, spec, code, message):
     domain, *world = _grid_args()
     assert main(["plan", domain, _deadline_problem(tmp_path, 30), *world, "--cost", spec]) == code
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plan", "model-in", "validate"])
+def test_cost_model_for_an_undeclared_action_is_one_usage_error(tmp_path, capsys, command):
+    domain, *world = _grid_args()
+    problem = str(samples_dir() / "boxes-grid.prob")
+    argv = ["plan", domain, problem]
+    if command == "model-in":
+        # an assignment to the largest horizon's encoding
+        cnf, model = tmp_path / "grid.cnf", tmp_path / "grid.model"
+        assert main([*argv, *world, "--solver", "dimacs-out", str(cnf)]) == 0
+        n, clauses = parse_dimacs(cnf.read_text())
+        res = solve((n, clauses))
+        model.write_text("v " + " ".join(str(v if res.model[v] else -v)
+                                         for v in range(1, n + 1)) + " 0\n")
+        argv += ["--model-in", str(model)]
+    elif command == "validate":
+        plan_file = tmp_path / "grid.plan"
+        assert main([*argv, *world, "--plan-out", str(plan_file)]) == 0
+        argv = ["validate", domain, problem, str(plan_file)]
+    capsys.readouterr()
+    assert main([*argv, *world, "--cost", "Goto=timeEstimate(@atRobo,$0)"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: cost model charges unknown action 'Goto'\n"
 
 
 @pytest.mark.parametrize("command", ["plan-maxcost", "plan", "validate"])

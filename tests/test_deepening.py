@@ -351,7 +351,7 @@ def reference_extend(solver, n_vars, clauses):
     solver._backtrack(0)
     solver.given += clauses
     for c in clauses:
-        values = [solver._value(l) for l in c]
+        values = [solver.val[l] for l in c]
         if 1 in values:
             continue  # satisfied at level 0
         rest = [l for l, v in zip(c, values) if v == 0]
@@ -360,7 +360,7 @@ def reference_extend(solver, n_vars, clauses):
             continue
         if rest:
             solver._enqueue(rest[0])
-        if not rest or solver._propagate() != -1:
+        if not rest or solver._propagate() is not None:
             solver.ok = False
             return False
     return True

@@ -192,6 +192,21 @@ def test_deadline_without_cost_model_rejected():
         plan(b.domain, corridor_problem(b.domain, deadline=6), b.registry)
 
 
+def test_cost_model_for_an_undeclared_action_is_refused():
+    # a cost model names its action by the declared name; any other name
+    # would charge nothing, so plan and validate_plan refuse it, deadline
+    # or not
+    b = corridor_bundle()
+    costs = (parse_cost_spec("Goto=timeEstimate(@atRobo,$0)"),)
+    found = plan(b.domain, corridor_problem(b.domain), b.registry).plan
+    for deadline in (None, 1):
+        prob = corridor_problem(b.domain, deadline=deadline)
+        with pytest.raises(ValueError, match="cost model charges unknown action 'Goto'"):
+            plan(b.domain, prob, b.registry, costs=costs)
+        with pytest.raises(ValueError, match="cost model charges unknown action 'Goto'"):
+            validate_plan(b.domain, prob, found, b.registry, costs=costs)
+
+
 def test_unreachable_charge_is_infinite():
     world = parse_world("1#2")
     reg = registry_for(world)

@@ -225,6 +225,60 @@ def test_extend_loads_clean_clauses_in_batches():
         assert s.extend(2, [(-1, 2)]) and s.trail == [1, 2]
 
 
+def assert_literal_layout(s, before):
+    """The solver's tables are consistent; before maps each literal that
+    had a value to that value, which it must keep."""
+    n = s.nvars
+    assert len(s.val) == len(s.watches) == 2 * n + 1
+    assert s.val[0] == 0 and s.watches[0] == []
+    assert all(s.val[v] == -s.val[-v] for v in range(1, n + 1))
+    assert all(s.val[l] == x for l, x in before.items())
+    stored = {id(c): c for c in s.clauses}
+    watched_by = {}
+    for l in (*range(1, n + 1), *range(-n, 0)):
+        for c in s.watches[l]:
+            watched_by.setdefault(id(c), []).append(l)
+    assert watched_by.keys() == stored.keys()
+    assert all(sorted(watched_by[i]) == sorted(c[:2]) for i, c in stored.items())
+    for v in range(1, n + 1):
+        r = s.reason[v]
+        if r is not None:
+            assert id(r) in stored and (v if s.val[v] == 1 else -v) in r
+
+
+def test_a_grown_solver_keeps_its_literal_tables_consistent():
+    # One solver grown over several batches, solving between them (which
+    # learns clauses) and adding a level-0 unit, checked from the outside:
+    # a growth that moved an old variable's negative entry would read
+    # another variable's value and watches there.
+    rng = random.Random(8)
+    planted = [None] + [rng.random() < 0.5 for _ in range(150)]
+    s = Solver(0, (), seed=0)
+    learnt = 0
+    for n in range(30, 151, 30):
+        # a level-0 unit, then 4-literal clauses that the planted
+        # assignment satisfies
+        v = rng.randrange(1, n + 1)
+        batch = [(v if planted[v] else -v,)]
+        while len(batch) < 300:
+            vs = rng.sample(range(1, n + 1), 4)
+            c = [v if rng.random() < 0.5 else -v for v in vs]
+            if any(planted[l] if l > 0 else not planted[-l] for l in c):
+                batch.append(tuple(c))
+        s._backtrack(0)
+        before = {l: s.val[l] for v in range(1, s.nvars + 1) for l in (v, -v) if s.val[l]}
+        assert s.extend(n, batch)
+        assert_literal_layout(s, before)
+        stored = len(s.clauses)
+        assert s.solve().is_sat
+        learnt += len(s.clauses) - stored
+        assert_literal_layout(s, {})
+        v = rng.randrange(1, n + 1)
+        assert s.add_clause((v if planted[v] else -v,))
+        assert_literal_layout(s, {})
+    assert learnt > 100 and s.trail_lim == [] and len(s.trail) >= 10
+
+
 def test_retired_activation_literal_leaves_its_clauses_satisfied():
     # clauses under -3 hold while 3 is assumed; fixing -3 satisfies them
     s = Solver(0, ())
