@@ -25,9 +25,9 @@ from .model import (DomainDescription, PlanningProblem, instance_str,
                     validate_problem)
 from .parser import ParseError, parse_domain, parse_problem, parse_query
 from .planfile import PlanfileError, emit_plan, parse_plan
-from .planner import (Consistent, NoPlanUpTo, Plan, close_problem,
-                      decode_model, encode_problem, parse_cost_spec,
-                      plan_cost, validate_plan)
+from .planner import (Consistent, NoPlanUpTo, Plan, check_cost_actions,
+                      close_problem, decode_model, encode_problem,
+                      parse_cost_spec, plan_cost, validate_plan)
 from .planner import check_consistency as run_check
 from .planner import plan as run_plan
 from .planner import predict as run_predict
@@ -201,6 +201,9 @@ def cmd_plan(args) -> int:
     _require_valid_problem(problem, domain)
     registry = _registry_of(args)
     costs = _costs_of(args)
+    # every mode refuses the cost model as the internal solver does, even
+    # one that never prices a plan
+    check_cost_actions(domain, costs)
 
     mode = args.solver
     if mode[0] == "dimacs-out":

@@ -9,7 +9,10 @@ Pipeline (each stage is exposed for testing):
               clausified once per ground domain (which ground() keeps
               across queries) into three integer clause blocks: the
               first step, any later step, and the nogoods that read a
-              step's actions
+              step's actions; an exactly-one over at most 8 values
+              becomes pairwise "not both" clauses, a wider one a
+              sequential counter whose registers are definition
+              variables of the block, like those of multi-body supports
     grow      Encoder: horizon h = the blocks placed one step at a time
               from horizon 0, each step after every variable in use
               (its rows table records where each step's atoms land),
@@ -430,10 +433,22 @@ class CnfFormula:
         return dict(zip(self.atoms, (v for row in self.rows for v in row if v)))
 
 
+# An exactly-one over at most this many values gets pairwise "not both"
+# clauses, n(n - 1)/2 of them; a wider one gets a sequential counter, with
+# 3n - 4 binary clauses over n - 1 registers.  Below this the counter's
+# extra variables cost more search than its fewer clauses save.
+PAIRWISE_MAX_VALUES = 8
+
+
 class _ClauseSink:
     """Clausifies completion formulas and asserted disjunctions.  Definition
-    variables are introduced only for multi-literal bodies inside
-    multi-body supports and disjunctions, numbered after var_count."""
+    variables, numbered after var_count, are introduced only for
+    multi-literal bodies inside multi-body supports and disjunctions, and
+    for the registers of a sequential-counter at-most-one: an exactly-one
+    over n values is one "at least one" clause plus pairwise "not both"
+    clauses for n <= PAIRWISE_MAX_VALUES, or a sequential counter (Sinz,
+    "Towards an Optimal CNF Encoding of Boolean Cardinality Constraints",
+    2005) above that."""
 
     def __init__(self, var_count: int):
         self.var_count = var_count
@@ -498,8 +513,21 @@ class _ClauseSink:
         else:
             vars_ = [lit(TimedLit(ta.atom, ta.step)) for ta in f.atoms]
             self._add(vars_)
-            for a, b in itertools.combinations(vars_, 2):
-                self._add((-a, -b))
+            if len(vars_) <= PAIRWISE_MAX_VALUES:
+                for a, b in itertools.combinations(vars_, 2):
+                    self._add((-a, -b))
+                return
+            # Sinz's sequential counter: register s_i is implied by any of
+            # the first i values, and value i + 1 may not hold with s_i
+            s = self.fresh()
+            self._add((-vars_[0], s))
+            for x in vars_[1:-1]:
+                t = self.fresh()
+                self._add((-x, t))
+                self._add((-s, t))
+                self._add((-x, -s))
+                s = t
+            self._add((-vars_[-1], -s))
 
 
 # --- per-step template ---------------------------------------------------------

@@ -136,7 +136,7 @@ def plan_cost(plan: Plan, costs, registry: ExternalRegistry) -> int | float:
     return total
 
 
-def _check_cost_actions(domain: DomainDescription, costs) -> None:
+def check_cost_actions(domain: DomainDescription, costs) -> None:
     """Refuse a cost model for an action the domain does not declare,
     which would otherwise charge nothing."""
     declared = {c.name for c in domain.actions()}
@@ -272,7 +272,7 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
         raise ValueError("the problem sets a cost deadline but no cost model was given")
     if costs and registry is None:
         raise ValueError("a cost model needs an external registry to evaluate charges")
-    _check_cost_actions(domain, costs)
+    check_cost_actions(domain, costs)
     if lo > hi:
         return NoPlanUpTo(hi)
 
@@ -358,7 +358,7 @@ def validate_plan(domain: DomainDescription, problem: PlanningProblem, p: Plan,
     solver is never involved, so this is an independent route.  As in
     plan, a cost model for an action the domain does not declare raises
     ValueError."""
-    _check_cost_actions(domain, costs)
+    check_cost_actions(domain, costs)
     issues: list[str] = []
     gd = ground(domain, registry)
     h = len(p.steps)

@@ -222,6 +222,39 @@ def test_dimacs_out_then_model_in_round_trip(toggle, tmp_path, capsys, problem_t
     assert main(["validate", domain, problem, str(plan_file)]) == 0
 
 
+def test_dimacs_round_trip_with_sequential_counters(tmp_path, capsys):
+    # the dial's nine values are clausified as a sequential counter, whose
+    # registers are definition variables: 'c aux' lines in the export
+    domain, problem = tmp_path / "dial.cp", tmp_path / "dial.prob"
+    domain.write_text(toy_domains.DIAL)
+    problem.write_text(":init dial=n0;\n:goal dial=n3;\n:horizon 0..4;\n")
+    domain, problem = str(domain), str(problem)
+    cnf_file = tmp_path / "dial.cnf"
+    assert main(["plan", domain, problem, "--solver", "dimacs-out", str(cnf_file)]) == 0
+    text = cnf_file.read_text()
+    atoms = {int(line.split()[2]) for line in text.splitlines() if line.startswith("c atom ")}
+    aux = {int(line.split()[2]) for line in text.splitlines() if line.startswith("c aux ")}
+    n, clauses = parse_dimacs(text)
+    # each register r is implied by a value x: a clause (-x, r)
+    registers = {b for a, b in (c for c in clauses if len(c) == 2)
+                 if -a in atoms and b > 0 and b not in atoms}
+    assert registers <= aux
+    assert len(registers) == 8 * 5  # n - 1 for the nine values, at steps 0..4
+
+    res = solve((n, clauses))
+    assert res.is_sat
+    model_file = tmp_path / "dial.model"
+    model_file.write_text("s SATISFIABLE\nv " + " ".join(
+        str(v if res.model[v] else -v) for v in range(1, n + 1)) + " 0\n")
+    plan_file = tmp_path / "dial.plan"
+    capsys.readouterr()
+    assert main(["plan", domain, problem, "--model-in", str(model_file),
+                 "--plan-out", str(plan_file)]) == 0
+    assert capsys.readouterr().out.startswith("plan: 4 step(s)\n")
+    assert main(["validate", domain, problem, str(plan_file)]) == 0
+    assert capsys.readouterr().out == "plan is valid: 4 step(s)\n"
+
+
 def test_model_in_prices_the_decoded_plan(tmp_path, capsys):
     samples = samples_dir()
     domain, problem = str(samples / "boxes-grid.cp"), str(samples / "boxes-grid.prob")
@@ -380,12 +413,20 @@ def test_cost_spec_errors_keep_their_exit_codes(tmp_path, capsys, spec, code, me
     assert message in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["plan", "model-in", "validate"])
+@pytest.mark.parametrize("command", ["plan", "model-in", "model-in-unsat", "dimacs-out",
+                                     "validate"])
 def test_cost_model_for_an_undeclared_action_is_one_usage_error(tmp_path, capsys, command):
     domain, *world = _grid_args()
     problem = str(samples_dir() / "boxes-grid.prob")
     argv = ["plan", domain, problem]
-    if command == "model-in":
+    cnf_out = tmp_path / "refused.cnf"
+    if command == "model-in-unsat":
+        model = tmp_path / "unsat.model"
+        model.write_text("s UNSATISFIABLE\n")
+        argv += ["--model-in", str(model)]
+    elif command == "dimacs-out":
+        argv += ["--solver", "dimacs-out", str(cnf_out)]
+    elif command == "model-in":
         # an assignment to the largest horizon's encoding
         cnf, model = tmp_path / "grid.cnf", tmp_path / "grid.model"
         assert main([*argv, *world, "--solver", "dimacs-out", str(cnf)]) == 0
@@ -400,8 +441,9 @@ def test_cost_model_for_an_undeclared_action_is_one_usage_error(tmp_path, capsys
         argv = ["validate", domain, problem, str(plan_file)]
     capsys.readouterr()
     assert main([*argv, *world, "--cost", "Goto=timeEstimate(@atRobo,$0)"]) == 3
-    err = capsys.readouterr().err
-    assert err == "error: cost model charges unknown action 'Goto'\n"
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: cost model charges unknown action 'Goto'\n")
+    assert not cnf_out.exists()
 
 
 @pytest.mark.parametrize("command", ["plan-maxcost", "plan", "validate"])

@@ -340,11 +340,25 @@ class SymbolicClauses:
             elif isinstance(f, Nogood):
                 self.add(sorted(-self.lit(l) for l in f.body))
             else:
-                vs = [self.index[ta] for ta in f.atoms]
-                self.add(vs)
-                for i, a in enumerate(vs):
-                    for b in vs[i + 1:]:
-                        self.add((-a, -b))
+                self.exactly_one([self.index[ta] for ta in f.atoms])
+
+    def exactly_one(self, vs):
+        """At least one of vs, and at most one: pairwise for up to eight
+        values, above that a sequential counter whose register r[i] is
+        implied by each of vs[0..i] and excludes vs[i + 1]."""
+        self.add(vs)
+        if len(vs) <= 8:
+            for i, a in enumerate(vs):
+                for b in vs[i + 1:]:
+                    self.add((-a, -b))
+            return
+        r = [self.fresh() for _ in vs[:-1]]
+        self.add((-vs[0], r[0]))
+        for i in range(1, len(vs) - 1):
+            self.add((-vs[i], r[i]))
+            self.add((-r[i - 1], r[i]))
+            self.add((-vs[i], -r[i - 1]))
+        self.add((-vs[-1], -r[-1]))
 
     def lit(self, l):
         try:
@@ -451,7 +465,8 @@ def _sample(name):
 
 
 def _equivalence_cases():
-    from causalplan.domains import build_toh
+    from causalplan.domains import build_mapp, build_toh
+    from causalplan.grid import parse_world
     from causalplan.parser import parse_problem
     from causalplan.planner import close_problem
 
@@ -462,6 +477,11 @@ def _equivalence_cases():
     toh = build_toh(3)
     out.append(("build_toh(3)", ground(toh.domain),
                 close_problem(toh.domain, toh.problem, toh.registry)))
+    # nine cells: each robot's location has more values than the
+    # compiler clausifies pairwise
+    mapp = build_mapp(parse_world("...\n...\n..."), 2, [(0, 0), (2, 2)], [(2, 2), (0, 0)])
+    out.append(("build_mapp(3x3)", ground(mapp.domain, mapp.registry),
+                close_problem(mapp.domain, mapp.problem, mapp.registry)))
     toggle = parse_domain(toy_domains.TOGGLE)
     out.append(("toggle with :at", ground(toggle),
                 close_problem(toggle, parse_problem(TOGGLE_EXTRAS, toggle))))
@@ -498,10 +518,14 @@ def _encode_both(gd, query, h, noconcurrency):
 def _by_meaning(clauses, atom_of):
     """The clauses as a multiset over what each variable stands for: a
     timed atom (atom_of), the conjunction that a definition variable d's
-    clauses (-d, l)... and (d, -l1, ...) define, or one shared falsum for
-    a variable with the units (v,) and (-v,).  A variable that is none of
-    these raises KeyError."""
+    clauses (-d, l)... and (d, -l1, ...) define, one shared falsum for a
+    variable with the units (v,) and (-v,), or, for a sequential-counter
+    register r, the set of timed atoms it covers: those x with a clause
+    (-x, r), and those covered by a register r' with a clause (-r', r)
+    that comes earlier.  A variable that is none of these raises
+    KeyError."""
     name = dict(atom_of)
+    covers = {}
 
     def lit(l):
         return name[abs(l)], l > 0
@@ -510,12 +534,18 @@ def _by_meaning(clauses, atom_of):
     binaries = {c for c in clauses if len(c) == 2}
     for c in clauses:
         d = c[0]
+        if len(c) == 2 and d < 0 < c[1] and c[1] not in name:
+            if -d in name:
+                covers.setdefault(c[1], set()).add(name[-d])
+            elif -d in covers:
+                covers.setdefault(c[1], set()).update(covers[-d])
         if d < 0 or d in name:
             continue
         if len(c) == 1 and -d in units:
             name[d] = "falsum"
         elif len(c) > 1 and all((-d, -l) in binaries for l in c[1:]):
             name[d] = ("and", frozenset(lit(-l) for l in c[1:]))
+    name.update((r, ("covers", frozenset(atoms))) for r, atoms in covers.items())
     return Counter(tuple(map(lit, c)) for c in clauses)
 
 

@@ -46,6 +46,21 @@ COUNTER = """
   nonexecutable inc if v=z2;
 """
 
+# A dial with nine notches, more values than the compiler clausifies
+# pairwise, so its exactly-one is a sequential counter.
+_NOTCHES = [f"n{i}" for i in range(9)]
+DIAL = "\n".join([
+    ":sorts notch",
+    f":objects {', '.join(_NOTCHES)} :: notch;",
+    ":constants dial :: inertialFluent(notch); up :: action; down :: action;",
+    ":laws",
+    "  inertial dial;",
+    *(f"  up causes dial={b} if dial={a};\n  down causes dial={a} if dial={b};"
+      for a, b in zip(_NOTCHES, _NOTCHES[1:])),
+    f"  nonexecutable up if dial={_NOTCHES[-1]};",
+    f"  nonexecutable down if dial={_NOTCHES[0]};",
+]) + "\n"
+
 WEATHER = """
 :constants rain :: inertialFluent; wet :: inertialFluent; mop :: action;
 :laws
@@ -92,6 +107,7 @@ _TEXTUAL = {
     "toggle": TOGGLE,
     "lamp": LAMP,
     "counter": COUNTER,
+    "dial": DIAL,
     "weather": WEATHER,
     "deadend": DEADEND,
     "gate": GATE,
