@@ -336,6 +336,26 @@ def test_search_counters_on_toh4_are_pinned(monkeypatch):
     assert (stats.conflicts, stats.decisions, stats.propagations) == (235, 506, 22566)
 
 
+def test_search_counters_on_mapp_5x5_are_pinned(monkeypatch):
+    # Same pin on an encoding whose 25-valued location fluent gets
+    # sequential-counter registers for its at-most-one.
+    made = []
+
+    class Captured(Solver):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "Solver", Captured)
+    mapp = build_mapp(parse_world("\n".join(["....."] * 5)), 2,
+                      [(0, 0), (4, 4)], [(4, 4), (0, 0)])
+    out = plan(mapp.domain, mapp.problem, seed=0)
+    assert isinstance(out, PlanFound) and out.horizon == 8
+    assert len(made) == 1
+    stats = made[0].stats
+    assert (stats.conflicts, stats.decisions, stats.propagations) == (6, 14, 3068)
+
+
 # --- loading a grown encoding ------------------------------------------------------
 
 def reference_extend(solver, n_vars, clauses):

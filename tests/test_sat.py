@@ -180,6 +180,15 @@ def test_order_heap_stays_bounded():
     assert len(s.order) <= 2 * s.nvars + 2
 
 
+def test_search_counters_on_php_7_6_are_pinned():
+    # The search is a fixed function of the seed: a change to the
+    # propagation or branching order moves these and must say so.
+    n, clauses = oracles.php_clauses(7, 6)
+    s = Solver(n, clauses, seed=0)
+    assert not s.solve().is_sat
+    assert (s.stats.conflicts, s.stats.decisions, s.stats.propagations) == (739, 911, 9531)
+
+
 def test_verify_checks_clauses_added_after_solving():
     s = Solver(3, [(1, 2, 3)])
     assert s.solve().is_sat
