@@ -20,7 +20,7 @@ Conventions baked in here rather than repeated everywhere else:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Callable, Union
 
@@ -50,6 +50,30 @@ class Diagnostic:
         return f"{self.span}: {self.message}"
 
 
+def _hash_once(cls):
+    """Class decorator for a frozen dataclass that atoms, and so most dict
+    keys, are made of.  Its hash is computed once per object, to the value
+    that dataclass's own __hash__ gives (the hash of the compared fields),
+    and is left out of pickles, since str hashes differ between processes.
+    Equality is dataclass's."""
+    names = tuple(f.name for f in fields(cls) if f.compare)
+
+    def __hash__(self) -> int:
+        d = self.__dict__
+        h = d.get("_hash")
+        if h is None:
+            h = d["_hash"] = hash(tuple([getattr(self, n) for n in names]))
+        return h
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
+
+
+@_hash_once
 @dataclass(frozen=True)
 class Sort:
     """A finite set of named objects."""
@@ -70,6 +94,7 @@ class Kind(enum.Enum):
     ACTION = "action"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Constant:
     """A fluent or action constant family, e.g. ``atObj(box) :: inertialFluent(location)``."""
@@ -102,6 +127,7 @@ class Constant:
         return f"{self.name}{args} :: {self.kind.value}{val}"
 
 
+@_hash_once
 @dataclass(frozen=True)
 class Atom:
     """``constant(args)=value``.  For Boolean constants value is "true"/"false"."""

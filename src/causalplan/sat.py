@@ -7,6 +7,15 @@ seed (default 0); wall-clock time never influences a decision unless a
 time limit is set.  Every SAT answer is verified against the clause set
 before it is returned.
 
+Branching takes the most active unassigned variable, the lowest-numbered
+one on a tie, from a heapq of (-activity, variable) entries.  A per-
+variable mark says whether a variable has an entry at its current
+activity; every unassigned variable has one, so a backtrack pushes only
+the variables whose entry a pick has used up, and an entry left behind
+by a bump is recognised by its key and dropped when it is popped
+(after MiniSat's order heap: Een & Sorensson, "An Extensible
+SAT-solver", 2003).  A rescale of the activities rebuilds the heap.
+
 Clauses can be added between solve() calls, which keeps learned
 clauses alive: enumerate_models blocks each model it finds on the
 solver it is given.  A solver can also grow: extend() adds variables
@@ -82,9 +91,21 @@ class Solver:
     watches[l] the clauses that watch it; entry 0 is unused, and the 2n
     entries for n variables run 1..n, then -n..-1, so that Python's
     negative indexing finds val[-l], the complement's value, counted from
-    the end.  saved, level, reason and activity are indexed by variable.
-    Watch lists and reasons hold the clause itself, a list kept in
-    clauses whose first two literals are watched.
+    the end.  saved, level, reason, activity and in_order are indexed by
+    variable.  Watch lists and reasons hold the clause itself, a list kept
+    in clauses whose first two literals are watched.
+
+    order is a heapq of (-activity, variable) entries.  An entry is
+    current while its key is still -activity[v]; a bump leaves the old
+    one behind, stale, and _pick_branch discards stale entries as it pops
+    them.  in_order[v] is set while v has a current entry.  Invariant:
+    every unassigned variable has one.  So _backtrack pushes only a
+    variable whose mark is clear, _bump pushes only one whose mark is set
+    (a marked variable needs its new key; an unmarked one is assigned and
+    gets its entry when it is unassigned), and a pick, the first current
+    entry of an unassigned variable, is the argmin of (-activity, v) over
+    the unassigned variables.  Activities only grow between rebuilds of
+    the heap (a rescale or a compaction), so an equal key means current.
     """
 
     RESTART_BASE = 128
@@ -105,6 +126,7 @@ class Solver:
         self.saved = [-1]  # phase saving, prefer false
         self.activity = [0.0]
         self.order: list[tuple[float, int]] = []  # heap of (-activity, variable)
+        self.in_order = bytearray(1)  # has a current entry in order
         self.var_inc = 1.0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -124,38 +146,63 @@ class Solver:
         self.reason[v] = reason
         self.trail.append(lit)
 
-    def _push_order(self, v: int) -> None:
-        heapq.heappush(self.order, (-self.activity[v], v))
-        if len(self.order) > 2 * self.nvars + 2:
-            # stale entries only cost pops: keep one per unassigned
-            # variable, at its current activity
-            activity, val = self.activity, self.val
-            self.order = [(-activity[u], u) for u in range(1, self.nvars + 1) if not val[u]]
-            heapq.heapify(self.order)
+    def _rebuild_order(self) -> None:
+        """One current entry per unassigned variable, and none else: drops
+        the stale entries, and rekeys every entry after a rescale."""
+        activity, val, in_order = self.activity, self.val, self.in_order
+        order = self.order
+        order[:] = [(-activity[v], v) for v in range(1, self.nvars + 1) if not val[v]]
+        heapq.heapify(order)
+        in_order[:] = bytes(len(in_order))
+        for _, v in order:
+            in_order[v] = 1
 
     def _bump(self, v: int) -> None:
-        self.activity[v] += self.var_inc
-        if self.activity[v] > 1e100:
-            for i in range(1, self.nvars + 1):
-                self.activity[i] *= 1e-100
-            self.var_inc *= 1e-100
-        self._push_order(v)
+        self._bump_all((v,))
+
+    def _bump_all(self, vs) -> None:
+        """Add var_inc to the activity of each of vs, in order."""
+        activity, in_order, order = self.activity, self.in_order, self.order
+        inc = self.var_inc
+        push = heapq.heappush
+        for v in vs:
+            a = activity[v] + inc
+            activity[v] = a
+            if a > 1e100:
+                for i in range(1, self.nvars + 1):
+                    activity[i] *= 1e-100
+                self.var_inc = inc = inc * 1e-100
+                self._rebuild_order()
+            elif in_order[v]:
+                push(order, (-a, v))
+        if len(order) > 2 * self.nvars + 2:
+            self._rebuild_order()
 
     def _backtrack(self, target: int) -> None:
         if len(self.trail_lim) <= target:
             return
+        trail = self.trail
         limit = self.trail_lim[target]
-        val = self.val
-        for i in range(len(self.trail) - 1, limit - 1, -1):
-            lit = self.trail[i]
-            v = lit if lit > 0 else -lit
-            self.saved[v] = 1 if lit > 0 else -1
+        val, saved, reason = self.val, self.saved, self.reason
+        activity, in_order, order = self.activity, self.in_order, self.order
+        push = heapq.heappush
+        for lit in trail[limit:]:
+            if lit > 0:
+                v = lit
+                saved[v] = 1
+            else:
+                v = -lit
+                saved[v] = -1
             val[lit] = val[-lit] = 0
-            self.reason[v] = None
-            self._push_order(v)
-        del self.trail[limit:]
+            reason[v] = None
+            if not in_order[v]:
+                in_order[v] = 1
+                push(order, (-activity[v], v))
+        del trail[limit:]
         del self.trail_lim[target:]
-        self.qhead = len(self.trail)
+        self.qhead = len(trail)
+        if len(order) > 2 * self.nvars + 2:
+            self._rebuild_order()
 
     # --- clause management ---
 
@@ -253,6 +300,7 @@ class Solver:
         self.activity += [0.0] * extra
         # every entry already in the heap orders before these
         self.order += [(0.0, v) for v in range(self.nvars + 1, n_vars + 1)]
+        self.in_order += b"\1" * extra
         self.nvars = n_vars
 
     def _attach(self, c: list[int]) -> None:
@@ -263,75 +311,97 @@ class Solver:
     # --- search ---
 
     def _propagate(self) -> list[int] | None:
-        """Unit propagation; returns a conflicting clause or None."""
-        watches = self.watches
-        val = self.val
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            self.stats.propagations += 1
-            neg = -p
+        """Unit propagation; returns a conflicting clause or None.  Does
+        _enqueue's work inline.  A clause that finds a new literal to watch
+        leaves the watch list of neg, the literal that became false; the
+        list is rebuilt only then, keeping its order, from the clauses
+        that still have neg as one of their first two literals."""
+        watches, val = self.watches, self.val
+        trail, level, reason = self.trail, self.level, self.reason
+        enqueue = trail.append
+        dl = len(self.trail_lim)
+        start = qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
             ws = watches[neg]
-            keep: list[list[int]] = []
-            i = 0
-            n = len(ws)
-            while i < n:
-                c = ws[i]
-                i += 1
-                if c[0] == neg:
-                    c[0], c[1] = c[1], c[0]
+            moved = False
+            for c in ws:
                 w0 = c[0]
-                if val[w0] == 1:
-                    keep.append(c)
+                if w0 == neg:
+                    c[0] = w0 = c[1]
+                    c[1] = neg
+                x = val[w0]
+                if x == 1:
                     continue
-                for k in range(2, len(c)):
-                    lk = c[k]
-                    if val[lk] != -1:
-                        c[1], c[k] = lk, neg
-                        watches[lk].append(c)
-                        break
-                else:
-                    keep.append(c)
-                    if val[w0] == -1:
-                        keep.extend(ws[i:])
-                        watches[neg] = keep
-                        self.qhead = len(self.trail)
-                        return c
-                    self._enqueue(w0, c)
-            watches[neg] = keep
+                if len(c) > 2:
+                    # look for a literal to watch instead of neg
+                    for k in range(2, len(c)):
+                        lk = c[k]
+                        if val[lk] != -1:
+                            c[1] = lk
+                            c[k] = neg
+                            watches[lk].append(c)
+                            moved = True
+                            break
+                    else:
+                        k = 0
+                    if k:
+                        continue
+                if x:
+                    if moved:
+                        watches[neg] = [d for d in ws if d[1] == neg or d[0] == neg]
+                    self.stats.propagations += qhead - start
+                    self.qhead = len(trail)
+                    return c
+                val[w0] = 1
+                val[-w0] = -1
+                v = w0 if w0 > 0 else -w0
+                level[v] = dl
+                reason[v] = c
+                enqueue(w0)
+            if moved:
+                watches[neg] = [d for d in ws if d[1] == neg or d[0] == neg]
+        self.stats.propagations += qhead - start
+        self.qhead = qhead
         return None
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         seen = bytearray(self.nvars + 1)
+        level, trail, reason = self.level, self.trail, self.reason
         learnt: list[int] = [0]
+        bumped: list[int] = []  # in the order first seen
         path = 0
         p = 0
-        idx = len(self.trail)
+        idx = len(trail)
         cur_level = len(self.trail_lim)
         while True:
             for q in confl:
                 if q == p:
                     continue
                 v = q if q > 0 else -q
-                if not seen[v] and self.level[v] > 0:
-                    seen[v] = 1
-                    self._bump(v)
-                    if self.level[v] >= cur_level:
-                        path += 1
-                    else:
-                        learnt.append(q)
+                if not seen[v]:
+                    lv = level[v]
+                    if lv > 0:
+                        seen[v] = 1
+                        bumped.append(v)
+                        if lv >= cur_level:
+                            path += 1
+                        else:
+                            learnt.append(q)
             while True:
                 idx -= 1
-                p = self.trail[idx]
+                p = trail[idx]
                 if seen[p if p > 0 else -p]:
                     break
             v = p if p > 0 else -p
             path -= 1
             if path == 0:
                 break
-            confl = self.reason[v]
+            confl = reason[v]
             seen[v] = 0
         learnt[0] = -p
+        self._bump_all(bumped)
 
         # local minimization: drop literals implied by the rest
         def redundant(q: int) -> bool:
@@ -359,11 +429,14 @@ class Solver:
                 v = (start + off - 1) % self.nvars + 1
                 if self.val[v] == 0:
                     return self.saved[v] * v
-        heap = self.order
+        heap, activity, in_order, val = self.order, self.activity, self.in_order, self.val
         pop = heapq.heappop
         while heap:
-            _, v = pop(heap)
-            if self.val[v] == 0:
+            key, v = pop(heap)
+            if key != -activity[v]:
+                continue  # stale: v has a current entry, or is assigned
+            in_order[v] = 0
+            if not val[v]:
                 return self.saved[v] * v
         return 0
 

@@ -1,11 +1,13 @@
 """Signature validation and formula evaluation."""
 
+import pickle
+
 import pytest
 
 from causalplan import parse_domain, validate_problem, validate_signature
 from causalplan.model import (BOOLEAN, And, Atom, AtomF, Constant, Kind, Not,
-                              Or, PlanningProblem, Sort, TRUE, conj, disj,
-                              eval_formula, formula_atoms, neg)
+                              Or, PlanningProblem, Sort, SourceSpan, TRUE, conj,
+                              disj, eval_formula, formula_atoms, neg)
 from causalplan.parser import ParseError
 
 
@@ -17,6 +19,31 @@ def test_boolean_constant_shape():
     c = boolean_constant("p")
     assert c.is_boolean and c.is_fluent and not c.is_action
     assert set(c.value_sort.members) == {"true", "false"}
+
+
+def test_atoms_hash_and_compare_by_value():
+    # The hash is cached per object; equal atoms built from separately
+    # constructed sorts and constants still hash and compare equal.
+    def at_obj(value):
+        places = Sort("place", ("L1", "L2"))
+        box = Sort("box", ("B1",))
+        return Atom(Constant("atObj", (box,), Kind.INERTIAL_FLUENT, places), ("B1",), value)
+
+    a, b = at_obj("L1"), at_obj("L1")
+    assert a is not b and a.constant is not b.constant
+    assert a == b and hash(a) == hash(b) and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # the same value as the hash that dataclass would generate
+    assert hash(a) == hash((a.constant, a.args, a.value))
+    assert hash(a.constant.value_sort) == hash(("place", ("L1", "L2")))
+    c = at_obj("L2")
+    assert c != a and c.constant == a.constant
+    where = SourceSpan("d.cp", 1, 1, 1, 5)
+    assert Sort("s", ("x",)) == Sort("s", ("x",), where)
+    assert hash(Sort("s", ("x",))) == hash(Sort("s", ("x",), where))
+    # a pickle does not carry the cached hash to a process whose str
+    # hashes differ
+    assert "_hash" not in pickle.loads(pickle.dumps(a)).__dict__
 
 
 def test_formula_atoms_collects_nested():

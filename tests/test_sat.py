@@ -180,6 +180,70 @@ def test_order_heap_stays_bounded():
     assert len(s.order) <= 2 * s.nvars + 2
 
 
+def test_a_rescale_keeps_branching_on_the_most_active_variable():
+    # The third bump lands after a rescale; the heap must order variable 1
+    # by its rescaled activity, not by the key it was pushed with.
+    s = Solver(3, [(1, 2, 3)])
+    s.RANDOM_FREQ = 0
+    s.var_inc = 1e99
+    s._bump(1)
+    s.var_inc = 2e100
+    s._bump(2)  # rescales every activity by 1e-100
+    s._bump(3)
+    assert s.activity[1:] == pytest.approx([0.1, 2.0, 2.0])
+    assert s._pick_branch() == -2
+
+
+class CheckedBranching(Solver):
+    """A solver that checks every pick against a scan of the variables,
+    and the order heap's invariant after every backtrack."""
+
+    RANDOM_FREQ = 0
+
+    def _unassigned(self):
+        return [v for v in range(1, self.nvars + 1) if not self.val[v]]
+
+    def _pick_branch(self):
+        free = self._unassigned()
+        lit = super()._pick_branch()
+        if not free:
+            assert lit == 0
+        else:
+            v = min(free, key=lambda u: (-self.activity[u], u))
+            assert lit == self.saved[v] * v
+        self.picks += 1
+        return lit
+
+    def _backtrack(self, target):
+        super()._backtrack(target)
+        current = {v for key, v in self.order if key == -self.activity[v]}
+        assert all(v in current and self.in_order[v] for v in self._unassigned())
+
+
+def random_3sat(rng, n, m):
+    return [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
+            for _ in range(m)]
+
+
+@pytest.mark.parametrize("var_inc", [1.0, 1e98])  # 1e98 rescales after a few conflicts
+def test_branching_picks_the_most_active_unassigned_variable(var_inc):
+    rng = random.Random(31)
+    cases = [(50, random_3sat(rng, 50, 213)) for _ in range(12)]
+    cases.append(oracles.php_clauses(6, 5))  # UNSAT; SAT models are checked by _verify
+    conflicts = rescaled = 0
+    for seed, (n, clauses) in enumerate(cases):
+        s = CheckedBranching(n, clauses, seed=seed)
+        s.picks = 0
+        s.var_inc = var_inc
+        res = s.solve()
+        assert s.picks > 0
+        conflicts += s.stats.conflicts
+        rescaled += s.var_inc < var_inc
+    assert not res.is_sat
+    assert conflicts > 500
+    assert rescaled == 0 if var_inc == 1.0 else rescaled > 5
+
+
 def test_search_counters_on_php_7_6_are_pinned():
     # The search is a fixed function of the seed: a change to the
     # propagation or branching order moves these and must say so.
