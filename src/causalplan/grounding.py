@@ -137,6 +137,7 @@ class _Closer:
         self.domain = domain
         self.registry = registry
         self.memo: dict[tuple[str, tuple[str, ...]], object] = {}
+        self.atoms: dict[tuple, Atom] = {}  # see atom
 
     def call(self, name: str, args: tuple[str, ...]):
         key = (name, args)
@@ -148,9 +149,13 @@ class _Closer:
         return self.memo[key]
 
     def atom(self, a: Atom, env: dict[str, str]) -> Atom:
-        return Atom(a.constant,
-                    tuple(env.get(t, t) for t in a.args),
-                    env.get(a.value, a.value))
+        """a under env.  Equal ground atoms come back as one object, so the
+        ground laws hold one copy of each, which computes its hash once."""
+        key = (a.constant, tuple(env.get(t, t) for t in a.args), env.get(a.value, a.value))
+        got = self.atoms.get(key)
+        if got is None:
+            got = self.atoms[key] = Atom(*key)
+        return got
 
     def formula(self, f: Formula, env: dict[str, str]) -> Formula:
         if isinstance(f, (TrueF, FalseF)):

@@ -157,11 +157,8 @@ class Solver:
         for _, v in order:
             in_order[v] = 1
 
-    def _bump(self, v: int) -> None:
-        self._bump_all((v,))
-
-    def _bump_all(self, vs) -> None:
-        """Add var_inc to the activity of each of vs, in order."""
+    def _bump(self, vs) -> None:
+        """Add var_inc to the activity of each variable of vs, in order."""
         activity, in_order, order = self.activity, self.in_order, self.order
         inc = self.var_inc
         push = heapq.heappush
@@ -169,8 +166,7 @@ class Solver:
             a = activity[v] + inc
             activity[v] = a
             if a > 1e100:
-                for i in range(1, self.nvars + 1):
-                    activity[i] *= 1e-100
+                activity[:] = [x * 1e-100 for x in activity]
                 self.var_inc = inc = inc * 1e-100
                 self._rebuild_order()
             elif in_order[v]:
@@ -326,6 +322,7 @@ class Solver:
             qhead += 1
             ws = watches[neg]
             moved = False
+            confl = None
             for c in ws:
                 w0 = c[0]
                 if w0 == neg:
@@ -349,11 +346,8 @@ class Solver:
                     if k:
                         continue
                 if x:
-                    if moved:
-                        watches[neg] = [d for d in ws if d[1] == neg or d[0] == neg]
-                    self.stats.propagations += qhead - start
-                    self.qhead = len(trail)
-                    return c
+                    confl = c
+                    break
                 val[w0] = 1
                 val[-w0] = -1
                 v = w0 if w0 > 0 else -w0
@@ -362,6 +356,10 @@ class Solver:
                 enqueue(w0)
             if moved:
                 watches[neg] = [d for d in ws if d[1] == neg or d[0] == neg]
+            if confl is not None:
+                self.stats.propagations += qhead - start
+                self.qhead = len(trail)
+                return confl
         self.stats.propagations += qhead - start
         self.qhead = qhead
         return None
@@ -401,7 +399,7 @@ class Solver:
             confl = reason[v]
             seen[v] = 0
         learnt[0] = -p
-        self._bump_all(bumped)
+        self._bump(bumped)
 
         # local minimization: drop literals implied by the rest
         def redundant(q: int) -> bool:

@@ -186,10 +186,10 @@ def test_a_rescale_keeps_branching_on_the_most_active_variable():
     s = Solver(3, [(1, 2, 3)])
     s.RANDOM_FREQ = 0
     s.var_inc = 1e99
-    s._bump(1)
+    s._bump([1])
     s.var_inc = 2e100
-    s._bump(2)  # rescales every activity by 1e-100
-    s._bump(3)
+    s._bump([2])  # rescales every activity by 1e-100
+    s._bump([3])
     assert s.activity[1:] == pytest.approx([0.1, 2.0, 2.0])
     assert s._pick_branch() == -2
 
