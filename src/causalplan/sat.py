@@ -8,13 +8,9 @@ time limit is set.  Every SAT answer is verified against the clause set
 before it is returned.
 
 Branching takes the most active unassigned variable, the lowest-numbered
-one on a tie, from a heapq of (-activity, variable) entries.  A per-
-variable mark says whether a variable has an entry at its current
-activity; every unassigned variable has one, so a backtrack pushes only
-the variables whose entry a pick has used up, and an entry left behind
-by a bump is recognised by its key and dropped when it is popped
-(after MiniSat's order heap: Een & Sorensson, "An Extensible
-SAT-solver", 2003).  A rescale of the activities rebuilds the heap.
+one on a tie, from a heap that re-inserts a variable only when it has no
+entry at its current activity (after MiniSat's order heap: Een &
+Sorensson, "An Extensible SAT-solver", 2003); see Solver.
 
 Clauses can be added between solve() calls, which keeps learned
 clauses alive: enumerate_models blocks each model it finds on the
@@ -432,7 +428,7 @@ class Solver:
         while heap:
             key, v = pop(heap)
             if key != -activity[v]:
-                continue  # stale: v has a current entry, or is assigned
+                continue  # stale: v was bumped after this entry was pushed
             in_order[v] = 0
             if not val[v]:
                 return self.saved[v] * v

@@ -199,6 +199,7 @@ class CheckedBranching(Solver):
     and the order heap's invariant after every backtrack."""
 
     RANDOM_FREQ = 0
+    picks = 0
 
     def _unassigned(self):
         return [v for v in range(1, self.nvars + 1) if not self.val[v]]
@@ -233,7 +234,6 @@ def test_branching_picks_the_most_active_unassigned_variable(var_inc):
     conflicts = rescaled = 0
     for seed, (n, clauses) in enumerate(cases):
         s = CheckedBranching(n, clauses, seed=seed)
-        s.picks = 0
         s.var_inc = var_inc
         res = s.solve()
         assert s.picks > 0
