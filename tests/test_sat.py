@@ -172,7 +172,7 @@ def test_read_dimacs_model_unsat_line():
 
 
 def test_order_heap_stays_bounded():
-    # every backtrack and bump pushes an entry; stale ones are dropped in bulk
+    # bumps leave stale entries behind; they are dropped in bulk
     n, clauses = oracles.php_clauses(7, 6)
     s = Solver(n, clauses)
     assert not s.solve().is_sat
