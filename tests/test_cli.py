@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+import cli_digests
 import toy_domains
 from causalplan.cli import main
 from causalplan.domains import build_toh
@@ -521,3 +522,11 @@ def test_model_in_refuses_a_plan_over_the_deadline(tmp_path, capsys):
     err = capsys.readouterr().err
     m = re.search(r"decoded plan is invalid: plan cost (\d+) exceeds the deadline 11$", err, re.M)
     assert m and int(m.group(1)) >= 12, err
+
+
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch):
+    # stdout, written files and exit codes of a fixed command list, by
+    # SHA-256 (see cli_digests.py, which checks an installed entry point
+    # against the same digests)
+    monkeypatch.delenv("CAUSALPLAN_SEED", raising=False)
+    assert cli_digests.run_commands(cli_digests.in_process, tmp_path) == cli_digests.pinned()
