@@ -532,11 +532,16 @@ class _ClauseSink:
 
 # --- per-step template ---------------------------------------------------------
 
-# A block is (clauses, n_aux) over window variables.  Placed at step t,
-# window variable (d + 1) * width + p + 1 stands for the atom at position p
-# (GroundDomain.atom_position) at step t + d, for d in -1, 0, 1, and
-# 3 * width + k, for k in 1..n_aux, for the block's k-th definition variable.
-Block = tuple[list[tuple[int, ...]], int]
+# A block is (groups, order, n_aux): clauses over window variables, kept
+# by length.  groups has one (L, lits) per clause length L, shortest
+# first: lits holds the block's L-literal clauses one after another, in
+# block order, as one flat list.  order[k] is where the block's k-th
+# clause falls among the groups' clauses taken group after group.  Placed
+# at step t, window variable (d + 1) * width + p + 1 stands for the atom
+# at position p (GroundDomain.atom_position) at step t + d, for d in -1,
+# 0, 1, and 3 * width + k, for k in 1..n_aux, for the block's k-th
+# definition variable.
+Block = tuple[list[tuple[int, list[int]]], list[int], int]
 
 
 class StepTemplate:
@@ -573,16 +578,14 @@ class StepTemplate:
                 for t, r in _stamp_rule(rule, 1):
                     parts[2 if stops_early else t].append(Nogood(r.body))
         # a template lives as long as its ground domain, across queries:
-        # its blocks share one int object per window literal and one tuple
-        # per clause (first and step have many clauses in common)
+        # its blocks share one int object per window literal or index
         ints: dict = {}
         self.first, self.step, self.actions = (
             self._block(fs, step, ints) for fs, step in zip(parts, (0, 1, 0)))
 
     def _block(self, formulas, step: int, ints: dict) -> Block:
         """Clausify formulas stamped around step into window variables,
-        taking each literal's int object and each clause's tuple from
-        ints."""
+        taking each int object from ints."""
         width, position = self.width, self.ground.atom_position
 
         def lit(l: TimedLit) -> int:
@@ -593,8 +596,15 @@ class StepTemplate:
         for f in formulas:
             sink._add_formula(f, lit)
         one = ints.setdefault
-        clauses = [tuple([one(l, l) for l in c]) for c in sink.clauses]
-        return [one(c, c) for c in clauses], sink.var_count - 3 * width
+        clauses = sink.clauses
+        size = list(map(len, clauses)).__getitem__
+        ranked = sorted(range(len(clauses)), key=size)  # stable: block order per length
+        order = [0] * len(ranked)
+        for i, k in enumerate(ranked):
+            order[k] = one(i, i)
+        groups = [(n, [one(l, l) for k in ks for l in clauses[k]])
+                  for n, ks in itertools.groupby(ranked, key=size)]
+        return groups, order, sink.var_count - 3 * width
 
 
 def step_template(ground: GroundDomain) -> StepTemplate:
@@ -665,8 +675,9 @@ class Encoder(_ClauseSink):
         variables after every variable in use.  Window literal v reads
         entry v of a lookup table, 0 (which no solver accepts) where no
         atom exists; a negative -v reads entry -v, which Python's negative
-        indexing maps to -table[v]."""
-        clauses, n_aux = block
+        indexing maps to -table[v].  Each group is mapped in one pass and
+        cut into its clauses, which then go back into block order."""
+        groups, order, n_aux = block
         rows = self.rows
         pos: list[int] = [0]
         for t in (step - 1, step, step + 1):
@@ -674,7 +685,10 @@ class Encoder(_ClauseSink):
         pos += range(self.var_count + 1, self.var_count + n_aux + 1)
         self.var_count += n_aux
         get = (pos + [-v for v in pos[:0:-1]]).__getitem__
-        self.clauses += [tuple(map(get, c)) for c in clauses]
+        placed: list[tuple[int, ...]] = []
+        for n, lits in groups:
+            placed += zip(*[map(get, lits)] * n)
+        self.clauses += map(placed.__getitem__, order)
 
     def _lit(self, l: TimedLit) -> int:
         p = self.ground.atom_position.get(l.atom)

@@ -10,7 +10,9 @@ before it is returned.
 Branching takes the most active unassigned variable, the lowest-numbered
 one on a tie, from a heap that re-inserts a variable only when it has no
 entry at its current activity (after MiniSat's order heap: Een &
-Sorensson, "An Extensible SAT-solver", 2003); see Solver.
+Sorensson, "An Extensible SAT-solver", 2003); see Solver.  A variable
+first gets an entry once the batch that added it is loaded, and only if
+that batch left it unassigned.
 
 Clauses can be added between solve() calls, which keeps learned
 clauses alive: enumerate_models blocks each model it finds on the
@@ -18,10 +20,14 @@ solver it is given.  A solver can also grow: extend() adds variables
 and bulk-loads clauses that are already clean (no repeated literal, no
 complementary pair), which is how a query loads its encoding: a plan
 search appends one step per horizon, and predict loads its one horizon
-before it enumerates.  Clauses that hold only for one horizon carry
-the negation of an activation literal that solve() assumes; once that
-literal is fixed false, they stay loaded but are satisfied at level 0,
-so they never propagate or conflict again.  No clause is ever deleted.
+before it enumerates.  Loading costs about one attach per clause: a
+unit is enqueued, but propagated at once only if some clause watches
+its complement; otherwise nothing can (see _load), and the unit waits
+on the trail for the next propagation.  Clauses that hold only for one
+horizon carry the negation of an activation literal that solve()
+assumes; once that literal is fixed false, they stay loaded but are
+satisfied at level 0, so they never propagate or conflict again.  No
+clause is ever deleted.
 Every SAT model is checked against every clause the solver was given,
 as given.
 
@@ -95,13 +101,20 @@ class Solver:
     current while its key is still -activity[v]; a bump leaves the old
     one behind, stale, and _pick_branch discards stale entries as it pops
     them.  in_order[v] is set while v has a current entry.  Invariant:
-    every unassigned variable has one.  So _backtrack pushes only a
-    variable whose mark is clear, _bump pushes only one whose mark is set
-    (a marked variable needs its new key; an unmarked one is assigned and
-    gets its entry when it is unassigned), and a pick, the first current
-    entry of an unassigned variable, is the argmin of (-activity, v) over
-    the unassigned variables.  Activities only grow between rebuilds of
-    the heap (a rescale or a compaction), so an equal key means current.
+    every unassigned variable up to ordered has one.  So _backtrack
+    pushes only a variable whose mark is clear, _bump pushes only one
+    whose mark is set (a marked variable needs its new key; an unmarked
+    one is assigned and gets its entry when it is unassigned), and a
+    pick, the first current entry of an unassigned variable, is the
+    argmin of (-activity, v) over the unassigned variables.  Activities
+    only grow between rebuilds of the heap (a rescale or a compaction),
+    so an equal key means current.
+
+    The variables above ordered are those that _grow has added since.
+    extend gives each one that its batch left unassigned an entry, at
+    key 0.0, once the batch is loaded, so a variable that the batch
+    fixes at level 0 never gets one; solve does the same first, for a
+    caller that grew the solver itself.
     """
 
     RESTART_BASE = 128
@@ -123,6 +136,8 @@ class Solver:
         self.activity = [0.0]
         self.order: list[tuple[float, int]] = []  # heap of (-activity, variable)
         self.in_order = bytearray(1)  # has a current entry in order
+        self.ordered = 0  # the variables the heap's invariant covers
+        self.seen = bytearray(1)  # _analyze's marks, all clear between calls
         self.var_inc = 1.0
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
@@ -152,6 +167,19 @@ class Solver:
         in_order[:] = bytes(len(in_order))
         for _, v in order:
             in_order[v] = 1
+        self.ordered = self.nvars
+
+    def _order_new(self) -> None:
+        """Give each unassigned variable above ordered its entry, at key 0.0
+        and in increasing order.  Every key already in the heap is at most
+        0.0 and every variable in it is lower, so appending keeps the heap
+        property."""
+        val, in_order = self.val, self.in_order
+        new = [v for v in range(self.ordered + 1, self.nvars + 1) if not val[v]]
+        self.order += [(0.0, v) for v in new]
+        for v in new:
+            in_order[v] = 1
+        self.ordered = self.nvars
 
     def _bump(self, vs) -> None:
         """Add var_inc to the activity of each variable of vs, in order."""
@@ -209,32 +237,44 @@ class Solver:
         """Grow to n_vars variables and add clauses that are already clean:
         no literal twice, no complementary pair (an encoder's output).
 
-        This checks the range of all the literals at once, raising before
-        any clause is added, then loads the batch (see _load).  given, if
-        set, is what the batch was cleaned from (by add_clause or the
-        constructor); it is range-checked and kept for _verify instead.
-        Returns False if the formula is now trivially unsatisfiable."""
-        self._grow(n_vars)
+        This checks the range of all the literals at once, against the
+        grown variable count, and raises before anything changes.  Then
+        it backtracks to level 0, grows, loads the batch (see _load) and
+        gives the new variables the batch left unassigned their heap
+        entries.  given, if set, is what the batch was cleaned from (by
+        add_clause or the constructor); it is range-checked and kept for
+        _verify instead.  Returns False if the formula is now trivially
+        unsatisfiable."""
         clauses = list(clauses)
         given = clauses if given is None else given
-        if not self.ok:
-            return False
+        n = max(n_vars, self.nvars)
         lits = set(chain.from_iterable(given))
-        if lits and (min(lits) < -self.nvars or max(lits) > self.nvars or 0 in lits):
+        if lits and (min(lits) < -n or max(lits) > n or 0 in lits):
             for c in given:
-                self._check_range(c)
+                self._check_range(c, n)
         self._backtrack(0)
-        self.given += given
-        return self._load(clauses)
+        self._grow(n_vars)
+        if self.ok:
+            self.given += given
+            self._load(clauses)
+        self._order_new()
+        return self.ok
 
-    def _load(self, clauses) -> bool:
+    def _load(self, clauses) -> None:
         """Attach clean clauses at level 0, in order.  A clause costs little
         more than attaching it: the solver keeps the set of literals with a
         level-0 value, and only a clause shorter than two literals or
         touching that set is simplified first: a satisfied clause is
-        dropped, false literals are stripped, and a unit is enqueued and
-        propagated.  Returns False if the formula is now trivially
-        unsatisfiable."""
+        dropped, false literals are stripped, and a unit is enqueued.
+
+        A unit lit is propagated at once only if some clause watches -lit.
+        Otherwise lit and -lit join the level-0 set and lit waits on the
+        trail for the next _propagate (later here, or when solve starts),
+        which gives the same trail, clauses and watch lists: no clause can
+        start watching -lit meanwhile, since this strips it from every
+        clause it loads and _propagate never moves a watch onto a false
+        literal, so propagating lit later finds nothing to do either.
+        Clears ok if the formula is now trivially unsatisfiable."""
         store, watches, val = self.clauses, self.watches, self.val
         fixed = self._level0()
         for c in clauses:
@@ -255,12 +295,19 @@ class Solver:
                     self._attach(rest)
                     continue
                 if rest:
-                    self._enqueue(rest[0])
-                if not rest or self._propagate() is not None:
+                    lit = rest[0]
+                    self._enqueue(lit)
+                    if not watches[-lit]:
+                        # as _level0() would: lit is the one entry it lacks
+                        fixed.add(lit)
+                        fixed.add(-lit)
+                        continue
+                # waiting units are propagated, and so counted, as loaded
+                # before an empty clause refuses the batch too
+                if self._propagate() is not None or not rest:
                     self.ok = False
-                    return False
+                    return
                 self._level0()
-        return True
 
     def _level0(self) -> set[int]:
         """The literals with a level-0 value, both signs, brought up to date
@@ -273,10 +320,12 @@ class Solver:
             fixed.update([-l for l in new])
         return fixed
 
-    def _check_range(self, lits) -> None:
+    def _check_range(self, lits, n_vars: int | None = None) -> None:
+        """Raise on a literal outside n_vars variables (default: nvars)."""
+        n = self.nvars if n_vars is None else n_vars
         for l in lits:
-            if not (1 <= abs(l) <= self.nvars):
-                raise ValueError(f"literal {l} out of range for {self.nvars} variables")
+            if not (1 <= abs(l) <= n):
+                raise ValueError(f"literal {l} out of range for {n} variables")
 
     def _grow(self, n_vars: int) -> None:
         extra = n_vars - self.nvars
@@ -290,9 +339,8 @@ class Solver:
         self.reason += [None] * extra
         self.saved += [-1] * extra
         self.activity += [0.0] * extra
-        # every entry already in the heap orders before these
-        self.order += [(0.0, v) for v in range(self.nvars + 1, n_vars + 1)]
-        self.in_order += b"\1" * extra
+        self.in_order += bytes(extra)  # no entries yet: see _order_new
+        self.seen += bytes(extra)
         self.nvars = n_vars
 
     def _attach(self, c: list[int]) -> None:
@@ -361,7 +409,7 @@ class Solver:
         return None
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
-        seen = bytearray(self.nvars + 1)
+        seen = self.seen  # cleared through bumped before returning
         level, trail, reason = self.level, self.trail, self.reason
         learnt: list[int] = [0]
         bumped: list[int] = []  # in the order first seen
@@ -406,6 +454,8 @@ class Solver:
                        for x in r if x != -q)
 
         learnt = [learnt[0]] + [q for q in learnt[1:] if not redundant(q)]
+        for v in bumped:
+            seen[v] = 0
 
         if len(learnt) == 1:
             return learnt, 0
@@ -446,6 +496,7 @@ class Solver:
         if not self.ok:
             return done("UNSAT")
         self._backtrack(0)
+        self._order_new()
         if self._propagate() is not None:
             self.ok = False
             return done("UNSAT")

@@ -4,6 +4,8 @@ dead-end states, cost deadlines across horizons, and consistency checks
 that extend their horizon.  Cost deadlines are also checked against an
 exhaustive oracle that prices every trajectory."""
 
+import random
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -431,3 +433,102 @@ def test_extend_loads_a_grown_encoding_as_one_attach_per_clause(name, gd, proble
             # the last action of step h - 1 does not occur
             unit = (-enc.rows[h - 1][-1],)
             assert fast.add_clause(unit) == reference_extend(ref, ref.nvars, [unit])
+
+
+def _random_batches(rng, rounds=5, fresh=12):
+    """Clean batches over a growing variable count, each with fresh
+    variables: random clauses; a unit on a fresh variable a that none of
+    them mentions, so no clause watches its complement, followed by
+    clauses that it strips or satisfies; then, in most batches, a binary
+    clause and a unit on its first literal's variable, whose complement
+    the binary clause watches; then random clauses again."""
+    n = 0
+    for _ in range(rounds):
+        n += fresh
+        a = n
+        b, c = rng.sample(range(n - fresh + 1, n), 2)
+
+        def clause(*must, top=n):
+            # must, then random literals on other variables up to top:
+            # 3 literals in all, or 2 to 3 with must
+            others = [v for v in rng.sample(range(1, top + 1), 4) if v not in map(abs, must)]
+            k = 3 - len(must) - rng.randrange(len(must) + 1)
+            return (*must, *(v if rng.random() < 0.5 else -v for v in others[:k]))
+
+        batch = [clause(top=a - 1) for _ in range(rng.randrange(10, 25))]
+        unit = a if rng.random() < 0.5 else -a
+        batch.append((unit,))
+        batch += [clause(rng.choice((unit, -unit))) for _ in range(3)]
+        if rng.random() < 0.75:
+            batch += [(-b, c), (b,)]
+        batch += [clause() for _ in range(rng.randrange(0, 4))]
+        yield n, batch
+
+
+def _search_counts(stats):
+    return stats.decisions, stats.propagations, stats.conflicts, stats.restarts
+
+
+class CountedPropagation(Solver):
+    calls = 0
+
+    def _propagate(self):
+        self.calls += 1
+        return super()._propagate()
+
+
+def test_extend_agrees_with_the_reference_loader_on_random_batches():
+    # Units whose complement nothing watches wait on the trail instead of
+    # being propagated as they load; the trail, the stored clauses and the
+    # watch lists come out as the reference loader's, and so do the
+    # search that follows and its counters.
+    waited = propagated = left_waiting = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        fast = CountedPropagation(0, (), seed=seed)
+        ref = CountedPropagation(0, (), seed=seed)
+        for n, batch in _random_batches(rng):
+            fast.calls = ref.calls = 0
+            assert fast.extend(n, batch) == reference_extend(ref, n, batch), seed
+            waited += ref.calls - fast.calls
+            propagated += fast.calls
+            left_waiting += len(fast.trail) > fast.qhead
+            assert fast.clauses == ref.clauses, seed
+            assert fast.watches == ref.watches, seed
+            assert fast.trail == ref.trail and fast.given == ref.given, seed
+            got, want = fast.solve(), ref.solve()
+            assert (got.status, got.model) == (want.status, want.model), seed
+            assert _search_counts(got.stats) == _search_counts(want.stats), seed
+    assert waited > 150 and propagated > 150 and left_waiting > 10
+
+
+def _assert_heap_covers_the_unassigned(s):
+    current = {v for key, v in s.order if key == -s.activity[v]}
+    assert all(v in current and s.in_order[v]
+               for v in range(1, s.nvars + 1) if not s.val[v])
+
+
+@pytest.mark.parametrize("name", ["build_toh(4)", "build_mapp 3x3"])
+def test_extend_orders_only_the_new_variables_left_unassigned(name):
+    # After each extend of a growing search, every unassigned variable has
+    # a marked entry at its current key, and a new variable that the batch
+    # fixed at level 0 has none.
+    _, gd, problem, registry = next(c for c in _grown_cases() if c[0] == name)
+    init, goal, _, _, hi = close_problem(gd.domain, problem, registry)
+    enc = Encoder(gd, 0, noconcurrency=problem.noconcurrency)
+    enc.assert_formula(init, 0)
+    s = Solver(0, (), seed=0)
+    fixed = 0
+    for h in range(min(hi, 8) + 1):
+        if h:
+            enc.extend()
+        enc.assert_formula(goal, h, guard=enc.active)
+        old = s.nvars
+        assert s.extend(enc.var_count, enc.clauses[len(s.given):])
+        _assert_heap_covers_the_unassigned(s)
+        new_fixed = {v for v in range(old + 1, s.nvars + 1) if s.val[v]}
+        assert not new_fixed & {v for _, v in s.order}
+        assert not any(s.in_order[v] for v in new_fixed)
+        fixed += len(new_fixed)
+        s.solve([enc.active])
+    assert fixed > 0

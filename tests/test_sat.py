@@ -298,6 +298,22 @@ def test_extend_loads_clean_clauses_in_batches():
         assert s.extend(2, [(-1, 2)]) and s.trail == [1, 2]
 
 
+def test_a_refused_batch_changes_nothing():
+    # the range check counts the variables the batch would grow to, and
+    # runs before anything grows, backtracks or loads
+    searched = Solver(4, [(1, 2), (-1, 3), (2, -3, 4)], seed=0)
+    assert searched.solve().is_sat and searched.trail_lim
+    for s in (Solver(0, ()), Solver(3, [(1,), (-1, 2, 3)]), searched):
+        before = (s.nvars, list(s.given), [list(c) for c in s.clauses], list(s.trail),
+                  list(s.order), bytes(s.in_order))
+        with pytest.raises(ValueError, match="out of range for 5 variables"):
+            s.extend(5, [(1, 2), (3, -6)])
+        after = (s.nvars, s.given, s.clauses, s.trail, s.order, bytes(s.in_order))
+        assert after == before
+    with pytest.raises(ValueError, match="literal 3 out of range for 2 variables"):
+        Solver(0, ()).extend(2, [(1, 3)])
+
+
 def assert_literal_layout(s, before):
     """The solver's tables are consistent; before maps each literal that
     had a value to that value, which it must keep."""
