@@ -113,8 +113,7 @@ class Solver:
     The variables above ordered are those that _grow has added since.
     extend gives each one that its batch left unassigned an entry, at
     key 0.0, once the batch is loaded, so a variable that the batch
-    fixes at level 0 never gets one; solve does the same first, for a
-    caller that grew the solver itself.
+    fixes at level 0 never gets one.
     """
 
     RESTART_BASE = 128
@@ -320,12 +319,11 @@ class Solver:
             fixed.update([-l for l in new])
         return fixed
 
-    def _check_range(self, lits, n_vars: int | None = None) -> None:
-        """Raise on a literal outside n_vars variables (default: nvars)."""
-        n = self.nvars if n_vars is None else n_vars
+    def _check_range(self, lits, n_vars: int) -> None:
+        """Raise on a literal outside n_vars variables."""
         for l in lits:
-            if not (1 <= abs(l) <= n):
-                raise ValueError(f"literal {l} out of range for {n} variables")
+            if not (1 <= abs(l) <= n_vars):
+                raise ValueError(f"literal {l} out of range for {n_vars} variables")
 
     def _grow(self, n_vars: int) -> None:
         extra = n_vars - self.nvars
@@ -496,7 +494,6 @@ class Solver:
         if not self.ok:
             return done("UNSAT")
         self._backtrack(0)
-        self._order_new()
         if self._propagate() is not None:
             self.ok = False
             return done("UNSAT")

@@ -361,31 +361,33 @@ def test_search_counters_on_mapp_5x5_are_pinned(monkeypatch):
 # --- loading a grown encoding ------------------------------------------------------
 
 def reference_extend(solver, n_vars, clauses):
-    """Solver.extend written out clause by clause: a range check of each,
-    then level-0 simplification from each literal's value, with no kept
-    set of level-0 literals."""
-    solver._grow(n_vars)
-    if not solver.ok:
-        return False
+    """Solver.extend written out clause by clause, in its order: a range
+    check of each clause against the grown variable count, a backtrack to
+    level 0, the growth, level-0 simplification from each literal's
+    value, with no kept set of level-0 literals, and last the heap
+    entries of the new variables left unassigned."""
     clauses = list(clauses)
     for c in clauses:
-        solver._check_range(c)
+        solver._check_range(c, max(n_vars, solver.nvars))
     solver._backtrack(0)
-    solver.given += clauses
-    for c in clauses:
-        values = [solver.val[l] for l in c]
-        if 1 in values:
-            continue  # satisfied at level 0
-        rest = [l for l, v in zip(c, values) if v == 0]
-        if len(rest) > 1:
-            solver._attach(rest)
-            continue
-        if rest:
-            solver._enqueue(rest[0])
-        if not rest or solver._propagate() is not None:
-            solver.ok = False
-            return False
-    return True
+    solver._grow(n_vars)
+    if solver.ok:
+        solver.given += clauses
+        for c in clauses:
+            values = [solver.val[l] for l in c]
+            if 1 in values:
+                continue  # satisfied at level 0
+            rest = [l for l, v in zip(c, values) if v == 0]
+            if len(rest) > 1:
+                solver._attach(rest)
+                continue
+            if rest:
+                solver._enqueue(rest[0])
+            if not rest or solver._propagate() is not None:
+                solver.ok = False
+                break
+    solver._order_new()
+    return solver.ok
 
 
 def _grown_cases():
