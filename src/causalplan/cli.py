@@ -290,7 +290,7 @@ def cmd_demo(args) -> int:
                 raise _UsageError("give --start/--goal, or a world with two landmarks")
             starts, goals = [marks[0], marks[1]], [marks[1], marks[0]]
         robots = args.robots if args.robots is not None else len(starts)
-        bundle = build_mapp(world, robots, starts, goals)
+        bundle = build_mapp(world, robots, starts, goals, args.horizon)
     problem = bundle.problem
     if getattr(args, "noconcurrency", False):
         problem = dataclasses.replace(problem, noconcurrency=True)
@@ -330,6 +330,17 @@ def _positive_seconds(text: str) -> float:
     if not s > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return s
+
+
+def _horizon_range(text: str) -> tuple[int, int]:
+    lo, sep, hi = text.partition("..")
+    try:
+        bounds = (int(lo), int(hi))
+    except ValueError:
+        bounds = (-1, -1)
+    if not sep or not 0 <= bounds[0] <= bounds[1]:
+        raise argparse.ArgumentTypeError(f"expected LO..HI with 0 <= LO <= HI, got {text!r}")
+    return bounds
 
 
 def _add_limits(p):
@@ -420,6 +431,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--start", action="append", metavar="CELL",
                            help="landmark name or x,y (repeat per robot)")
             p.add_argument("--goal", action="append", metavar="CELL")
+            p.add_argument("--horizon", type=_horizon_range, default=(0, 10),
+                           metavar="LO..HI", help="horizons to search (default 0..10)")
         p.set_defaults(func=cmd_demo)
     return top
 

@@ -28,6 +28,17 @@ symbolic, and window_truth values timed literals over a trajectory, so
 validate_plan and the test suite's enumeration oracles check plans
 without touching the template.
 
+A support H <-> B1 | ... | Bk is clausified in a smaller form than the
+plain biconditional (see _ClauseSink): a body that holds H, as
+inertia's and exogeneity's do, loses H and its "body implies head"
+clause, every other body implies H in one clause, and a multi-literal
+body in H's own clause is a one-way definition variable, an "arm" d
+with only d -> body.  The models projected onto the atoms are exactly
+the completion's, while an arm may be false where its body holds:
+enumerate_models and predict project onto atoms, so a free arm adds no
+outcome, and an outside solver's values for a DIMACS file's "c aux"
+variables mean nothing.
+
 Semantics in brief: a rule ``head <- body`` says the head literal is
 caused whenever the body holds.  The completion asserts that a literal
 holds exactly when one of its rule bodies fires.  Every positive atom
@@ -448,7 +459,22 @@ class _ClauseSink:
     over n values is one "at least one" clause plus pairwise "not both"
     clauses for n <= PAIRWISE_MAX_VALUES, or a sequential counter (Sinz,
     "Towards an Optimal CNF Encoding of Boolean Cardinality Constraints",
-    2005) above that."""
+    2005) above that.
+
+    A support H <-> B1 | ... | Bk becomes:
+    - for a body that contains H: no clause of its own, since it implies
+      H; in H's clause it stands for the rest of the body, so
+      H <-> (H & X) | R becomes (~H | X | R) & (R -> H), and a body that
+      is H alone leaves only R -> H;
+    - for every other body b1 & ... & bn: (H | ~b1 | ... | ~bn);
+    - H's clause (~H | a1 | ...), where a one-literal body is its literal
+      and a longer one an arm d with (~d | l) for each body literal l.
+    An arm occurs positively in H's clause only, so it needs no
+    (d | ~b1 | ...) clause (Plaisted & Greenbaum, "A Structure-preserving
+    Clause Form Translation", 1986).  arms() keeps both directions for
+    its callers: an asserted query disjunction, and ChargeCounter's
+    charges, each of which occurs only negatively, in (~c | register),
+    and so must be forced true by its body."""
 
     def __init__(self, var_count: int):
         self.var_count = var_count
@@ -489,19 +515,25 @@ class _ClauseSink:
         return arms
 
     def _add_support(self, head: int, bodies: list[list[int]]) -> None:
-        if not bodies:
-            self._add((-head,))
-            return
-        if len(bodies) == 1:
-            b = bodies[0]
-            for l in b:
-                self._add((-head, l))
-            self._add([head] + [-l for l in b])
-            return
-        arms = self.arms(bodies)
-        self._add([-head] + arms)
-        for a in arms:
-            self._add((head, -a))
+        """head <-> B1 | ... | Bk, in the form the class docstring gives."""
+        disjuncts = [[l for l in b if l != head] for b in bodies]
+        if all(disjuncts):  # else a body is head alone, and head -> true
+            if len(disjuncts) == 1:
+                for l in disjuncts[0]:
+                    self._add((-head, l))
+            else:
+                self._add([-head] + [b[0] if len(b) == 1 else self._one_way_arm(b)
+                                     for b in disjuncts])
+        for b in bodies:
+            if head not in b:
+                self._add([head] + [-l for l in b])
+
+    def _one_way_arm(self, body: list[int]) -> int:
+        """A fresh d -> AND(body)."""
+        d = self.fresh()
+        for l in body:
+            self._add((-d, l))
+        return d
 
     def _add_formula(self, f: CompletionFormula, lit) -> None:
         """Clausify f, numbering timed literals with lit."""

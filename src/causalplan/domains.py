@@ -196,11 +196,13 @@ def _resolve_cell(world: GridWorld, spec, what: str) -> tuple[int, int]:
     return x, y
 
 
-def build_mapp(world: GridWorld, num_robots: int, starts, goals) -> DomainBundle:
+def build_mapp(world: GridWorld, num_robots: int, starts, goals,
+               horizon: tuple[int, int] = (0, 10)) -> DomainBundle:
     """Multi-robot path planning on a grid.  at(r) ranges over free cells;
     move(r, dir) shifts one robot to a 4-adjacent free cell.  Robots never
     share a cell and never swap head-on; concurrent moves are allowed.
-    starts and goals are landmark names or (x, y) pairs."""
+    starts and goals are landmark names or (x, y) pairs; the problem
+    searches the horizons lo..hi of horizon."""
     if num_robots < 1:
         raise ValueError("need at least one robot")
     if len(starts) != num_robots or len(goals) != num_robots:
@@ -264,6 +266,6 @@ def build_mapp(world: GridWorld, num_robots: int, starts, goals) -> DomainBundle
     init = " & ".join(f"at({r})={_cell_name(*c)}" for r, c in zip(robots, start_cells))
     goal = " & ".join(f"at({r})={_cell_name(*c)}" for r, c in zip(robots, goal_cells))
     problem = parse_problem(
-        f":init {init};\n:goal {goal};\n:horizon 0..10;\n",
+        f":init {init};\n:goal {goal};\n:horizon {horizon[0]}..{horizon[1]};\n",
         domain, source="<mapp-problem>")
     return DomainBundle(domain, problem, world=world, expected=None)

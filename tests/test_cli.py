@@ -371,6 +371,19 @@ def test_demo_mapp_defaults_to_swapping_landmarks(tmp_path, capsys):
     assert "plan: 2 step(s)" in capsys.readouterr().out
 
 
+def test_demo_mapp_horizon_bounds_the_search(tmp_path, capsys):
+    # the swap on an open 3x3 grid takes 4 steps
+    w = tmp_path / "grid.world"
+    w.write_text("1..\n...\n..2\n")
+    assert main(["demo", "mapp", "--world", str(w), "--horizon", "0..3"]) == 1
+    assert capsys.readouterr().out == "no plan up to horizon 3\n"
+    assert main(["demo", "mapp", "--world", str(w), "--horizon", "2..4"]) == 0
+    assert "plan: 4 step(s)" in capsys.readouterr().out
+    for bad in ("3", "4..3", "-1..3", "a..b"):
+        assert main(["demo", "mapp", "--world", str(w), f"--horizon={bad}"]) == 3
+        assert "LO..HI" in capsys.readouterr().err
+
+
 def test_demo_mapp_without_world_is_usage_error(capsys):
     assert main(["demo", "mapp"]) == 3
     assert "usage error" in capsys.readouterr().err
@@ -494,12 +507,12 @@ def test_dimacs_exports_keep_their_clause_and_literal_counts(tmp_path, capsys):
     init, goal, extras, _, hi = close_problem(toh.domain, toh.problem, toh.registry)
     enc = encode_problem(ground(toh.domain, toh.registry), init, goal, extras, hi,
                          noconcurrency=toh.problem.noconcurrency)
-    assert _clause_and_literal_counts(emit_dimacs(enc.cnf())) == (13_798, 28_588)
+    assert _clause_and_literal_counts(emit_dimacs(enc.cnf())) == (12_118, 24_808)
     domain, *world = _grid_args()
     cnf_file = tmp_path / "grid.cnf"
     assert main(["plan", domain, str(samples_dir() / "boxes-grid.prob"), *world,
                  "--solver", "dimacs-out", str(cnf_file)]) == 0
-    assert _clause_and_literal_counts(cnf_file.read_text()) == (665, 1_522)
+    assert _clause_and_literal_counts(cnf_file.read_text()) == (376, 880)
 
 
 def test_model_in_refuses_a_plan_over_the_deadline(tmp_path, capsys):

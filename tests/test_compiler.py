@@ -6,6 +6,7 @@ package's own solver.
 """
 
 import hashlib
+import itertools
 import re
 from collections import Counter
 
@@ -15,8 +16,9 @@ import oracles
 import toy_domains
 from causalplan import compile_cnf, parse_domain
 from causalplan.compiler import (CompileError, Encoder, ExactlyOne, Nogood,
-                                 Support, TimedAtom, TimedLit, _dnf, atom_table,
-                                 completion_for, desugar, eval_completion, unroll)
+                                 Support, TimedAtom, TimedLit, _ClauseSink, _dnf,
+                                 atom_table, completion_for, desugar, eval_completion,
+                                 unroll)
 from causalplan.grounding import GroundDomain, ground
 from causalplan.model import FINAL, And, AtomF, Caused, Not, formula_atoms
 from causalplan.sat import Solver, emit_dimacs, enumerate_models
@@ -248,9 +250,9 @@ def test_variable_numbering_keeps_each_steps_numbers_as_it_grows():
     assert atoms_str(cnf) == ["b@0", "flip@0", "b@1", "flip@1", "b@2"]
     # b@0 and step 0's activation variable 2; each new step numbers, after
     # every variable in use, the actions before it, its fluents, its
-    # activation variable and its definition variables (6 and 7 at step 1)
-    assert [cnf.index[ta] for ta in cnf.atoms] == [1, 3, 4, 8, 9]
-    assert cnf.rows == [(1, 3), (4, 8), (9, 0)]
+    # activation variable and its definition variables (6 at step 1)
+    assert [cnf.index[ta] for ta in cnf.atoms] == [1, 3, 4, 7, 8]
+    assert cnf.rows == [(1, 3), (4, 7), (8, 0)]
     assert compile_cnf(gd, 1).index.items() <= cnf.index.items()
 
 
@@ -283,6 +285,37 @@ def test_tautological_clauses_dropped():
   constraint p | ~p;
 """), 0)
     assert model_set(cnf) == {(True,), (False,)}
+
+
+# (head, bodies, the clauses _add_support writes) over variables 1..5:
+# a body that is the head alone, whose support leaves only "the other
+# body implies head"; an own-head body next to another body; and three
+# multi-literal bodies, each with a one-way arm
+SUPPORT_SHAPES = [
+    (1, [[1], [2, 3]], [(1, -2, -3)]),
+    (1, [[1, 2], [3, 4]], [(-6, 3), (-6, 4), (-1, 2, 6), (1, -3, -4)]),
+    (1, [[2, 3], [-2, 4], [3, -4, 5]],
+     [(-6, 2), (-6, 3), (-7, -2), (-7, 4), (-8, 3), (-8, -4), (-8, 5), (-1, 6, 7, 8),
+      (1, -2, -3), (1, 2, -4), (1, -3, 4, -5)]),
+]
+
+
+@pytest.mark.parametrize("head,bodies,clauses", SUPPORT_SHAPES,
+                         ids=["head alone", "own head", "three bodies"])
+def test_support_clauses_have_the_models_of_the_biconditional(head, bodies, clauses):
+    # by truth table, with the arms (variables above 5) existentially
+    # quantified: the clauses' models on 1..5 are those of head <-> OR(bodies)
+    sink = _ClauseSink(5)
+    sink._add_support(head, bodies)
+    assert sink.clauses == clauses
+    got = {m[:5] for m in oracles.truth_table_models(sink.var_count, sink.clauses)}
+
+    def holds(m, l):
+        return m[abs(l) - 1] == (l > 0)
+
+    want = {m for m in itertools.product((False, True), repeat=5)
+            if holds(m, head) == any(all(holds(m, l) for l in b) for b in bodies)}
+    assert got == want
 
 
 # --- encoder ----------------------------------------------------------------------
@@ -395,17 +428,32 @@ class SymbolicClauses:
         return out
 
     def support(self, head, bodies):
-        if not bodies:
+        """head <-> OR(bodies): a body that holds head implies it, so head
+        leaves that body and the body gets no clause that it implies head;
+        a body that is head alone makes head's own clause true.  Each other
+        body b implies head in one clause, and a multi-literal body in
+        head's clause is an arm d with d -> b only."""
+        own = [b for b in bodies if head in b]
+        rest = [b for b in bodies if head not in b]
+        cases = [[l for l in b if l != head] for b in own] + rest
+        if not cases:
             self.add((-head,))
-        elif len(bodies) == 1:
-            for l in bodies[0]:
+        elif len(cases) == 1:
+            for l in cases[0]:
                 self.add((-head, l))
-            self.add([head] + [-l for l in bodies[0]])
-        else:
-            arms = self.arms(bodies)
+        elif all(cases):
+            arms = []
+            for b in cases:
+                if len(b) == 1:
+                    arms.append(b[0])
+                    continue
+                d = self.fresh()
+                for l in b:
+                    self.add((-d, l))
+                arms.append(d)
             self.add([-head] + arms)
-            for a in arms:
-                self.add((head, -a))
+        for b in rest:
+            self.add([head] + [-l for l in b])
 
     def assert_formula(self, f, step):
         for atom in formula_atoms(f):
@@ -517,34 +565,33 @@ def _encode_both(gd, query, h, noconcurrency):
 
 def _by_meaning(clauses, atom_of):
     """The clauses as a multiset over what each variable stands for: a
-    timed atom (atom_of), the conjunction that a definition variable d's
-    clauses (-d, l)... and (d, -l1, ...) define, one shared falsum for a
-    variable with the units (v,) and (-v,), or, for a sequential-counter
-    register r, the set of timed atoms it covers: those x with a clause
-    (-x, r), and those covered by a register r' with a clause (-r', r)
-    that comes earlier.  A variable that is none of these raises
-    KeyError."""
+    timed atom (atom_of), the conjunction of the atom literals l with a
+    clause (-d, l) for a definition variable d (whether or not a clause
+    (d, -l1, ...) also defines it), one shared falsum for a variable with
+    the units (v,) and (-v,), or, for a sequential-counter register r,
+    the set of timed atoms it covers: those x with a clause (-x, r), and
+    those covered by a register r' with a clause (-r', r) that comes
+    earlier.  A variable that is none of these raises KeyError."""
     name = dict(atom_of)
-    covers = {}
+    covers, conjuncts = {}, {}
 
     def lit(l):
         return name[abs(l)], l > 0
 
     units = {c[0] for c in clauses if len(c) == 1}
-    binaries = {c for c in clauses if len(c) == 2}
     for c in clauses:
         d = c[0]
-        if len(c) == 2 and d < 0 < c[1] and c[1] not in name:
+        if len(c) == 2 and d < 0 and -d not in name:
+            if abs(c[1]) in name:
+                conjuncts.setdefault(-d, set()).add(lit(c[1]))
+        elif len(c) == 2 and d < 0 < c[1] and c[1] not in name:
             if -d in name:
                 covers.setdefault(c[1], set()).add(name[-d])
             elif -d in covers:
                 covers.setdefault(c[1], set()).update(covers[-d])
-        if d < 0 or d in name:
-            continue
-        if len(c) == 1 and -d in units:
+        if len(c) == 1 and d > 0 and d not in name and -d in units:
             name[d] = "falsum"
-        elif len(c) > 1 and all((-d, -l) in binaries for l in c[1:]):
-            name[d] = ("and", frozenset(lit(-l) for l in c[1:]))
+    name.update((d, ("and", frozenset(ls))) for d, ls in conjuncts.items())
     name.update((r, ("covers", frozenset(atoms))) for r, atoms in covers.items())
     return Counter(tuple(map(lit, c)) for c in clauses)
 
@@ -654,11 +701,11 @@ def test_encoder_refuses_a_law_that_sets_the_last_step_apart(make):
 # at h = 0..3, each without and then with :noconcurrency, or build_toh(4)
 # at h = 15
 ENCODING_DIGESTS = {
-    "boxes": "02419a8216ef6ca5",
-    "boxes-grid": "3ce68e4c7f80bfa0",
-    "mapp": "38147d6b38492e29",
-    "toh": "bae41bc9d9e4cbd0",
-    "build_toh(4)": "f4c580e7cb31d946",
+    "boxes": "84d8582f2aa6cbf3",
+    "boxes-grid": "00d82c72ef49e653",
+    "mapp": "f31be83ac6a5e2e5",
+    "toh": "936019d82c61d150",
+    "build_toh(4)": "02f011ecaafdc9b9",
 }
 
 

@@ -335,7 +335,7 @@ def test_search_counters_on_toh4_are_pinned(monkeypatch):
     assert isinstance(out, PlanFound) and out.horizon == 15
     assert len(made) == 1
     stats = made[0].stats
-    assert (stats.conflicts, stats.decisions, stats.propagations) == (235, 506, 22566)
+    assert (stats.conflicts, stats.decisions, stats.propagations) == (278, 647, 18208)
 
 
 def test_search_counters_on_mapp_5x5_are_pinned(monkeypatch):
@@ -355,7 +355,7 @@ def test_search_counters_on_mapp_5x5_are_pinned(monkeypatch):
     assert isinstance(out, PlanFound) and out.horizon == 8
     assert len(made) == 1
     stats = made[0].stats
-    assert (stats.conflicts, stats.decisions, stats.propagations) == (6, 14, 3068)
+    assert (stats.conflicts, stats.decisions, stats.propagations) == (6, 14, 2609)
 
 
 # --- loading a grown encoding ------------------------------------------------------
