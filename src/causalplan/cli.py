@@ -334,13 +334,9 @@ def _positive_seconds(text: str) -> float:
 
 def _horizon_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
-    try:
-        bounds = (int(lo), int(hi))
-    except ValueError:
-        bounds = (-1, -1)
-    if not sep or not 0 <= bounds[0] <= bounds[1]:
-        raise argparse.ArgumentTypeError(f"expected LO..HI with 0 <= LO <= HI, got {text!r}")
-    return bounds
+    if sep and lo.isdecimal() and hi.isdecimal() and int(lo) <= int(hi):
+        return int(lo), int(hi)
+    raise argparse.ArgumentTypeError(f"expected LO..HI with 0 <= LO <= HI, got {text!r}")
 
 
 def _add_limits(p):

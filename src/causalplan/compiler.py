@@ -507,9 +507,7 @@ class _ClauseSink:
             if len(b) == 1:
                 arms.append(b[0])
                 continue
-            d = self.fresh()
-            for l in b:
-                self._add((-d, l))
+            d = self._one_way_arm(b)
             self._add([d] + [-l for l in b])
             arms.append(d)
         return arms

@@ -201,8 +201,8 @@ def build_mapp(world: GridWorld, num_robots: int, starts, goals,
     """Multi-robot path planning on a grid.  at(r) ranges over free cells;
     move(r, dir) shifts one robot to a 4-adjacent free cell.  Robots never
     share a cell and never swap head-on; concurrent moves are allowed.
-    starts and goals are landmark names or (x, y) pairs; the problem
-    searches the horizons lo..hi of horizon."""
+    starts and goals are landmark names or (x, y) pairs, and horizon is
+    the problem's (lo, hi) window."""
     if num_robots < 1:
         raise ValueError("need at least one robot")
     if len(starts) != num_robots or len(goals) != num_robots:
