@@ -106,6 +106,11 @@ def in_process(argv, workdir: Path) -> tuple[int, bytes]:
 def through(prefix: list[str]):
     """An invoke that runs prefix + argv as a child process."""
     env = {k: v for k, v in os.environ.items() if k != "CAUSALPLAN_SEED"}
+    if env.get("PYTHONPATH"):
+        # the commands run in another directory, so PYTHONPATH=src must
+        # still find the package
+        env["PYTHONPATH"] = os.pathsep.join(
+            os.path.abspath(p) if p else p for p in env["PYTHONPATH"].split(os.pathsep))
 
     def invoke(argv, workdir: Path) -> tuple[int, bytes]:
         done = subprocess.run([*prefix, *argv], cwd=workdir, env=env,

@@ -501,8 +501,8 @@ def _clause_and_literal_counts(dimacs: str) -> tuple[int, int]:
 
 
 def test_dimacs_exports_keep_their_clause_and_literal_counts(tmp_path, capsys):
-    # the counts of the step-major layout that the grown one replaced: the
-    # variables are numbered differently, but the clauses are the same
+    # the clause and literal counts of each export, which a change to the
+    # clause form moves on purpose
     toh = build_toh(4)
     init, goal, extras, _, hi = close_problem(toh.domain, toh.problem, toh.registry)
     enc = encode_problem(ground(toh.domain, toh.registry), init, goal, extras, hi,

@@ -581,9 +581,8 @@ def _by_meaning(clauses, atom_of):
     units = {c[0] for c in clauses if len(c) == 1}
     for c in clauses:
         d = c[0]
-        if len(c) == 2 and d < 0 and -d not in name:
-            if abs(c[1]) in name:
-                conjuncts.setdefault(-d, set()).add(lit(c[1]))
+        if len(c) == 2 and d < 0 and -d not in name and abs(c[1]) in name:
+            conjuncts.setdefault(-d, set()).add(lit(c[1]))
         elif len(c) == 2 and d < 0 < c[1] and c[1] not in name:
             if -d in name:
                 covers.setdefault(c[1], set()).add(name[-d])
