@@ -25,8 +25,10 @@ Pipeline (each stage is exposed for testing):
 cnf() is, up to the numbering of its variables, clause for clause the
 clausified completion_for(h); completion_for and eval_completion stay
 symbolic, and window_truth values timed literals over a trajectory, so
-validate_plan and the test suite's enumeration oracles check plans
-without touching the template.
+the test suite's enumeration oracles check the encoding without
+touching the template.  validate_plan shares none of this: it checks a
+plan law by law (semantics.py), and the tests hold the two readings to
+the same states, transitions and verdicts.
 
 A support H <-> B1 | ... | Bk is clausified in a smaller form than the
 plain biconditional (see _ClauseSink): a body that holds H, as
@@ -47,7 +49,12 @@ false).  The negated face of a Boolean constant gets one only when some
 rule has that negative head (inertia and exogeneity rules do); an
 unruled negative face is left unconstrained rather than forced, which
 is what makes partially described constants behave leniently instead of
-pinning them true.
+pinning them true.  The reading is lenient in one more way: _dnf drops
+a body that is contradictory as written (one that needs some atom both
+true and false, as "q & ~q" does), so a law whose if-part or after-part
+is contradictory as written makes no rule, and its head is not ruled by
+it.  "caused p=false if q & ~q" therefore leaves p's false face as free
+as "caused p=false if false" does.
 
 Timing: fluent atoms live at steps 0..h, action atoms at 0..h-1.
 Static rules are stamped at every step where their atoms exist; after-

@@ -15,8 +15,8 @@ horizon 0 and then 1 the same way.  predict grows the encoding to its
 one horizon, loads it into its solver with the activation literal
 asserted, and enumerates the models there, blocking the fluent values
 of each.  decode_model reads every model through the encoding's rows.
-validate_plan checks a trajectory against the completion formulas
-without any solver.
+validate_plan checks a trajectory law by law (semantics.py), with no
+completion, clause or solver.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ import re
 from dataclasses import dataclass
 
 from .charges import ChargeCounter
-# compile_cnf and sat_solve are not called here, but stay importable from
-# this module: tools that trace its layers hook them by name
-from .compiler import (Encoder, compile_cnf, completion_for, eval_completion,
-                       window_truth)
+# compile_cnf, completion_for, eval_completion and sat_solve are not
+# called here, but stay importable from this module: tools that trace its
+# layers hook them by name
+from .compiler import Encoder, compile_cnf, completion_for, eval_completion
 from .grounding import ExternalRegistry, GroundDomain, close_formula, ground
 from .model import (FINAL, ActionArg, ActionCost, Atom, AtomF,
                     DomainDescription, FluentRef, Formula, GroundInstance,
@@ -37,6 +37,7 @@ from .model import (FINAL, ActionArg, ActionCost, Atom, AtomF,
                     instance_str, mentions_action, split_top_level)
 from .sat import Solver, enumerate_models
 from .sat import solve as sat_solve
+from .semantics import check_trajectory
 
 __all__ = [
     "ActionArg", "ActionCost", "Consistent", "FluentRef", "Inconsistent",
@@ -354,10 +355,14 @@ def predict(domain: DomainDescription, init, actions,
 def validate_plan(domain: DomainDescription, problem: PlanningProblem, p: Plan,
                   registry: ExternalRegistry | None = None,
                   *, costs=()) -> tuple[bool, list[str]]:
-    """Check a plan by direct evaluation of the completion formulas; the SAT
-    solver is never involved, so this is an independent route.  As in
-    plan, a cost model for an action the domain does not declare raises
-    ValueError."""
+    """Check a plan by evaluating every ground law at every step
+    (semantics.check_trajectory), then the problem's formulas and cost
+    deadline.  Neither the completion, the clauses nor the solver is
+    involved, so this is a route independent of the one that finds plans.
+    Of the laws the plan breaks, only those of the first step at which it
+    breaks one are reported, each with its step and its law or built-in
+    rule; later faults often follow from that one.  As in plan, a cost
+    model for an action the domain does not declare raises ValueError."""
     check_cost_actions(domain, costs)
     issues: list[str] = []
     gd = ground(domain, registry)
@@ -387,11 +392,9 @@ def validate_plan(domain: DomainDescription, problem: PlanningProblem, p: Plan,
     if issues:
         return False, issues
 
-    truth = window_truth(p.trajectory, step_sets)
-    bad = eval_completion(
-        completion_for(gd, h, noconcurrency=problem.noconcurrency), truth)
-    if bad is not None:
-        issues.append(f"causal semantics violated: {bad}")
+    broken = check_trajectory(gd, p.trajectory, step_sets,
+                              noconcurrency=problem.noconcurrency)
+    issues += [str(v) for v in broken if v.step == broken[0].step]
 
     def holds(f: Formula, step: int, label: str) -> bool:
         if mentions_action(f) and step >= h:

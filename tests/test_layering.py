@@ -1,7 +1,8 @@
 """Module layering: the brute-force oracles (enumeration.py, beside this
 file) share no code with the SAT route they cross-check, so an encoder or solver fault cannot agree with
-itself through them, and neither they nor validate_plan can reach the
-clauses that encode a cost deadline."""
+itself through them; validate_plan checks plans law by law (semantics.py)
+without the completion or the clauses; and neither the oracles nor
+validate_plan can reach the clauses that encode a cost deadline."""
 
 import ast
 from pathlib import Path
@@ -56,15 +57,26 @@ def test_oracles_do_not_use_the_clause_template():
     assert not used, f"enumeration.py uses the clause template: {sorted(used)}"
 
 
-def test_validate_plan_evaluates_the_completion_without_the_encoder():
+# what builds the completion or the clauses: the law-level check and
+# validate_plan, which uses it, must reach none of it
+COMPLETION_NAMES = {"completion_for", "eval_completion", "window_truth", "unroll", "complete"}
+SEMANTICS = Path(causalplan.__file__).with_name("semantics.py")
+
+
+def test_validate_plan_checks_the_laws_without_the_completion():
     path = Path(causalplan.__file__).with_name("planner.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    body = next(node for node in ast.walk(tree)
-                if isinstance(node, ast.FunctionDef) and node.name == "validate_plan")
-    used = set(_names(body))
-    assert "completion_for" in used and "eval_completion" in used
-    bad = used & (TEMPLATE_NAMES | FORBIDDEN_NAMES)
-    assert not bad, f"validate_plan reaches the clause builder: {sorted(bad)}"
+    used = _reached(ast.parse(path.read_text(encoding="utf-8")), "validate_plan")
+    assert "check_trajectory" in used
+    bad = used & (COMPLETION_NAMES | TEMPLATE_NAMES | FORBIDDEN_NAMES)
+    assert not bad, f"validate_plan reaches the completion or the clause builder: {sorted(bad)}"
+
+
+def test_the_law_level_check_imports_nothing_from_the_compiler():
+    bad = [f"{m}.{n}" if n else m for m, n in _imports(SEMANTICS)
+           if m == "causalplan.compiler" or n == "compiler"]
+    assert bad == [], f"semantics.py imports from the compiler: {bad}"
+    used = set(_names(ast.parse(SEMANTICS.read_text(encoding="utf-8"))))
+    assert not used & (COMPLETION_NAMES | TEMPLATE_NAMES | FORBIDDEN_NAMES)
 
 
 def _reached(tree, start: str) -> set[str]:
@@ -96,7 +108,8 @@ def test_validate_plan_cannot_reach_the_cost_encoder():
 
 def test_modules_the_checks_draw_on_do_not_import_the_cost_encoder():
     package = Path(causalplan.__file__).parent
-    for path in (ENUMERATION, *(package / f"{n}.py" for n in ("compiler", "grounding", "model"))):
+    for path in (ENUMERATION, *(package / f"{n}.py"
+                                for n in ("compiler", "grounding", "model", "semantics"))):
         bad = [f"{m}.{n}" if n else m for m, n in _imports(path)
                if m == "causalplan.charges" or n in ("charges", "ChargeCounter")]
         assert bad == [], f"{path.name} imports the cost encoder: {bad}"
