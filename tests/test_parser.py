@@ -14,6 +14,7 @@ from causalplan.model import (BOOLEAN, And, AtomF, Caused, Causes,
 from causalplan.parser import (_PUNCT, MAX_DIAGNOSTICS, ParseError, _DomainParser,
                                _lex, _ProblemParser)
 
+import parser_golden
 import sample_files
 
 
@@ -505,28 +506,21 @@ def test_roundtrip_random_domains(text):
 
 # --- property: one mistake is reported once -----------------------------------------
 
-# each mutated sample with the domain it is parsed against
-_MUTATED = {"boxes.cp": None, "boxes-grid.cp": None, "mapp.cp": None, "toh.cp": None,
-            "boxes.prob": "boxes.cp", "boxes-grid.prob": "boxes-grid.cp",
-            "mapp.prob": "mapp.cp", "toh.prob": "toh.cp", "boxes.query": "boxes.cp"}
-
-
 @st.composite
 def _mutants(draw):
     """A sample file with one token deleted, replaced by ';', or preceded
     by an inserted name or punctuation mark."""
-    name = draw(st.sampled_from(sorted(_MUTATED)))
+    name = draw(st.sampled_from(sorted(parser_golden.PARSED)))
     text = (sample_files.samples_dir() / name).read_text()
     toks = _lex(text, name, lambda msg, span: None)
     tok = toks[draw(st.integers(0, len(toks) - 1))]
     start = sum(len(line) + 1 for line in text.split("\n")[:tok.line - 1]) + tok.col - 1
-    op = draw(st.sampled_from(["delete", "semi", "name", "punct"]))
-    if op in ("delete", "semi"):
-        new = "" if op == "delete" else ";"
-        return name, text[:start] + new + text[start + len(tok.text):]
-    names = ["x"] + [t.text for t in toks if t.kind == "NAME"]
-    new = draw(st.sampled_from(names if op == "name" else sorted(_PUNCT)))
-    return name, text[:start] + f" {new} " + text[start:]
+    op = draw(st.sampled_from(parser_golden.OPS))
+    new = ""
+    if op in ("name", "punct"):
+        names = ["x"] + [t.text for t in toks if t.kind == "NAME"]
+        new = draw(st.sampled_from(names if op == "name" else sorted(_PUNCT)))
+    return name, parser_golden.mutate(text, start, len(tok.text), op, new)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -534,11 +528,19 @@ def _mutants(draw):
 def test_a_mutated_sample_reports_no_place_twice(mutant):
     name, text = mutant
     try:
-        if _MUTATED[name] is None:
+        if parser_golden.PARSED[name] is None:
             parse_domain(text, name)
         else:
-            domain = parse_domain((sample_files.samples_dir() / _MUTATED[name]).read_text())
+            domain = parse_domain((sample_files.samples_dir() / parser_golden.PARSED[name]).read_text())
             (parse_query if name.endswith(".query") else parse_problem)(text, domain, name)
     except ParseError as e:
         places = [astuple(d.span)[1:3] for d in e.diagnostics]
         assert len(places) == len(set(places)), [str(d) for d in e.diagnostics]
+
+
+def test_parser_matches_golden():
+    # parser_golden.json pins the parsed objects and the diagnostics
+    golden = parser_golden.pinned()
+    assert parser_golden.parse_digests() == golden["parses"]
+    mutants = [{k: v for k, v in m.items() if k != "diagnostics"} for m in golden["mutants"]]
+    assert parser_golden.mutant_diagnostics(mutants) == golden["mutants"]
