@@ -21,9 +21,22 @@ Problems:
 
     :init atRobo=L1;  :goal atObj(B1)=L3;  :horizon 0..10;
 
-``%`` starts a comment.  The lexer is one compiled regular expression;
-its tokens are plain tuples, and a token's SourceSpan is built only for
-what keeps one: a diagnostic, a sort, a constant or a law.
+``%`` starts a comment.
+
+Tokens are three parallel lists, the kinds, texts and start offsets, and
+a token is its index into them.  The lexer builds them in a few passes
+that run in C: one regular-expression scan yields each token with the
+blanks after it, and map() and accumulate() split those pairs into the
+lists.  No Python code runs per token, and no object is made per token
+but its text; equal texts are one str object.  Kinds are decided once
+per distinct text.  A token's line and column are worked out from its
+offset only when a SourceSpan is needed (a diagnostic, a sort, a
+constant or a law), by bisecting the offsets at which lines start.
+
+A formula may sit inside at most MAX_NESTING of ``(`` and ``~``, so
+that parsing and everything after it stay well inside Python's
+recursion limit.  The ``(`` or ``~`` one level deeper is reported as a
+diagnostic, like any other mistake.
 
 Parsing never raises on bad input by accident: every failure is
 reported as a Diagnostic with a source span, at most MAX_DIAGNOSTICS of
@@ -41,22 +54,26 @@ them, so that one mistake gives one diagnostic:
   name is passed.
 
 A constant whose declaration was reported is not reported again as
-unknown where a law uses it.
+unknown where a law uses it, and no place is reported twice.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from bisect import bisect_right
+from functools import cached_property
+from itertools import accumulate, chain, compress
+from operator import itemgetter
 
 from .model import (
-    BOOLEAN, FALSE, FINAL, TRUE, And, Atom, AtomF, Caused, Causes, Constant,
+    BOOLEAN, FALSE, FINAL, TRUE, Atom, AtomF, Caused, Causes, Constant,
     Constraint, Diagnostic, DomainDescription, Exogenous, ExternalCall,
-    Formula, Inertial, Kind, Law, Nonexecutable, Not, Or, PlanningProblem,
-    Sort, SourceSpan, TrueF, canonical, conj, disj, instance_str, neg,
+    Formula, Inertial, Kind, Law, Nonexecutable, PlanningProblem, Sort,
+    SourceSpan, TrueF, canonical, conj, disj, instance_str, neg,
 )
 
 MAX_DIAGNOSTICS = 25
+MAX_NESTING = 100  # '(' and '~' a formula may sit in
 
 
 class ParseError(Exception):
@@ -74,89 +91,118 @@ _PUNCT = {
     "@": "AT", "/": "SLASH",
 }
 
-# One named alternative per token kind, tried in this order; each
-# punctuation mark is its own group, so a match's lastgroup is its kind.
-# An integer is decimal digits only, which int() always accepts.
-_TOKEN = re.compile("|".join([
-    r"(?P<SKIP>[ \t\r]+|%[^\n]*)",
-    r"(?P<NEWLINE>\n)",
-    r"(?P<SECTION>:[^\W\d]\w*)",
-    r"(?P<NAME>[^\W\d]\w*)",
-    r"(?P<INT>\d+)",
-    *(f"(?P<{kind}>{re.escape(mark)})" for mark, kind in _PUNCT.items()),
-    r"(?P<OTHER>.)",
-]))
+# Every token kind with its pattern, in the order they are tried.  An
+# integer is decimal digits only, which int() always accepts.
+_KINDS = [
+    ("SECTION", r":[^\W\d]\w*"),
+    ("NAME", r"[^\W\d]\w*"),
+    ("INT", r"\d+"),
+    *((kind, re.escape(mark)) for mark, kind in _PUNCT.items()),
+    ("OTHER", "."),
+]
+_BLANKS = " \t\r\n"
+# A token and the blanks after it.  Its one unbounded repeat that can
+# run long is the blanks', which nothing else matches, so the scan makes
+# one pass over the text with no backtracking.
+_SCAN = re.compile("(" + "|".join(p for _, p in _KINDS) + f")([{_BLANKS}]*)")
+# The kind of a token's text: the alternative that scanned a token is the
+# first that matches its text, since every earlier one failed on it.
+_KIND = re.compile("|".join(f"(?P<{kind}>{p})" for kind, p in _KINDS))
+_COMMENT = re.compile(r"%[^\n]*")
 
 
-class Token(NamedTuple):
-    kind: str  # SECTION NAME INT punct-kinds EOF
-    text: str
-    line: int
-    col: int
-    source: str
-
-    @property
-    def span(self) -> SourceSpan:
-        return SourceSpan(self.source, self.line, self.col, self.line, self.col + len(self.text))
+def _blank(m: re.Match) -> str:
+    return " " * (m.end() - m.start())
 
 
-def _lex(text: str, source: str, error) -> list[Token]:
-    """Tokens of text, ending in EOF; each unexpected character is passed
-    to error(message, span)."""
-    toks: list[Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "SKIP":
-            continue
-        if kind == "NEWLINE":
-            line += 1
-            line_start = m.end()
-            continue
-        tok = Token(kind, m.group(), line, m.start() - line_start + 1, source)
-        if kind == "OTHER":
-            error(f"unexpected character {tok.text!r}", tok.span)
-        else:
-            toks.append(tok)
-    toks.append(Token("EOF", "", line, len(text) - line_start + 1, source))
-    return toks
+def _lex(text: str) -> tuple[list[str], list[str], list[int]]:
+    """The kinds, texts and start offsets of text's tokens, as three
+    parallel lists.  Index 0 holds a START marker, so every token's index
+    is true; the last token is EOF.  A character that starts no token is
+    an OTHER token of its own."""
+    if "%" in text:
+        # a comment becomes blanks of its own length: offsets stay put
+        text = _COMMENT.sub(_blank, text)
+    first = len(text) - len(text.lstrip(_BLANKS))
+    pairs = _SCAN.findall(text, first)  # (token, blanks after it)
+    texts = list(map(itemgetter(0), pairs))
+    # one str object per distinct text: equal names in the parsed objects
+    # are then one object, and compare by identity
+    one = {t: t for t in set(texts)}
+    texts = list(map(one.__getitem__, texts))
+    kind_of = {t: _KIND.match(t).lastgroup for t in one}
+    # each pair starts where the one before ends; EOF starts after the last
+    offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=first))[::2]
+    return ["START", *map(kind_of.__getitem__, texts), "EOF"], ["", *texts, ""], [0, *offsets]
 
 
 # --- parser ------------------------------------------------------------------
 
 class _Parser:
     def __init__(self, text: str, source: str):
+        self.text = text
+        self.source = source
         self.diags: list[Diagnostic] = []
         self.quiet = False  # reports held back after a broken statement
-        self.toks = _lex(text, source, self.error)
-        self.pos = 0
+        self.kinds, self.texts, self.offsets = _lex(text)
+        self.pos = 1
+        if "OTHER" in self.kinds:
+            self.drop_unexpected()
 
-    # token plumbing
+    def drop_unexpected(self) -> None:
+        """Report each OTHER token and take it out of the token lists."""
+        keep = [k != "OTHER" for k in self.kinds]
+        for i, kept in enumerate(keep):
+            if not kept:
+                self.error(f"unexpected character {self.texts[i]!r}", self.span(i))
+        self.kinds, self.texts, self.offsets = (
+            list(compress(xs, keep)) for xs in (self.kinds, self.texts, self.offsets))
 
-    @property
-    def cur(self) -> Token:
-        return self.toks[self.pos]
+    # token plumbing: a token is its index into the lists
+
+    @cached_property
+    def line_starts(self) -> list[int]:
+        """The offset at which each line starts, and one past the end."""
+        return list(accumulate((len(line) + 1 for line in self.text.split("\n")), initial=0))
+
+    def line(self, i: int) -> int:
+        return bisect_right(self.line_starts, self.offsets[i])
+
+    def span(self, i: int) -> SourceSpan:
+        line = self.line(i)
+        col = self.offsets[i] - self.line_starts[line - 1] + 1
+        return SourceSpan(self.source, line, col, line, col + len(self.texts[i]))
 
     def at(self, kind: str, text: str | None = None) -> bool:
-        t = self.toks[self.pos]
-        return t.kind == kind and (text is None or t.text == text)
+        i = self.pos
+        return self.kinds[i] == kind and (text is None or self.texts[i] == text)
 
-    def advance(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "EOF":
-            self.pos += 1
-            if t.kind == "SEMI" or t.kind == "SECTION":
+    def advance(self) -> int:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind != "EOF":
+            self.pos = i + 1
+            if kind == "SEMI" or kind == "SECTION":
                 self.quiet = False  # a statement boundary: report again
-        return t
+        return i
+
+    def found(self) -> str:
+        return repr(self.texts[self.pos] or "end of input")
 
     def error(self, msg: str, span: SourceSpan | None = None):
-        if not self.quiet and len(self.diags) < MAX_DIAGNOSTICS:
-            self.diags.append(Diagnostic(msg, span or self.cur.span))
+        """Report msg at span (the current token by default), unless a
+        broken statement holds reports back, the cap is reached, or the
+        place was reported already."""
+        if self.quiet or len(self.diags) >= MAX_DIAGNOSTICS:
+            return
+        span = span or self.span(self.pos)
+        if all((d.span.line, d.span.col) != (span.line, span.col) for d in self.diags):
+            self.diags.append(Diagnostic(msg, span))
 
-    def expect(self, kind: str, what: str) -> Token | None:
-        if self.at(kind):
+    def expect(self, kind: str, what: str) -> int | None:
+        if self.kinds[self.pos] == kind:
             return self.advance()
-        self.error(f"expected {what}, found {self.cur.text or 'end of input'!r}")
+        self.error(f"expected {what}, found {self.found()}")
         return None
 
     def statement(self, parse):
@@ -167,8 +213,9 @@ class _Parser:
         result = parse()
         if result is None:
             self.quiet = True
-            while not self.at("EOF") and not self.at("SECTION"):
-                if self.advance().kind == "SEMI":
+            kinds = self.kinds
+            while kinds[self.pos] != "EOF" and kinds[self.pos] != "SECTION":
+                if kinds[self.advance()] == "SEMI":
                     break
         elif self.expect("SEMI", "';'") is None:
             self.quiet = True
@@ -178,11 +225,12 @@ class _Parser:
         """One or more items read by item(*args), separated by sep; None
         as soon as an item fails."""
         items = []
+        kinds = self.kinds
         while (x := item(*args)) is not None:
             items.append(x)
-            if not self.at(sep):
+            if kinds[self.pos] != sep:
                 return items
-            self.advance()
+            self.pos += 1  # a separator is no statement boundary
         return None
 
     def fail(self) -> ParseError:
@@ -202,6 +250,7 @@ class _DomainParser(_Parser):
         self.externals: list[tuple[str, int]] = []
         self.laws: list[Law] = []
         self.scope: dict[str, Sort] = {}  # current `vars` scope
+        self.used: set[str] = set()  # argument and value names of the current law
 
     # sections ---------------------------------------------------------------
 
@@ -235,11 +284,12 @@ class _DomainParser(_Parser):
             self.quiet = True
         while self.at("NAME"):
             t = self.advance()
-            if t.text in self.members:
-                self.error(f"duplicate sort '{t.text}'", t.span)
+            name = self.texts[t]
+            if name in self.members:
+                self.error(f"duplicate sort '{name}'", self.span(t))
             else:
-                self.members[t.text] = []
-                self.sort_spans[t.text] = t.span
+                self.members[name] = []
+                self.sort_spans[name] = self.span(t)
 
     def section_objects(self):
         self.advance()
@@ -248,17 +298,19 @@ class _DomainParser(_Parser):
             if decl is None:
                 continue
             names, sort_t = decl
-            members = self.members.get(sort_t.text)
+            sort_name = self.texts[sort_t]
+            members = self.members.get(sort_name)
             if members is None:
-                self.error(f"unknown sort '{sort_t.text}'", sort_t.span)
+                self.error(f"unknown sort '{sort_name}'", self.span(sort_t))
                 continue
             for t in names:
                 # an object may belong to several sorts (union sorts), but
                 # not twice to the same one
-                if t.text in members:
-                    self.error(f"object '{t.text}' appears twice in sort '{sort_t.text}'", t.span)
+                if self.texts[t] in members:
+                    self.error(f"object '{self.texts[t]}' appears twice in sort '{sort_name}'",
+                               self.span(t))
                 else:
-                    members.append(t.text)
+                    members.append(self.texts[t])
 
     def object_decl(self):
         names = self.separated(self.expect, "NAME", "a name")
@@ -269,9 +321,9 @@ class _DomainParser(_Parser):
         t = self.expect("NAME", what)
         if t is None:
             return None
-        s = self.sorts.get(t.text)
+        s = self.sorts.get(self.texts[t])
         if s is None:
-            self.error(f"unknown sort '{t.text}'", t.span)
+            self.error(f"unknown sort '{self.texts[t]}'", self.span(t))
         return s
 
     def section_constants(self):
@@ -282,12 +334,13 @@ class _DomainParser(_Parser):
         # :objects is behind us, so every sort has its final members
         self.sorts = {n: Sort(n, tuple(m), self.sort_spans[n]) for n, m in self.members.items()}
         while self.at("NAME"):
-            name_t = self.cur
+            name_t = self.pos
             const = self.statement(self.constant_decl)
             if const is None:
-                self.broken.add(name_t.text)
+                self.broken.add(self.texts[name_t])
             elif const.key in self.constants:
-                self.error(f"duplicate constant '{const.name}/{len(const.arg_sorts)}'", name_t.span)
+                self.error(f"duplicate constant '{const.name}/{len(const.arg_sorts)}'",
+                           self.span(name_t))
             else:
                 self.constants[const.key] = const
 
@@ -303,10 +356,10 @@ class _DomainParser(_Parser):
         if kind_t is None:
             return None
         try:
-            kind = Kind(kind_t.text)
+            kind = Kind(self.texts[kind_t])
         except ValueError:
-            self.error(f"unknown constant kind '{kind_t.text}' "
-                       "(expected inertialFluent, simpleFluent, or action)", kind_t.span)
+            self.error(f"unknown constant kind '{self.texts[kind_t]}' "
+                       "(expected inertialFluent, simpleFluent, or action)", self.span(kind_t))
             return None
         value_sort = BOOLEAN
         if self.at("LPAREN"):
@@ -314,7 +367,7 @@ class _DomainParser(_Parser):
             value_sort = self.sort("a value sort")
             if value_sort is None or not self.expect("RPAREN", "')'"):
                 return None
-        return Constant(name_t.text, tuple(arg_sorts), kind, value_sort, name_t.span)
+        return Constant(self.texts[name_t], tuple(arg_sorts), kind, value_sort, self.span(name_t))
 
     def section_externals(self):
         self.advance()
@@ -323,85 +376,111 @@ class _DomainParser(_Parser):
             if decl is None:
                 continue
             name_t, arity = decl
-            if (name_t.text, arity) in self.externals:
-                self.error(f"duplicate external declaration '{name_t.text}/{arity}'", name_t.span)
+            name = self.texts[name_t]
+            if (name, arity) in self.externals:
+                self.error(f"duplicate external declaration '{name}/{arity}'", self.span(name_t))
             else:
-                self.externals.append((name_t.text, arity))
+                self.externals.append((name, arity))
 
     def external_decl(self):
         name_t = self.advance()
         arity_t = self.expect("SLASH", "'/'") and self.expect("INT", "an arity")
-        return (name_t, int(arity_t.text)) if arity_t else None
+        return (name_t, int(self.texts[arity_t])) if arity_t else None
 
     # terms, atoms, formulas ---------------------------------------------------
 
-    def unknown_constant(self, name_t: Token, what: str) -> None:
+    def unknown_constant(self, name_t: int, what: str) -> None:
         # a constant whose declaration was reported is not reported again
-        if name_t.text not in self.broken:
-            self.error(f"unknown constant '{what}'", name_t.span)
+        if self.texts[name_t] not in self.broken:
+            self.error(f"unknown constant '{what}'", self.span(name_t))
 
     def parse_atom(self) -> Atom | None:
-        name_t = self.expect("NAME", "a constant name")
-        if name_t is None:
-            return None
+        """name, name(arg, ...), either one followed by '=value'.  The
+        tokens are read from the lists directly: an atom's tokens never
+        end a statement, so no advance() is needed."""
+        kinds, texts = self.kinds, self.texts
+        name_t = i = self.pos
+        if kinds[i] != "NAME":
+            return self.expect("NAME", "a constant name")
         args: tuple[str, ...] = ()
-        if self.at("LPAREN"):
-            self.advance()
-            arg_toks = self.separated(self.expect, "NAME", "an argument")
-            if arg_toks is None or not self.expect("RPAREN", "')'"):
-                return None
-            args = tuple(t.text for t in arg_toks)
-        const = self.constants.get((name_t.text, len(args)))
+        i += 1
+        if kinds[i] == "LPAREN":
+            first = i = i + 1
+            while kinds[i] == "NAME" and kinds[i + 1] == "COMMA":
+                i += 2
+            if kinds[i] != "NAME":
+                self.pos = i
+                return self.expect("NAME", "an argument")
+            if kinds[i + 1] != "RPAREN":
+                self.pos = i + 1
+                return self.expect("RPAREN", "')'")
+            args = tuple(texts[first:i + 1:2])
+            self.used.update(args)
+            i += 2
+        self.pos = i
+        const = self.constants.get((texts[name_t], len(args)))
         if const is None:
-            self.unknown_constant(name_t, f"{name_t.text}/{len(args)}")
+            self.unknown_constant(name_t, f"{texts[name_t]}/{len(args)}")
             return None
-        if self.at("EQ"):
-            self.advance()
-            val_t = self.expect("NAME", "a value")
-            if val_t is None:
-                return None
-            value = val_t.text
+        if kinds[i] == "EQ":
+            if kinds[i + 1] != "NAME":
+                self.pos = i + 1
+                return self.expect("NAME", "a value")
+            value = texts[i + 1]
+            self.pos = i + 2
         else:
             if not const.is_boolean:
                 self.error(f"constant '{const.name}' is {const.value_sort.name}-valued; "
-                           "'=value' is required", name_t.span)
+                           "'=value' is required", self.span(name_t))
                 return None
             value = "true"
+        self.used.add(value)
         return Atom(const, args, value)
 
-    def parse_formula(self) -> Formula | None:
-        parts = self.separated(self.parse_and, sep="PIPE")
-        if parts is None:
-            return None
-        return disj(parts) if len(parts) > 1 else parts[0]
+    def parse_formula(self, depth: int = 0) -> Formula | None:
+        """Disjunctions of conjunctions of unary formulas; depth is the
+        number of '(' and '~' the formula sits in."""
+        kinds = self.kinds
+        disjuncts = []
+        while True:
+            conjuncts = []
+            while (f := self.parse_unary(depth)) is not None:
+                conjuncts.append(f)
+                if kinds[self.pos] != "AMP":
+                    break
+                self.pos += 1
+            else:
+                return None
+            disjuncts.append(conj(conjuncts) if len(conjuncts) > 1 else conjuncts[0])
+            if kinds[self.pos] != "PIPE":
+                return disj(disjuncts) if len(disjuncts) > 1 else disjuncts[0]
+            self.pos += 1
 
-    def parse_and(self) -> Formula | None:
-        parts = self.separated(self.parse_unary, sep="AMP")
-        if parts is None:
-            return None
-        return conj(parts) if len(parts) > 1 else parts[0]
-
-    def parse_unary(self) -> Formula | None:
-        if self.at("TILDE"):
-            self.advance()
-            sub = self.parse_unary()
-            return None if sub is None else neg(sub)
-        if self.at("LPAREN"):
-            self.advance()
-            f = self.parse_formula()
-            return f if f is not None and self.expect("RPAREN", "')'") else None
-        if self.at("AT"):
-            return self.parse_external()
-        if self.at("NAME", "true"):
-            self.advance()
-            return TRUE
-        if self.at("NAME", "false"):
-            self.advance()
-            return FALSE
-        if self.at("NAME"):
+    def parse_unary(self, depth: int) -> Formula | None:
+        i = self.pos
+        kind = self.kinds[i]
+        if kind == "NAME":
+            if self.texts[i] == "true":
+                self.pos = i + 1
+                return TRUE
+            if self.texts[i] == "false":
+                self.pos = i + 1
+                return FALSE
             a = self.parse_atom()
             return None if a is None else AtomF(a)
-        self.error(f"expected a formula, found {self.cur.text or 'end of input'!r}")
+        if kind == "TILDE" or kind == "LPAREN":
+            if depth == MAX_NESTING:
+                self.error(f"formula nested more than {MAX_NESTING} levels deep")
+                return None
+            self.pos = i + 1
+            if kind == "TILDE":
+                sub = self.parse_unary(depth + 1)
+                return None if sub is None else neg(sub)
+            f = self.parse_formula(depth + 1)
+            return f if f is not None and self.expect("RPAREN", "')'") else None
+        if kind == "AT":
+            return self.parse_external()
+        self.error(f"expected a formula, found {self.found()}")
         return None
 
     def parse_external(self) -> Formula | None:
@@ -412,33 +491,16 @@ class _DomainParser(_Parser):
         args = [] if self.at("RPAREN") else self.separated(self.expect, "NAME", "an argument")
         if args is None or not self.expect("RPAREN", "')'"):
             return None
-        return ExternalCall(name_t.text, tuple(t.text for t in args))
+        args = tuple(self.texts[t] for t in args)
+        self.used.update(args)
+        return ExternalCall(self.texts[name_t], args)
 
     # laws ---------------------------------------------------------------------
 
-    def law_vars(self, *formulas) -> tuple:
-        """Restrict the current scope to the variables the law actually uses."""
-        used: set[str] = set()
-
-        def walk(f):
-            if isinstance(f, Atom):
-                used.update(t for t in f.args if t in self.scope)
-                if f.value in self.scope:
-                    used.add(f.value)
-            elif isinstance(f, AtomF):
-                walk(f.atom)
-            elif isinstance(f, Not):
-                walk(f.sub)
-            elif isinstance(f, (And, Or)):
-                for p in f.parts:
-                    walk(p)
-            elif isinstance(f, ExternalCall):
-                used.update(t for t in f.args if t in self.scope)
-
-        for f in formulas:
-            if f is not None:
-                walk(f)
-        return tuple((v, s) for v, s in self.scope.items() if v in used)
+    def law_vars(self) -> tuple:
+        """Restrict the current scope to the variables the law actually
+        uses: the names its atoms and external calls were read with."""
+        return tuple((v, s) for v, s in self.scope.items() if v in self.used)
 
     def section_laws(self):
         if not self.at("SECTION", ":laws"):
@@ -446,29 +508,31 @@ class _DomainParser(_Parser):
             raise self.fail()
         self.advance()
         while not self.at("EOF"):
-            t = self.cur
-            if t.kind == "SECTION":
-                self.error(f"unexpected section '{t.text}' inside :laws")
+            t = self.pos
+            text = self.texts[t]
+            if self.kinds[t] == "SECTION":
+                self.error(f"unexpected section '{text}' inside :laws")
                 self.advance()
-            elif t.text == "vars":
+            elif text == "vars":
                 scope = self.statement(self.vars_line)
                 if scope == {}:
                     # what follows is most likely the lost bindings, so
                     # report nothing more until the next ';'
-                    self.error("vars declaration needs at least one binding", t.span)
+                    self.error("vars declaration needs at least one binding", self.span(t))
                     self.quiet = True
                 elif scope is not None:
                     self.scope = scope  # a new declaration replaces the scope
-            elif t.text in ("inertial", "exogenous"):
+            elif text in ("inertial", "exogenous"):
                 name_t = self.statement(
                     lambda: self.advance() and self.expect("NAME", "a constant name"))
                 if name_t is not None:
-                    matches = [c for (n, _a), c in self.constants.items() if n == name_t.text]
+                    name = self.texts[name_t]
+                    matches = [c for (n, _a), c in self.constants.items() if n == name]
                     if not matches:
-                        self.unknown_constant(name_t, name_t.text)
+                        self.unknown_constant(name_t, name)
                     else:
-                        cls = Inertial if t.text == "inertial" else Exogenous
-                        self.laws.append(cls(matches[0], t.span))
+                        cls = Inertial if text == "inertial" else Exogenous
+                        self.laws.append(cls(matches[0], self.span(t)))
             else:
                 law = self.statement(self.parse_law)
                 if law is not None:
@@ -477,12 +541,14 @@ class _DomainParser(_Parser):
                 raise self.fail()
 
     def parse_law(self) -> Law | None:
-        t = self.cur
-        if t.kind != "NAME":
-            self.error(f"expected a law, found {t.text!r}")
+        t = self.pos
+        if self.kinds[t] != "NAME":
+            self.error(f"expected a law, found {self.texts[t]!r}")
             return None
-        span = t.span
-        if t.text == "caused":
+        span = self.span(t)
+        text = self.texts[t]
+        self.used = set()
+        if text == "caused":
             self.advance()
             if self.at("NAME", "false"):
                 self.advance()
@@ -494,18 +560,18 @@ class _DomainParser(_Parser):
             after = self.condition("after") if has_after else None
             if cond is None or (has_after and after is None):
                 return None
-            return Caused(head, cond, after, self.law_vars(head, cond, after), span)
-        if t.text == "nonexecutable":
+            return Caused(head, cond, after, self.law_vars(), span)
+        if text == "nonexecutable":
             self.advance()
             act = self.parse_atom()
             cond = act and self.condition("if")
             if cond is None:
                 return None
-            return Nonexecutable(act, cond, self.law_vars(act, cond), span)
-        if t.text == "constraint":
+            return Nonexecutable(act, cond, self.law_vars(), span)
+        if text == "constraint":
             self.advance()
             body = self.parse_formula()
-            return body and Constraint(body, self.law_vars(body), span)
+            return body and Constraint(body, self.law_vars(), span)
         act = self.parse_atom()
         if act is None:
             return None
@@ -517,7 +583,7 @@ class _DomainParser(_Parser):
         cond = effect and self.condition("if")
         if cond is None:
             return None
-        return Causes(act, effect, cond, self.law_vars(act, effect, cond), span)
+        return Causes(act, effect, cond, self.law_vars(), span)
 
     def condition(self, keyword: str) -> Formula | None:
         """The formula after keyword, TRUE without it; None if it fails."""
@@ -533,14 +599,14 @@ class _DomainParser(_Parser):
         self.advance()  # 'vars'
         bindings: dict[str, Sort] = {}
         while self.at("NAME"):
-            if (self.cur.line > self.toks[self.pos - 1].line
-                    and self.toks[self.pos + 1].kind != "DCOLON"):
+            if (self.line(self.pos) > self.line(self.pos - 1)
+                    and self.kinds[self.pos + 1] != "DCOLON"):
                 break
             v = self.advance()
             s = self.expect("DCOLON", "'::'") and self.sort()
             if s is None:
                 return None
-            bindings[v.text] = s
+            bindings[self.texts[v]] = s
         return bindings
 
 
@@ -559,26 +625,27 @@ class _ProblemParser(_DomainParser):
         self.constants = dict(domain.constant_by_key)
         self.broken = set()
         self.scope = {}
+        self.used = set()
 
     def sections(self, parsers: dict, expected: str, kind: str):
-        """Yield (section name token, value) for each section statement
+        """Yield (section name, its token, value) for each section statement
         that parses; parsers maps a section name to its body's parser."""
         def section():
-            t = self.cur
-            if t.kind != "SECTION":
-                self.error(f"expected {expected}, found {t.text!r}")
+            t = self.pos
+            if self.kinds[t] != "SECTION":
+                self.error(f"expected {expected}, found {self.texts[t]!r}")
                 return None
             self.advance()
-            if t.text not in parsers:
-                self.error(f"unknown {kind} section '{t.text}'", t.span)
+            if self.texts[t] not in parsers:
+                self.error(f"unknown {kind} section '{self.texts[t]}'", self.span(t))
                 return None
-            return parsers[t.text]()
+            return parsers[self.texts[t]]()
 
         while not self.at("EOF"):
-            t = self.cur
+            t = self.pos
             value = self.statement(section)
             if value is not None:
-                yield t, value
+                yield self.texts[t], t, value
 
     def parse_problem(self) -> PlanningProblem:
         parsers = {":init": self.parse_formula, ":goal": self.parse_formula,
@@ -586,15 +653,15 @@ class _ProblemParser(_DomainParser):
                    ":maxcost": self.cost_bound, ":noconcurrency": lambda: True}
         got: dict = {}  # section name -> its last value
         extra: list[tuple] = []
-        for t, value in self.sections(parsers, "a problem section", "problem"):
-            if t.text == ":at":
+        for name, t, value in self.sections(parsers, "a problem section", "problem"):
+            if name == ":at":
                 extra.append(value)
                 continue
-            if t.text in got and t.text in (":init", ":goal", ":horizon"):
-                self.error(f"duplicate {t.text} section", t.span)
-            got[t.text] = value
-            if t.text == ":horizon" and value[0] > value[1]:
-                self.error(f"empty horizon range {value[0]}..{value[1]}", t.span)
+            if name in got and name in (":init", ":goal", ":horizon"):
+                self.error(f"duplicate {name} section", self.span(t))
+            got[name] = value
+            if name == ":horizon" and value[0] > value[1]:
+                self.error(f"empty horizon range {value[0]}..{value[1]}", self.span(t))
         if self.diags:
             raise self.fail()
         return PlanningProblem(
@@ -608,7 +675,7 @@ class _ProblemParser(_DomainParser):
 
     def at_section(self):
         if self.at("INT"):
-            tag = int(self.advance().text)
+            tag = int(self.texts[self.advance()])
         elif self.at("NAME", "final"):
             self.advance()
             tag = FINAL
@@ -621,22 +688,22 @@ class _ProblemParser(_DomainParser):
     def horizon(self):
         lo = self.expect("INT", "a horizon bound")
         hi = lo and self.expect("DOTDOT", "'..'") and self.expect("INT", "a horizon bound")
-        return (int(lo.text), int(hi.text)) if hi else None
+        return (int(self.texts[lo]), int(self.texts[hi])) if hi else None
 
     def cost_bound(self):
         v = self.expect("INT", "a cost bound")
-        return None if v is None else int(v.text)
+        return None if v is None else int(self.texts[v])
 
     def parse_query(self):
         init: Formula | None = None
         steps: list[list[tuple[str, tuple[str, ...]]]] = []
-        for t, value in self.sections({":state": self.parse_formula, ":do": self.actions},
-                                      ":state or :do", "query"):
-            if t.text == ":do":
+        for name, t, value in self.sections({":state": self.parse_formula, ":do": self.actions},
+                                               ":state or :do", "query"):
+            if name == ":do":
                 steps.append(value)
                 continue
             if init is not None:
-                self.error("duplicate :state section", t.span)
+                self.error("duplicate :state section", self.span(t))
             init = value
         if self.diags:
             raise self.fail()
@@ -647,19 +714,19 @@ class _ProblemParser(_DomainParser):
         acts: list[tuple[str, tuple[str, ...]]] = []
 
         def action():
-            name_t = self.cur
+            name_t = self.pos
             a = self.parse_atom()
             if a is None:
                 return None
             if not a.constant.is_action:
-                self.error(f"'{a.constant.name}' is not an action", name_t.span)
+                self.error(f"'{a.constant.name}' is not an action", self.span(name_t))
                 return None
             if a.value != "true":
-                self.error("an action in :do cannot carry '=value'", name_t.span)
+                self.error("an action in :do cannot carry '=value'", self.span(name_t))
                 return None
             inst = (a.constant.name, a.args)
             if inst in acts:
-                self.error(f"action '{instance_str(inst)}' appears twice in one step", name_t.span)
+                self.error(f"action '{instance_str(inst)}' appears twice in one step", self.span(name_t))
                 return None
             acts.append(inst)
             return inst

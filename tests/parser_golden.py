@@ -29,7 +29,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 from causalplan import parse_domain, parse_problem, parse_query
-from causalplan.parser import _PUNCT, ParseError
+from causalplan.parser import _PUNCT, ParseError, _Parser
 
 import sample_files
 
@@ -112,19 +112,18 @@ def parse_digests() -> dict[str, str]:
 def draw_mutants() -> list[dict]:
     """The seeded mutations, drawn with the lexer of the day; each is kept
     by offset and length, so replaying it needs no lexer."""
-    from causalplan.parser import _lex
     rng = random.Random(MUTANT_SEED)
     out = []
     for _ in range(MUTANTS):
         name = rng.choice(sorted(PARSED))
         text = (sample_files.samples_dir() / name).read_text()
-        toks = _lex(text, name, lambda msg, span: None)
-        tok = toks[rng.randrange(len(toks))]
-        start = sum(len(line) + 1 for line in text.split("\n")[:tok.line - 1]) + tok.col - 1
+        p = _Parser(text, name)
+        i = 1 + rng.randrange(len(p.kinds) - 1)  # past the start marker
         op = rng.choice(OPS)
-        names = ["x"] + [t.text for t in toks if t.kind == "NAME"]
+        names = ["x"] + [t for k, t in zip(p.kinds, p.texts) if k == "NAME"]
         new = rng.choice(names if op == "name" else sorted(_PUNCT)) if op in ("name", "punct") else ""
-        out.append({"file": name, "start": start, "length": len(tok.text), "op": op, "new": new})
+        out.append({"file": name, "start": p.offsets[i], "length": len(p.texts[i]),
+                    "op": op, "new": new})
     return out
 
 

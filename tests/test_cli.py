@@ -10,6 +10,7 @@ import toy_domains
 from causalplan.cli import main
 from causalplan.domains import build_toh
 from causalplan.grounding import ground
+from causalplan.parser import MAX_NESTING
 from causalplan.planner import close_problem, encode_problem
 from causalplan.sat import emit_dimacs, parse_dimacs, solve
 from sample_files import samples_dir
@@ -174,6 +175,15 @@ def test_lexer_errors_are_capped(tmp_path, capsys):
     d.write_text(":constants p :: simpleFluent;\n:laws\n" + "$" * 300 + "\n")
     assert main(["check", str(d)]) == 2
     assert len(capsys.readouterr().err.splitlines()) == 25
+
+
+@pytest.mark.parametrize("nested", ["(" * 3000 + "p" + ")" * 3000, "~" * 3000 + "p"])
+def test_deep_nesting_is_one_diagnostic(tmp_path, capsys, nested):
+    d = tmp_path / "deep.cp"
+    d.write_text(f":constants p :: simpleFluent;\n:laws\n  caused p if {nested};\n")
+    assert main(["check", str(d)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"{d}:3:{15 + MAX_NESTING}: formula nested more than {MAX_NESTING} levels deep"]
 
 
 def test_missing_file_is_exit_3(capsys):

@@ -11,8 +11,8 @@ from causalplan import parse_domain, parse_problem, parse_query, pretty_print
 from causalplan.model import (BOOLEAN, And, AtomF, Caused, Causes,
                               Constraint, Exogenous, Inertial, Nonexecutable,
                               Not, Or, TrueF, canonical, formula_atoms)
-from causalplan.parser import (_PUNCT, MAX_DIAGNOSTICS, ParseError, _DomainParser,
-                               _lex, _ProblemParser)
+from causalplan.parser import (_PUNCT, MAX_DIAGNOSTICS, MAX_NESTING, ParseError,
+                               _DomainParser, _Parser, _ProblemParser)
 
 import parser_golden
 import sample_files
@@ -112,10 +112,11 @@ def test_comments_and_whitespace_ignored():
 
 
 def _lexed(text):
-    diags = []
-    toks = _lex(text, "t", lambda msg, span: diags.append((msg, span)))
-    spans = [(t.kind, t.text, astuple(t.span)[1:]) for t in toks]
-    return spans, [(msg, astuple(span)[1:]) for msg, span in diags]
+    """The tokens after the start marker, with their spans, and the
+    lexer's diagnostics."""
+    p = _Parser(text, "t")
+    toks = [(p.kinds[i], p.texts[i], astuple(p.span(i))[1:]) for i in range(1, len(p.kinds))]
+    return toks, [(d.message, astuple(d.span)[1:]) for d in p.diags]
 
 
 def test_lexer_golden():
@@ -164,6 +165,43 @@ def test_lexer_golden():
 def test_lexer_end_of_input(text, last):
     toks, diags = _lexed(text)
     assert toks[-2:] == last and diags == []
+
+
+
+@pytest.mark.parametrize("text,toks,diags", [
+    # CRLF line endings: the '\r' ends the line it is on
+    ("a\r\nb;\r\n", [("NAME", "a", (1, 1, 1, 2)), ("NAME", "b", (2, 1, 2, 2)),
+                     ("SEMI", ";", (2, 2, 2, 3)), ("EOF", "", (3, 1, 3, 1))], []),
+    # a tab is one column
+    ("\ta\tb", [("NAME", "a", (1, 2, 1, 3)), ("NAME", "b", (1, 4, 1, 5)),
+               ("EOF", "", (1, 5, 1, 5))], []),
+    # a comment at the end of the input, with no newline after it
+    ("a\n% c", [("NAME", "a", (1, 1, 1, 2)), ("EOF", "", (2, 4, 2, 4))], []),
+    ("x %c\r\n%d", [("NAME", "x", (1, 1, 1, 2)), ("EOF", "", (2, 3, 2, 3))], []),
+    # a lone ':' starts no token; one before a name starts a section name
+    ("x : y", [("NAME", "x", (1, 1, 1, 2)), ("NAME", "y", (1, 5, 1, 6)), ("EOF", "", (1, 6, 1, 6))],
+     [("unexpected character ':'", (1, 3, 1, 4))]),
+    (":", [("EOF", "", (1, 2, 1, 2))], [("unexpected character ':'", (1, 1, 1, 2))]),
+    ("a:b", [("NAME", "a", (1, 1, 1, 2)), ("SECTION", ":b", (1, 2, 1, 4)), ("EOF", "", (1, 4, 1, 4))],
+     []),
+    # '..' is taken before '.', which starts no token
+    ("1...2", [("INT", "1", (1, 1, 1, 2)), ("DOTDOT", "..", (1, 2, 1, 4)),
+               ("INT", "2", (1, 5, 1, 6)), ("EOF", "", (1, 6, 1, 6))],
+     [("unexpected character '.'", (1, 4, 1, 5))]),
+    (". ..", [("DOTDOT", "..", (1, 3, 1, 5)), ("EOF", "", (1, 5, 1, 5))],
+     [("unexpected character '.'", (1, 1, 1, 2))]),
+])
+def test_lexer_edge_cases(text, toks, diags):
+    assert _lexed(text) == (toks, diags)
+
+
+@pytest.mark.parametrize("tail,eof", [("", (16669, 1)), ("% last", (16669, 7))])
+def test_lexer_long_run_of_blanks_and_comments(tail, eof):
+    # about 200,000 characters with no token in them: one pass, no
+    # backtracking from every position of the run
+    block = "  \t% a comment %% with % signs\n\r\n\t \n"
+    text = block * (200_000 // len(block) + 1) + tail
+    assert _lexed(text) == ([("EOF", "", (*eof, *eof))], [])
 
 
 def test_unknown_constant_is_an_error():
@@ -248,7 +286,7 @@ def _failed_query(text):
     """The diagnostics of a query that does not parse, and the sections
     it kept."""
     p = _ProblemParser(text, "t", parse_domain(BOXES))
-    kept = [(t.text, value) for t, value in p.sections(
+    kept = [(name, value) for name, _t, value in p.sections(
         {":state": p.parse_formula, ":do": p.actions}, ":state or :do", "query")]
     assert p.diags
     return [(d.message, astuple(d.span)[1:3]) for d in p.diags], kept
@@ -328,6 +366,52 @@ def test_missing_semicolon_in_a_query_is_one_diagnostic(text, found, at, kept):
 ])
 def test_one_mistake_in_a_law_is_one_diagnostic(law, message, at):
     assert _failed_domain(BOXES + "  " + law + "\n")[0] == [(message, at)]
+
+
+
+def test_a_place_is_reported_once():
+    # the missing ';' and the empty vars line are both found at 'vars'
+    diags, _ = _failed_domain(":constants p :: inertialFluent;\n:laws\n  caused p if p vars ;\n")
+    assert diags == [("expected ';', found 'vars'", (3, 17))]
+
+
+# --- nesting -----------------------------------------------------------------------
+
+_NESTED = {  # a formula inside n of '(' and '~'
+    "parens": lambda n: "(" * n + "p" + ")" * n,
+    "tildes": lambda n: "~" * n + "p",
+    "both": lambda n: "~(" * (n // 2) + "~" * (n % 2) + "p" + ")" * (n // 2),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_a_formula_at_the_nesting_limit_parses(shape):
+    d = parse_domain(":constants p :: simpleFluent;\n:laws\n"
+                     f"  caused p if {_NESTED[shape](MAX_NESTING)};\n")
+    assert str(d.laws[0]) == "caused p if p;"
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING + 1, 3000])
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_a_formula_past_the_nesting_limit_is_one_diagnostic(shape, depth):
+    # reported at the '(' or '~' one level past the limit, which is column
+    # 15 + MAX_NESTING; the next law is read as usual
+    text = (":constants p :: simpleFluent;\n:laws\n"
+            f"  caused p if {_NESTED[shape](depth)};\n  caused p if p;\n")
+    diags, p = _failed_domain(text)
+    assert diags == [(f"formula nested more than {MAX_NESTING} levels deep",
+                      (3, 15 + MAX_NESTING))]
+    assert [str(law) for law in p.laws] == ["caused p if p;"]
+
+
+def test_nesting_limit_in_problems_and_queries():
+    deep = "(" * (MAX_NESTING + 1) + "holding(B1)" + ")" * (MAX_NESTING + 1)
+    with pytest.raises(ParseError) as e:
+        parse_problem(f":goal {deep};\n", parse_domain(BOXES))
+    [only] = e.value.diagnostics
+    assert astuple(only.span)[1:3] == (1, 7 + MAX_NESTING)
+    diags, _ = _failed_query(f":state {deep};\n:do goto(L2);\n")
+    assert diags == [(f"formula nested more than {MAX_NESTING} levels deep", (1, 8 + MAX_NESTING))]
 
 
 # --- problems --------------------------------------------------------------------
@@ -512,30 +596,21 @@ def _mutants(draw):
     by an inserted name or punctuation mark."""
     name = draw(st.sampled_from(sorted(parser_golden.PARSED)))
     text = (sample_files.samples_dir() / name).read_text()
-    toks = _lex(text, name, lambda msg, span: None)
-    tok = toks[draw(st.integers(0, len(toks) - 1))]
-    start = sum(len(line) + 1 for line in text.split("\n")[:tok.line - 1]) + tok.col - 1
+    p = _Parser(text, name)
+    i = draw(st.integers(1, len(p.kinds) - 1))
     op = draw(st.sampled_from(parser_golden.OPS))
     new = ""
     if op in ("name", "punct"):
-        names = ["x"] + [t.text for t in toks if t.kind == "NAME"]
+        names = ["x"] + [t for k, t in zip(p.kinds, p.texts) if k == "NAME"]
         new = draw(st.sampled_from(names if op == "name" else sorted(_PUNCT)))
-    return name, parser_golden.mutate(text, start, len(tok.text), op, new)
+    return name, parser_golden.mutate(text, p.offsets[i], len(p.texts[i]), op, new)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(_mutants())
 def test_a_mutated_sample_reports_no_place_twice(mutant):
-    name, text = mutant
-    try:
-        if parser_golden.PARSED[name] is None:
-            parse_domain(text, name)
-        else:
-            domain = parse_domain((sample_files.samples_dir() / parser_golden.PARSED[name]).read_text())
-            (parse_query if name.endswith(".query") else parse_problem)(text, domain, name)
-    except ParseError as e:
-        places = [astuple(d.span)[1:3] for d in e.diagnostics]
-        assert len(places) == len(set(places)), [str(d) for d in e.diagnostics]
+    places = [tuple(d[2:4]) for d in parser_golden.diagnostics(*mutant)]
+    assert len(places) == len(set(places)), places
 
 
 def test_parser_matches_golden():

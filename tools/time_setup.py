@@ -1,0 +1,174 @@
+"""Time a domain's set-up and first query, phase by phase, in fresh processes.
+
+Every causalplan command runs in a new process, so each of its queries
+pays for importing the package, parsing, grounding and building the step
+template once.  This script measures those costs on the nine `mapp-wide`
+texts of one seed (bench/instances.py generates them):
+
+- set-up, per phase, summed over the nine domains: `lex` (the parser's
+  tokenizer), `parse` (the rest of parse_domain and parse_problem),
+  `validate` (validate_signature, inside ground) and `ground` (the rest
+  of ground);
+- each domain's first `plan` query, split into `template` (building its
+  StepTemplate) and `plan` (the rest of the query, ground included);
+- `import`, the time to import the package.
+
+Each run is a fresh interpreter.  With --against PATH, runs alternate
+between this checkout and the one at PATH, starting with a different
+side in each pair, and the medians are printed side by side with their
+ratio.  The report says whether the package's .pyc files existed before
+the first run of each side, since an import without them compiles every
+module.  No number is checked: the script only measures.
+
+    python tools/time_setup.py                      # 10 runs, seed 1
+    python tools/time_setup.py --seed 7 --runs 20 --against ../parent
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PHASES = ("import", "lex", "parse", "validate", "ground", "template", "plan")
+
+
+def child(root: str, texts_file: str) -> None:
+    """One run: set up the nine domains and plan each once, in this fresh
+    process, with the checkout at root; prints the phase times as JSON."""
+    t0 = time.perf_counter()
+    sys.path.insert(0, str(Path(root, "src")))
+    import causalplan
+    from causalplan import compiler, grounding, parser
+    spent = dict.fromkeys(PHASES, 0.0)
+    spent["import"] = time.perf_counter() - t0
+
+    def timed(fn, phase):
+        def wrapper(*args, **kwargs):
+            t = time.perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[phase] += time.perf_counter() - t
+        return wrapper
+
+    # the package looks these up when it calls them
+    parser._lex = timed(parser._lex, "lex")
+    grounding.validate_signature = timed(grounding.validate_signature, "validate")
+    compiler.StepTemplate.__init__ = timed(compiler.StepTemplate.__init__, "template")
+
+    def total(fn, *args, **kwargs):
+        t = time.perf_counter()
+        out = fn(*args, **kwargs)
+        return out, time.perf_counter() - t
+
+    instances = json.loads(Path(texts_file).read_text())
+    ready = []
+    parse_s = ground_s = 0.0
+    for inst in instances:
+        domain, s1 = total(causalplan.parse_domain, inst["domain"], "domain.cp")
+        problem, s2 = total(causalplan.parse_problem, inst["problem"], domain, "problem.prob")
+        _, s3 = total(causalplan.ground, domain)
+        parse_s += s1 + s2
+        ground_s += s3
+        ready.append((domain, problem, inst["solver_seed"]))
+    spent["parse"] = parse_s - spent["lex"]
+    spent["ground"] = ground_s - spent["validate"]
+    plan_s = 0.0
+    for domain, problem, seed in ready:
+        answer, s = total(causalplan.plan, domain, problem, seed=seed)
+        if not isinstance(answer, causalplan.PlanFound):
+            sys.exit(f"no plan found: {answer}")
+        plan_s += s
+    spent["plan"] = plan_s - spent["template"]
+    print(json.dumps(spent))
+
+
+def mapp_texts(seed: int) -> list[dict]:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import instances
+    return [{"domain": m.domain, "problem": m.problem, "solver_seed": m.solver_seed}
+            for m in instances.mapp_instances(seed)]
+
+
+def has_pyc(root: Path) -> bool:
+    cache = root / "src" / "causalplan" / "__pycache__"
+    return any(cache.glob(f"*.{sys.implementation.cache_tag}.pyc"))
+
+
+def run_once(root: Path, texts_file: str) -> dict[str, float]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run([sys.executable, __file__, "--child", str(root), texts_file],
+                         env=env, capture_output=True, text=True)
+    if out.returncode != 0:
+        sys.exit(f"a run with {root} failed:\n{out.stderr}")
+    return json.loads(out.stdout)
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4)
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1, help="mapp-wide workload seed (default 1)")
+    ap.add_argument("--runs", type=int, default=10, help="runs per checkout (default 10)")
+    ap.add_argument("--against", type=Path, help="another checkout to alternate with")
+    ap.add_argument("--child", nargs=2, metavar=("ROOT", "TEXTS"), help=argparse.SUPPRESS)
+    a = ap.parse_args(argv)
+    if a.child:
+        child(*a.child)
+        return 0
+    if a.runs < 1:
+        ap.error("--runs must be at least 1")
+    sides = {"this": ROOT}
+    if a.against is not None:
+        if not (a.against / "src" / "causalplan").is_dir():
+            ap.error(f"{a.against} holds no src/causalplan")
+        sides["against"] = a.against.resolve()
+    pyc = {name: has_pyc(root) for name, root in sides.items()}
+    times: dict[str, list[dict]] = {name: [] for name in sides}
+    with tempfile.TemporaryDirectory() as tmp:
+        texts_file = str(Path(tmp, "mapp.json"))
+        Path(texts_file).write_text(json.dumps(mapp_texts(a.seed)))
+        for r in range(a.runs):
+            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+            for name in order:
+                times[name].append(run_once(sides[name], texts_file))
+
+    print(f"mapp-wide seed {a.seed}: {a.runs} fresh-process run(s) per checkout; "
+          "times in ms, median [q1, q3]")
+    for name, root in sides.items():
+        print(f"  {name}: {root}; .pyc files before the first run: "
+              f"{'yes' if pyc[name] else 'no'}; "
+              f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}")
+    rows = [*PHASES, "set-up", "first queries"]
+    groups = {"set-up": ("lex", "parse", "validate", "ground"), "first queries": ("template", "plan")}
+    header = f"{'phase':14}" + "".join(f"{name:>26}" for name in sides)
+    print(header + ("  this/against" if len(sides) == 2 else ""))
+    for row in rows:
+        medians = []
+        line = f"{row:14}"
+        for name in sides:
+            xs = [sum(t[p] for p in groups.get(row, (row,))) * 1e3 for t in times[name]]
+            q1, q2, q3 = quartiles(xs)
+            medians.append(q2)
+            line += f"{q2:12.1f} [{q1:5.1f}, {q3:5.1f}]"
+        if len(medians) == 2:
+            line += f"  {medians[0] / medians[1]:.3f}" if medians[1] else "  -"
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
