@@ -13,9 +13,9 @@ The surface syntax is section-oriented:
 
 The sections come in this fixed order (``:sorts``, ``:objects`` and
 ``:externals`` may be left out), so every sort has its final members
-before a constant or a ``vars`` line names it.  Each Sort, Constant and
-law is built once: the constants and laws of a parsed domain refer to
-the very Sort and Constant objects it lists.
+before a constant or a ``vars`` line names it.  Each Sort, Constant,
+law and distinct atom is built once: the constants and laws of a parsed
+domain refer to the very Sort and Constant objects it lists.
 
 Problems:
 
@@ -251,6 +251,7 @@ class _DomainParser(_Parser):
         self.laws: list[Law] = []
         self.scope: dict[str, Sort] = {}  # current `vars` scope
         self.used: set[str] = set()  # argument and value names of the current law
+        self.atoms: dict[tuple, AtomF] = {}  # (name, args, value) -> its atom
 
     # sections ---------------------------------------------------------------
 
@@ -395,9 +396,14 @@ class _DomainParser(_Parser):
             self.error(f"unknown constant '{what}'", self.span(name_t))
 
     def parse_atom(self) -> Atom | None:
+        f = self.atom_formula()
+        return None if f is None else f.atom
+
+    def atom_formula(self) -> AtomF | None:
         """name, name(arg, ...), either one followed by '=value'.  The
         tokens are read from the lists directly: an atom's tokens never
-        end a statement, so no advance() is needed."""
+        end a statement, so no advance() is needed.  Each distinct atom
+        is built once per text."""
         kinds, texts = self.kinds, self.texts
         name_t = i = self.pos
         if kinds[i] != "NAME":
@@ -435,7 +441,11 @@ class _DomainParser(_Parser):
                 return None
             value = "true"
         self.used.add(value)
-        return Atom(const, args, value)
+        key = (texts[name_t], args, value)
+        f = self.atoms.get(key)
+        if f is None:
+            f = self.atoms[key] = AtomF(Atom(const, args, value))
+        return f
 
     def parse_formula(self, depth: int = 0) -> Formula | None:
         """Disjunctions of conjunctions of unary formulas; depth is the
@@ -466,8 +476,7 @@ class _DomainParser(_Parser):
             if self.texts[i] == "false":
                 self.pos = i + 1
                 return FALSE
-            a = self.parse_atom()
-            return None if a is None else AtomF(a)
+            return self.atom_formula()
         if kind == "TILDE" or kind == "LPAREN":
             if depth == MAX_NESTING:
                 self.error(f"formula nested more than {MAX_NESTING} levels deep")
@@ -626,6 +635,7 @@ class _ProblemParser(_DomainParser):
         self.broken = set()
         self.scope = {}
         self.used = set()
+        self.atoms = {}
 
     def sections(self, parsers: dict, expected: str, kind: str):
         """Yield (section name, its token, value) for each section statement
