@@ -221,16 +221,16 @@ class _Parser:
             self.quiet = True
         return result
 
-    def separated(self, item, *args, sep: str = "COMMA") -> list | None:
-        """One or more items read by item(*args), separated by sep; None
+    def separated(self, item, *args) -> list | None:
+        """One or more items read by item(*args), separated by ','; None
         as soon as an item fails."""
         items = []
         kinds = self.kinds
         while (x := item(*args)) is not None:
             items.append(x)
-            if kinds[self.pos] != sep:
+            if kinds[self.pos] != "COMMA":
                 return items
-            self.pos += 1  # a separator is no statement boundary
+            self.pos += 1  # a ',' is no statement boundary
         return None
 
     def fail(self) -> ParseError:
@@ -403,7 +403,7 @@ class _DomainParser(_Parser):
         """name, name(arg, ...), either one followed by '=value'.  The
         tokens are read from the lists directly: an atom's tokens never
         end a statement, so no advance() is needed.  Each distinct atom
-        is built once per text."""
+        is built once per parse."""
         kinds, texts = self.kinds, self.texts
         name_t = i = self.pos
         if kinds[i] != "NAME":

@@ -167,7 +167,6 @@ def test_lexer_end_of_input(text, last):
     assert toks[-2:] == last and diags == []
 
 
-
 @pytest.mark.parametrize("text,toks,diags", [
     # CRLF line endings: the '\r' ends the line it is on
     ("a\r\nb;\r\n", [("NAME", "a", (1, 1, 1, 2)), ("NAME", "b", (2, 1, 2, 2)),
@@ -366,7 +365,6 @@ def test_missing_semicolon_in_a_query_is_one_diagnostic(text, found, at, kept):
 ])
 def test_one_mistake_in_a_law_is_one_diagnostic(law, message, at):
     assert _failed_domain(BOXES + "  " + law + "\n")[0] == [(message, at)]
-
 
 
 def test_a_place_is_reported_once():
