@@ -12,7 +12,8 @@ Pipeline (each stage is exposed for testing):
               step's actions; an exactly-one over at most 8 values
               becomes pairwise "not both" clauses, a wider one a
               sequential counter whose registers are definition
-              variables of the block, like those of multi-body supports
+              variables of the block, like those of multi-body supports;
+              then the blocks are presimplified with their facts (below)
     grow      Encoder: horizon h = the blocks placed one step at a time
               from horizon 0, each step after every variable in use
               (its rows table records where each step's atoms land),
@@ -22,13 +23,31 @@ Pipeline (each stage is exposed for testing):
               of the current horizon, which compile_cnf returns for the
               query-free case
 
+A fact is a literal that holds at every step where its atom exists
+because unit propagation over the blocks' own clauses fixes it, as a
+static constraint such as Hanoi's "no disk on itself" fixes a fluent,
+and as an effect on a ruled-out value then rules out its action.  The
+fluent facts come from the first step's block alone at step 0 and, at
+step h + 1, from the blocks that Encoder.extend always places together
+(the nogoods on step h's actions and the block of step h + 1) with step
+h's fluents assumed only at fluent facts; the action facts come from
+the latter.  So, by induction over the steps, the completion implies
+every fact, and a clause that a fact satisfies can go, a literal that
+one falsifies can be stripped and a fact can stand as a unit clause
+without changing any model (MiniSat's level-0 simplification, Een &
+Sorensson, "An Extensible SAT-solver", 2003, done once per template).
+Each block keeps its variables, so numbering, rows, decoding and a
+DIMACS file's atom comments are as without facts; see StepTemplate.
+
 cnf() is, up to the numbering of its variables, clause for clause the
-clausified completion_for(h); completion_for and eval_completion stay
-symbolic, and window_truth values timed literals over a trajectory, so
-the test suite's enumeration oracles check the encoding without
-touching the template.  validate_plan shares none of this: it checks a
-plan law by law (semantics.py), and the tests hold the two readings to
-the same states, transitions and verdicts.
+clausified completion_for(h) under the template's facts: each clause
+that a fact satisfies dropped, each literal that one falsifies
+stripped, and a unit clause per fact and step.  completion_for and
+eval_completion stay symbolic, and window_truth values timed literals
+over a trajectory, so the test suite's enumeration oracles check the
+encoding without touching the template.  validate_plan shares none of
+this: it checks a plan law by law (semantics.py), and the tests hold the
+two readings to the same states, transitions and verdicts.
 
 A support H <-> B1 | ... | Bk is clausified in a smaller form than the
 plain biconditional (see _ClauseSink): a body that holds H, as
@@ -593,6 +612,28 @@ class StepTemplate:
     step's actions or the step after it.  A step's blocks are the same
     whether or not it is the last one: the template refuses the laws
     that would set the last step apart, which validation rejects too.
+
+    facts holds the literals that hold at every step where their atoms
+    exist, as (atom, truth) pairs, fluents first, each group in position
+    order.  Unit propagation over first alone fixes step 0's fluents;
+    over actions and step together, placed at steps h and h + 1 as
+    Encoder.extend always places them, from step h's fluents assumed at
+    the fluent facts, it fixes step h's actions and step h + 1's fluents.
+    A fluent literal is a fact if it is fixed at step 0 and, from the
+    facts at step h, at step h + 1: the assumption starts at step 0's
+    fixed fluents and shrinks to those that propagation keeps at the
+    next step, so each holds at every step by induction.  An action fact
+    rules its action out; a literal that forces an action is not kept,
+    as it would make every :noconcurrency pair a unit.  Definition
+    variables have no facts.  Each block then drops every clause that a
+    fact satisfies at any of its steps, strips every literal that a fact
+    falsifies, and starts with the facts of the step it is placed at as
+    unit clauses, first and step the fluents', actions the actions'.
+    Every fact follows from the blocks, so the encoding keeps its models
+    and its variables.  paired holds the positions of the actions that
+    no fact rules out, the only ones that :noconcurrency pairs.  A
+    domain whose propagation conflicts, or fixes nothing, as every mapp
+    and boxes domain, has no facts, and its blocks are as clausified.
     """
 
     def __init__(self, ground: GroundDomain):
@@ -614,15 +655,62 @@ class StepTemplate:
                 stops_early = rule.after is not None or _mentions_action(rule)
                 for t, r in _stamp_rule(rule, 1):
                     parts[2 if stops_early else t].append(Nogood(r.body))
+        blocks = [self._clausify(fs, step) for fs, step in zip(parts, (0, 1, 0))]
+        facts = self._facts(*blocks)
+        atoms = ground.fluent_atoms + ground.action_atoms
+        self.facts = tuple((atoms[abs(q) - 1], q > 0) for q in facts)
+        self.paired = [p for p in range(self.n_fluents, self.width) if -(p + 1) not in facts]
+        if facts:
+            # a fact holds at each of a window's three steps; each block
+            # states it as a unit at the step it is placed at: first and
+            # step the fluents' facts, actions the actions'
+            width = self.width
+            true = {_shift(q, d * width) for q in facts for d in (0, 1, 2)}
+            here = [_shift(q, width) for q in facts]
+            fluents = [l for l in here if abs(l) <= width + self.n_fluents]
+            actions = here[len(fluents):]
+            blocks = [_simplified(b, true, units)
+                      for b, units in zip(blocks, (fluents, fluents, actions))]
         # a template lives as long as its ground domain, across queries:
         # its blocks share one int object per window literal or index
         ints: dict = {}
-        self.first, self.step, self.actions = (
-            self._block(fs, step, ints) for fs, step in zip(parts, (0, 1, 0)))
+        self.first, self.step, self.actions = (self._block(b, ints) for b in blocks)
 
-    def _block(self, formulas, step: int, ints: dict) -> Block:
-        """Clausify formulas stamped around step into window variables,
-        taking each int object from ints."""
+    def _facts(self, first, step, actions) -> list[int]:
+        """The template's facts as position literals, +-(p + 1) for the
+        atom at position p, fluents first, each group in position order;
+        see the class docstring.  Each argument is a clausified block."""
+        width, nf = self.width, self.n_fluents
+        if not any(1 in map(len, clauses) for clauses, _ in (first, step, actions)):
+            return []  # nothing to propagate
+        fixed = _unit_propagation(first[0])
+        if fixed is None:
+            return []
+        # step 0's fluents, window variables width + 1 .. width + nf of first
+        facts = {_shift(l, -width) for l in fixed if width < abs(l) <= width + nf}
+        # actions(h), placed at h, and step(h + 1) in one window, the
+        # actions block's, where step h is at offset 0 and step h + 1 at
+        # offset 1: step's window, which reads only its own step and the
+        # one before, moves up a step, and its definition variables go
+        # after those of actions
+        clauses, n_aux = actions
+        bound = 3 * width
+        clauses = clauses + [tuple(_shift(l, width if abs(l) <= bound else n_aux) for l in c)
+                             for c in step[0]]
+        while True:
+            fixed = _unit_propagation(clauses, [_shift(q, width) for q in facts])
+            if fixed is None:
+                return []
+            later = {_shift(l, -2 * width) for l in fixed if 2 * width < abs(l) <= 2 * width + nf}
+            if facts <= later:
+                break
+            facts &= later
+        return sorted(facts, key=abs) + [-(p + 1) for p in range(nf, width)
+                                         if -(width + p + 1) in fixed]
+
+    def _clausify(self, formulas, step: int) -> tuple[list[tuple[int, ...]], int]:
+        """Clausify formulas stamped around step into window variables: the
+        clauses and the number of definition variables."""
         width, position = self.width, self.ground.atom_position
 
         def lit(l: TimedLit) -> int:
@@ -632,8 +720,13 @@ class StepTemplate:
         sink = _ClauseSink(3 * width)
         for f in formulas:
             sink._add_formula(f, lit)
+        return sink.clauses, sink.var_count - 3 * width
+
+    def _block(self, clausified, ints: dict) -> Block:
+        """Pack clausified window clauses by length, taking each int object
+        from ints."""
+        clauses, n_aux = clausified
         one = ints.setdefault
-        clauses = sink.clauses
         size = list(map(len, clauses)).__getitem__
         ranked = sorted(range(len(clauses)), key=size)  # stable: block order per length
         order = [0] * len(ranked)
@@ -641,7 +734,50 @@ class StepTemplate:
             order[k] = one(i, i)
         groups = [(n, [one(l, l) for k in ks for l in clauses[k]])
                   for n, ks in itertools.groupby(ranked, key=size)]
-        return groups, order, sink.var_count - 3 * width
+        return groups, order, n_aux
+
+
+def _shift(lit: int, by: int) -> int:
+    """lit with its variable moved up by by."""
+    return lit + by if lit > 0 else lit - by
+
+
+def _unit_propagation(clauses, assumed=()) -> set[int] | None:
+    """The literals that unit propagation over clauses fixes, starting
+    from the assumed literals and the unit clauses; None on a conflict."""
+    falsified: dict[int, list] = {}  # literal -> the clauses its truth shortens
+    for c in clauses:
+        for l in c:
+            falsified.setdefault(-l, []).append(c)
+    todo = [*assumed, *(c[0] for c in clauses if len(c) == 1)]
+    true: set[int] = set()
+    while todo:
+        x = todo.pop()
+        if x in true:
+            continue
+        if -x in true:
+            return None
+        true.add(x)
+        for c in falsified.get(x, ()):
+            free = [l for l in c if -l not in true]
+            if not free:
+                return None
+            if len(free) == 1:
+                todo.append(free[0])
+    return true
+
+
+def _simplified(clausified, true: set[int], units: list[int]):
+    """A clausified block under the true window literals: the units
+    first, then its clauses in order, less those that a true literal
+    satisfies and less the literals that one falsifies."""
+    clauses, n_aux = clausified
+    false = {-l for l in true}
+    out = [(l,) for l in units]
+    for c in clauses:
+        if true.isdisjoint(c):
+            out.append(c if false.isdisjoint(c) else tuple(l for l in c if l not in false))
+    return out, n_aux
 
 
 def step_template(ground: GroundDomain) -> StepTemplate:
@@ -704,7 +840,8 @@ class Encoder(_ClauseSink):
         self.active = self.fresh()
         self._place(tpl.actions, h)
         if self.noconcurrency:
-            self.clauses += [(-b, -a) for a, b in itertools.combinations(rows[h][nf:], 2)]
+            acts = [rows[h][p] for p in tpl.paired]
+            self.clauses += [(-b, -a) for a, b in itertools.combinations(acts, 2)]
         self._place(tpl.step, h + 1)
 
     def _place(self, block: Block, step: int) -> None:

@@ -137,7 +137,7 @@ class _Closer:
         self.domain = domain
         self.registry = registry
         self.memo: dict[tuple[str, tuple[str, ...]], object] = {}
-        self.atoms: dict[tuple, Atom] = {}  # see atom
+        self.atoms: dict[tuple, AtomF] = {}  # see atom_formula
 
     def call(self, name: str, args: tuple[str, ...]):
         key = (name, args)
@@ -148,20 +148,25 @@ class _Closer:
             self.memo[key] = self.registry.evaluate(name, args)
         return self.memo[key]
 
-    def atom(self, a: Atom, env: dict[str, str]) -> Atom:
-        """a under env.  Equal ground atoms come back as one object, so the
-        ground laws hold one copy of each, which computes its hash once."""
+    def atom_formula(self, a: Atom, env: dict[str, str]) -> AtomF:
+        """a under env, as a formula.  Equal ground atoms come back as one
+        AtomF over one Atom, so the ground laws hold one copy of each, and
+        the Atom computes its hash once."""
         key = (a.constant, tuple(env.get(t, t) for t in a.args), env.get(a.value, a.value))
         got = self.atoms.get(key)
         if got is None:
-            got = self.atoms[key] = Atom(*key)
+            got = self.atoms[key] = AtomF(Atom(*key))
         return got
+
+    def atom(self, a: Atom, env: dict[str, str]) -> Atom:
+        """a under env, shared as atom_formula shares it."""
+        return self.atom_formula(a, env).atom
 
     def formula(self, f: Formula, env: dict[str, str]) -> Formula:
         if isinstance(f, (TrueF, FalseF)):
             return f
         if isinstance(f, AtomF):
-            return AtomF(self.atom(f.atom, env))
+            return self.atom_formula(f.atom, env)
         if isinstance(f, Not):
             return neg(self.formula(f.sub, env))
         if isinstance(f, And):

@@ -9,7 +9,8 @@ from causalplan import (Consistent, NoPlanUpTo, PlanFound, check_consistency, co
 from causalplan.domains import build_robot_boxes
 from causalplan.grounding import (ExternalRegistry, GroundingError,
                                   close_formula, ground, signature_atoms)
-from causalplan.model import Caused, Causes, FalseF, Nonexecutable, TrueF
+from causalplan.model import (And, AtomF, Caused, Causes, FalseF, Nonexecutable, Not, Or,
+                              TrueF)
 
 
 ROBOT = """
@@ -33,6 +34,31 @@ def test_schema_count_is_cartesian_product():
     assert len(causes) == 2 * 3  # boxes x locations
     # inertial stays one family law; the compiler expands it per value
     assert sum(str(l).startswith("inertial") for l in gd.laws) == 1
+
+
+def test_equal_ground_atoms_are_one_object():
+    # the occurrences of a ground atom in the laws' formulas share one
+    # AtomF, and with the laws' action atoms one Atom
+    gd = ground(parse_domain(ROBOT + """  vars b :: box c :: box y :: location;
+  nonexecutable goto(y) if atObj(b)=y & atObj(c)=y;
+"""))
+    formulas = []
+
+    def walk(f):
+        if isinstance(f, AtomF):
+            formulas.append(f)
+        elif isinstance(f, Not):
+            walk(f.sub)
+        elif isinstance(f, (And, Or)):
+            for part in f.parts:
+                walk(part)
+
+    for law in gd.laws:
+        walk(getattr(law, "cond", None))
+    assert len(formulas) > len(set(formulas))
+    assert len({id(f) for f in formulas}) == len(set(formulas))
+    atoms = [f.atom for f in formulas] + [law.action for law in gd.laws if hasattr(law, "action")]
+    assert len({id(a) for a in atoms}) == len(set(atoms))
 
 
 def test_grounding_is_deterministic():

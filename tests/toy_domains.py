@@ -89,6 +89,38 @@ GATE = """
   set1 causes in1; set2 causes in2;
 """
 
+# Two domains outside ALL_SMALL for the step template's facts, literals
+# that hold at every step (see compiler.StepTemplate).  In FACTS they
+# reach into a sequential counter (v=z0 and v=z8 are ruled out), into the
+# one-way arms of a support (q, never caused, is false at every step) and
+# into :noconcurrency pairs (a can only cause what is ruled out).
+FACTS = """
+:sorts level
+:objects z0, z1, z2, z3, z4, z5, z6, z7, z8 :: level;
+:constants v :: inertialFluent(level); p :: inertialFluent; q :: simpleFluent;
+           s :: simpleFluent; a :: action; c :: action;
+:laws
+  inertial v; inertial p;
+  constraint ~(v=z0) & ~(v=z8);
+  a causes v=z0;
+  c causes v=z1 if p;
+  caused s if p & q | p & v=z8 | v=z2 & ~p;
+  nonexecutable c if q;
+"""
+# In CHAIN, u and w are false at step 0 and x at every step, but ~u
+# follows at a later step only from ~w at the one before, and b causes w:
+# of the three, only ~x is a fact.  d happens at every step, which no
+# fact says, since it would make every :noconcurrency pair a unit.
+CHAIN = """
+:constants u :: simpleFluent; w :: simpleFluent; x :: simpleFluent;
+           b :: action; d :: action;
+:laws
+  caused u after w;
+  b causes w;
+  constraint ~x;
+  caused false after ~d;
+"""
+
 
 def _boxes(num_locations, num_boxes, world_text=None):
     world = parse_world(world_text) if world_text else None

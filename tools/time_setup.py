@@ -2,10 +2,13 @@
 
 Every causalplan command runs in a new process, so each of its queries
 pays for importing the package, parsing, grounding and building the step
-template once.  This script measures those costs on the nine `mapp-wide`
-texts of one seed (bench/instances.py generates them):
+template once.  This script measures those costs on the domain texts
+of one benchmark workload and seed (bench/instances.py generates them):
+by default the nine `mapp-wide` texts, whose encodings are wide, or
+with --texts toh the one `toh-deepen` text, a 4-disk Hanoi whose step
+template the compiler presimplifies with the domain's facts.  Phases:
 
-- set-up, per phase, summed over the nine domains: `lex` (the parser's
+- set-up, per phase, summed over the domains: `lex` (the parser's
   tokenizer), `parse` (the rest of parse_domain and parse_problem),
   `validate` (validate_signature, inside ground) and `ground` (the rest
   of ground);
@@ -22,6 +25,7 @@ module.  No number is checked: the script only measures.
 
     python tools/time_setup.py                      # 10 runs, seed 1
     python tools/time_setup.py --seed 7 --runs 20 --against ../parent
+    python tools/time_setup.py --texts toh --runs 1
 """
 
 from __future__ import annotations
@@ -38,10 +42,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PHASES = ("import", "lex", "parse", "validate", "ground", "template", "plan")
+WORKLOADS = {"mapp": "mapp-wide", "toh": "toh-deepen"}
 
 
 def child(root: str, texts_file: str) -> None:
-    """One run: set up the nine domains and plan each once, in this fresh
+    """One run: set up the domains and plan each once, in this fresh
     process, with the checkout at root; prints the phase times as JSON."""
     t0 = time.perf_counter()
     sys.path.insert(0, str(Path(root, "src")))
@@ -91,9 +96,14 @@ def child(root: str, texts_file: str) -> None:
     print(json.dumps(spent))
 
 
-def mapp_texts(seed: int) -> list[dict]:
+def workload_texts(texts: str, seed: int) -> list[dict]:
+    """The domain and problem texts of the mapp-wide or toh-deepen workload
+    at seed, each with the solver seed of its first query."""
     sys.path.insert(0, str(ROOT / "bench"))
     import instances
+    if texts == "toh":
+        return [{"domain": t.domain, "problem": t.problem, "solver_seed": t.solver_seeds[0]}
+                for t in instances.toh_instances(seed)]
     return [{"domain": m.domain, "problem": m.problem, "solver_seed": m.solver_seed}
             for m in instances.mapp_instances(seed)]
 
@@ -121,7 +131,9 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=1, help="mapp-wide workload seed (default 1)")
+    ap.add_argument("--texts", choices=sorted(WORKLOADS), default="mapp",
+                    help="the workload whose texts to time (default mapp)")
+    ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     ap.add_argument("--runs", type=int, default=10, help="runs per checkout (default 10)")
     ap.add_argument("--against", type=Path, help="another checkout to alternate with")
     ap.add_argument("--child", nargs=2, metavar=("ROOT", "TEXTS"), help=argparse.SUPPRESS)
@@ -139,14 +151,14 @@ def main(argv=None) -> int:
     pyc = {name: has_pyc(root) for name, root in sides.items()}
     times: dict[str, list[dict]] = {name: [] for name in sides}
     with tempfile.TemporaryDirectory() as tmp:
-        texts_file = str(Path(tmp, "mapp.json"))
-        Path(texts_file).write_text(json.dumps(mapp_texts(a.seed)))
+        texts_file = str(Path(tmp, "texts.json"))
+        Path(texts_file).write_text(json.dumps(workload_texts(a.texts, a.seed)))
         for r in range(a.runs):
             order = list(sides) if r % 2 == 0 else list(sides)[::-1]
             for name in order:
                 times[name].append(run_once(sides[name], texts_file))
 
-    print(f"mapp-wide seed {a.seed}: {a.runs} fresh-process run(s) per checkout; "
+    print(f"{WORKLOADS[a.texts]} seed {a.seed}: {a.runs} fresh-process run(s) per checkout; "
           "times in ms, median [q1, q3]")
     for name, root in sides.items():
         print(f"  {name}: {root}; .pyc files before the first run: "
