@@ -14,7 +14,7 @@ tests, not here.
 """
 
 from .compiler import (CnfFormula, CompileError, Encoder, TimedAtom,
-                       compile_cnf, completion_for, desugar, unroll)
+                       compile_cnf, completion_for, desugar)
 from .domains import DomainBundle, build_mapp, build_robot_boxes, build_toh
 from .grid import GridWorld, WorldError, load_world, parse_world, registry_for
 from .grounding import (ExternalRegistry, GroundDomain, GroundingError,
@@ -51,5 +51,5 @@ __all__ = [
     "load_world", "parse_cost_spec", "parse_dimacs", "parse_domain", "parse_plan",
     "parse_problem", "parse_query", "parse_world", "plan", "plan_cost",
     "predict", "pretty_print", "read_dimacs_model", "registry_for", "solve",
-    "unroll", "validate_plan", "validate_problem", "validate_signature",
+    "validate_plan", "validate_problem", "validate_signature",
 ]

@@ -3,17 +3,19 @@
 Pipeline (each stage is exposed for testing):
 
     desugar   ground laws -> (head literal, if-part, after-part) triples
-    unroll    triples -> time-stamped definite rules, bodies in DNF
-    complete  rules -> support biconditionals + nogoods + exactly-one
-    template  StepTemplate: the completion of reference horizon 1,
-              clausified once per ground domain (which ground() keeps
-              across queries) into three integer clause blocks: the
-              first step, any later step, and the nogoods that read a
-              step's actions; an exactly-one over at most 8 values
-              becomes pairwise "not both" clauses, a wider one a
-              sequential counter whose registers are definition
-              variables of the block, like those of multi-body supports;
-              then the blocks are presimplified with their facts (below)
+    template  StepTemplate: each triple's parts, in DNF, stamped once into
+              window literals and clausified per ground domain (which
+              ground() keeps across queries) into three integer clause
+              blocks: the first step, any later step, and the nogoods
+              that read a step's actions.  A block holds the completion
+              of its step: each atom's support, the head true exactly
+              when one of its rule bodies holds, the exactly-ones of the
+              multi-valued fluents and the nogoods; an exactly-one over
+              at most 8 values becomes pairwise "not both" clauses, a
+              wider one a sequential counter whose registers are
+              definition variables of the block, like those of
+              multi-body supports; then the blocks are presimplified with
+              their facts (below)
     grow      Encoder: horizon h = the blocks placed one step at a time
               from horizon 0, each step after every variable in use
               (its rows table records where each step's atoms land),
@@ -39,13 +41,17 @@ Sorensson, "An Extensible SAT-solver", 2003, done once per template).
 Each block keeps its variables, so numbering, rows, decoding and a
 DIMACS file's atom comments are as without facts; see StepTemplate.
 
-cnf() is, up to the numbering of its variables, clause for clause the
-clausified completion_for(h) under the template's facts: each clause
-that a fact satisfies dropped, each literal that one falsifies
-stripped, and a unit clause per fact and step.  completion_for and
-eval_completion stay symbolic, and window_truth values timed literals
-over a trajectory, so the test suite's enumeration oracles check the
-encoding without touching the template.  validate_plan shares none of
+completion_for(h) is the test suite's reference: one pass that stamps
+every desugared rule over steps 0..h into symbolic supports and nogoods,
+with the exactly-ones of the multi-valued fluents (Support, Nogood and
+ExactlyOne over timed literals), which eval_completion evaluates.  No query reads it, and the template is built
+without it, so the two share nothing below desugar and _dnf.  cnf() is,
+up to the numbering of its variables, clause for clause the clausified
+completion_for(h) under the template's facts: each clause that a fact
+satisfies dropped, each literal that one falsifies stripped, and a unit
+clause per fact and step; the tests clausify the completion with code
+of their own and compare, and their enumeration oracles check the
+completion without touching the template.  validate_plan shares none of
 this: it checks a plan law by law (semantics.py), and the tests hold the
 two readings to the same states, transitions and verdicts.
 
@@ -119,23 +125,8 @@ class TimedLit:
         s = f"{self.atom}@{self.step}"
         return s if self.positive else f"~{s}"
 
-    def negated(self) -> "TimedLit":
-        return TimedLit(self.atom, self.step, not self.positive)
 
-
-@dataclass(frozen=True)
-class CausalRule:
-    """Definite time-stamped rule: head literal (None = FALSE) <- conjunction."""
-
-    head: TimedLit | None
-    body: frozenset[TimedLit]
-
-    def __str__(self):
-        body = " & ".join(sorted(map(str, self.body))) or "true"
-        return f"{self.head if self.head else 'false'} <- {body}"
-
-
-# untimed literal used between desugar and unroll
+# untimed literal used between desugar and stamping
 Lit = tuple[Atom, bool]
 
 
@@ -243,7 +234,7 @@ def _dedup(disjuncts: list[frozenset[Lit]]) -> list[frozenset[Lit]]:
     return out
 
 
-# --- unroll ------------------------------------------------------------------
+# --- the steps a rule reaches ------------------------------------------------
 
 def _mentions_action(rule: Desugared) -> bool:
     if rule.head and rule.head[0].constant.is_action:
@@ -261,25 +252,27 @@ def _sets_last_step_apart(law: Caused) -> bool:
     return law.head is not None and (law.head.constant.is_action or mentions_action(law.cond))
 
 
-def _stamp(lits: frozenset[Lit], step: int) -> frozenset[TimedLit]:
-    return frozenset(TimedLit(a, step, pos) for a, pos in lits)
-
+# --- the symbolic completion: the tests' reference ---------------------------
 
 def _stamp_rule(rule: Desugared, horizon: int):
-    """Yield (step, CausalRule) for one desugared rule over 0..horizon.  The
-    step is the rule's own step for a static rule and the step of the
-    after-part for an after-rule."""
+    """Yield (head, body) for one desugared rule over 0..horizon: the head
+    a TimedLit, or None for FALSE, and the body a frozenset of TimedLits.
+    A static rule is stamped at every step where the atoms it mentions
+    exist; an after-rule puts its head and if-part at t + 1 and its
+    after-part at t."""
+    def at(lits: frozenset[Lit], t: int) -> frozenset[TimedLit]:
+        return frozenset(TimedLit(a, t, pos) for a, pos in lits)
+
     cond_dnf = _dnf(rule.cond)
     head = rule.head
     if rule.after is None:
         if cond_dnf is None:
             return
-        # static: every step where the mentioned atoms exist
         last = horizon - 1 if _mentions_action(rule) else horizon
         for t in range(0, last + 1):
             h = TimedLit(head[0], t, head[1]) if head is not None else None
             for d in cond_dnf:
-                yield t, CausalRule(h, _stamp(d, t))
+                yield h, at(d, t)
         return
     if head is not None and head[0].constant.is_action:
         raise CompileError(f"after-rule head {head[0]} is an action atom")
@@ -289,48 +282,10 @@ def _stamp_rule(rule: Desugared, horizon: int):
     for t in range(0, horizon):
         h = TimedLit(head[0], t + 1, head[1]) if head is not None else None
         for ad in after_dnf:
-            extra = _stamp(ad, t)
+            extra = at(ad, t)
             for d in cond_dnf:
-                yield t, CausalRule(h, _stamp(d, t + 1) | extra)
+                yield h, at(d, t + 1) | extra
 
-
-def unroll(rules: list[Desugared], ground: GroundDomain, horizon: int,
-           *, noconcurrency: bool = False) -> list[CausalRule]:
-    """Stamp rules over 0..horizon and add the implicit exogeneity rules."""
-    if horizon < 0:
-        raise CompileError("horizon must be nonnegative")
-    out: list[CausalRule] = []
-    for rule in rules:
-        out.extend(r for _, r in _stamp_rule(rule, horizon))
-
-    # actions choose their own values at every step they exist
-    for atom in ground.action_atoms:
-        for t in range(0, horizon):
-            for pos in (True, False):
-                lit = TimedLit(atom, t, pos)
-                out.append(CausalRule(lit, frozenset([lit])))
-
-    # inertial-kind fluents are free at time 0
-    for const, args in ground.fluent_instances:
-        if const.kind is not Kind.INERTIAL_FLUENT:
-            continue
-        values = ("true", "false") if const.is_boolean else const.value_sort.members
-        for v in values:
-            a, pos = _norm_lit(Atom(const, args, v), True)
-            lit = TimedLit(a, 0, pos)
-            out.append(CausalRule(lit, frozenset([lit])))
-
-    if noconcurrency:
-        acts = ground.action_atoms
-        for i, j in itertools.combinations(range(len(acts)), 2):
-            for t in range(0, horizon):
-                out.append(CausalRule(None, frozenset(
-                    [TimedLit(acts[i], t), TimedLit(acts[j], t)])))
-
-    return out
-
-
-# --- completion --------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Support:
@@ -378,31 +333,56 @@ def atom_table(ground: GroundDomain, horizon: int) -> list[TimedAtom]:
     return table
 
 
-def complete(rules: list[CausalRule], ground: GroundDomain,
-             horizon: int) -> list[CompletionFormula]:
+def completion_for(ground: GroundDomain, horizon: int,
+                   *, noconcurrency: bool = False) -> list[CompletionFormula]:
+    """The completion of a horizon as symbolic formulas, in one pass over
+    the desugared rules: a support per timed atom in atom_table order,
+    then its negated face's if some rule has that head, with the bodies
+    in rule order, the implicit rules last; then the exactly-ones of the
+    multi-valued fluents; then the nogoods in rule order, the
+    :noconcurrency pairs last.  The test suite's reference: the
+    encoder's template is built without it."""
+    rules = desugar(ground)
+    if horizon < 0:
+        raise CompileError("horizon must be nonnegative")
     by_head: dict[TimedLit, list[frozenset[TimedLit]]] = {}
     nogoods: list[Nogood] = []
-    for r in rules:
-        if r.head is None:
-            nogoods.append(Nogood(r.body))
-        else:
-            by_head.setdefault(r.head, []).append(r.body)
+    for rule in rules:
+        for head, body in _stamp_rule(rule, horizon):
+            if head is None:
+                nogoods.append(Nogood(body))
+            else:
+                by_head.setdefault(head, []).append(body)
+
+    def free(lit: TimedLit) -> None:
+        by_head.setdefault(lit, []).append(frozenset([lit]))
+
+    # actions choose their own values at every step they exist
+    for atom in ground.action_atoms:
+        for t in range(0, horizon):
+            free(TimedLit(atom, t))
+            free(TimedLit(atom, t, False))
+    # inertial-kind fluents are free at time 0
+    for const, args in ground.fluent_instances:
+        if const.kind is Kind.INERTIAL_FLUENT:
+            for v in ("true", "false") if const.is_boolean else const.value_sort.members:
+                a, pos = _norm_lit(Atom(const, args, v), True)
+                free(TimedLit(a, 0, pos))
+    if noconcurrency:
+        for a, b in itertools.combinations(ground.action_atoms, 2):
+            for t in range(0, horizon):
+                nogoods.append(Nogood(frozenset([TimedLit(a, t), TimedLit(b, t)])))
 
     out: list[CompletionFormula] = []
     for ta in atom_table(ground, horizon):
-        pos = TimedLit(ta.atom, ta.step, True)
-        out.append(Support(pos, tuple(by_head.get(pos, ()))))
-        neg_lit = pos.negated()
-        if neg_lit in by_head:
-            out.append(Support(neg_lit, tuple(by_head[neg_lit])))
-
+        for lit in (TimedLit(ta.atom, ta.step), TimedLit(ta.atom, ta.step, False)):
+            if lit.positive or lit in by_head:
+                out.append(Support(lit, tuple(by_head.get(lit, ()))))
     for const, args in ground.fluent_instances:
-        if const.is_boolean:
-            continue
-        for t in range(0, horizon + 1):
-            out.append(ExactlyOne(tuple(TimedAtom(Atom(const, args, v), t)
-                                        for v in const.value_sort.members)))
-
+        if not const.is_boolean:
+            for t in range(0, horizon + 1):
+                out.append(ExactlyOne(tuple(TimedAtom(Atom(const, args, v), t)
+                                            for v in const.value_sort.members)))
     out.extend(nogoods)
     return out
 
@@ -423,26 +403,6 @@ def eval_completion(formulas: list[CompletionFormula], lit_truth) -> CompletionF
             if n != 1:
                 return f
     return None
-
-
-def window_truth(trajectory, step_actions):
-    """TimedLit -> bool over a trajectory and its per-step action sets, for
-    eval_completion."""
-    def truth(l: TimedLit) -> bool:
-        a = l.atom
-        if a.constant.is_action:
-            held = (a.constant.name, a.args) in step_actions[l.step]
-            v = held if a.value == "true" else not held
-        else:
-            v = trajectory[l.step][(a.constant.name, a.args)] == a.value
-        return v if l.positive else not v
-    return truth
-
-
-def completion_for(ground: GroundDomain, horizon: int,
-                   *, noconcurrency: bool = False) -> list[CompletionFormula]:
-    rules = unroll(desugar(ground), ground, horizon, noconcurrency=noconcurrency)
-    return complete(rules, ground, horizon)
 
 
 # --- CNF ---------------------------------------------------------------------
@@ -478,7 +438,7 @@ PAIRWISE_MAX_VALUES = 8
 
 
 class _ClauseSink:
-    """Clausifies completion formulas and asserted disjunctions.  Definition
+    """Clausifies supports, exactly-ones and asserted disjunctions.  Definition
     variables, numbered after var_count, are introduced only for
     multi-literal bodies inside multi-body supports and disjunctions, and
     for the registers of a sequential-counter at-most-one: an exactly-one
@@ -559,31 +519,24 @@ class _ClauseSink:
             self._add((-d, l))
         return d
 
-    def _add_formula(self, f: CompletionFormula, lit) -> None:
-        """Clausify f, numbering timed literals with lit."""
-        if isinstance(f, Support):
-            self._add_support(lit(f.head),
-                              [sorted(lit(l) for l in body) for body in f.bodies])
-        elif isinstance(f, Nogood):
-            self._add(sorted(-lit(l) for l in f.body))
-        else:
-            vars_ = [lit(TimedLit(ta.atom, ta.step)) for ta in f.atoms]
-            self._add(vars_)
-            if len(vars_) <= PAIRWISE_MAX_VALUES:
-                for a, b in itertools.combinations(vars_, 2):
-                    self._add((-a, -b))
-                return
-            # Sinz's sequential counter: register s_i is implied by any of
-            # the first i values, and value i + 1 may not hold with s_i
-            s = self.fresh()
-            self._add((-vars_[0], s))
-            for x in vars_[1:-1]:
-                t = self.fresh()
-                self._add((-x, t))
-                self._add((-s, t))
-                self._add((-x, -s))
-                s = t
-            self._add((-vars_[-1], -s))
+    def exactly_one(self, vars_: list[int]) -> None:
+        """Exactly one of vars_, in the form the class docstring gives."""
+        self._add(vars_)
+        if len(vars_) <= PAIRWISE_MAX_VALUES:
+            for a, b in itertools.combinations(vars_, 2):
+                self._add((-a, -b))
+            return
+        # Sinz's sequential counter: register s_i is implied by any of
+        # the first i values, and value i + 1 may not hold with s_i
+        s = self.fresh()
+        self._add((-vars_[0], s))
+        for x in vars_[1:-1]:
+            t = self.fresh()
+            self._add((-x, t))
+            self._add((-s, t))
+            self._add((-x, -s))
+            s = t
+        self._add((-vars_[-1], -s))
 
 
 # --- per-step template ---------------------------------------------------------
@@ -604,14 +557,17 @@ class StepTemplate:
     """Integer clause blocks from which Encoder grows any horizon of one
     ground domain, step by step.
 
-    The blocks clausify the symbolic completion of reference horizon 1.
+    The blocks are clausified straight from the desugared rules, each
+    rule's DNF stamped once into window literals (see _clausified).
     first holds step 0's supports, exactly-one clauses and the nogoods
-    that read only that step; step holds the same for step 1, which
-    stands for any later step, since a step's supports read only that
-    step and the one before; actions holds the nogoods that read a
-    step's actions or the step after it.  A step's blocks are the same
-    whether or not it is the last one: the template refuses the laws
-    that would set the last step apart, which validation rejects too.
+    that read only that step, initial freedom among the supports; step
+    holds the same for any later step, since a step's supports read only
+    that step and the one before; actions holds the nogoods that read a
+    step's actions or the step after it.  Together they clausify the
+    completion that completion_for gives symbolically, which the tests
+    hold them to.  A step's blocks are the same whether or not it is the
+    last one: the template refuses the laws that would set the last step
+    apart, which validation rejects too.
 
     facts holds the literals that hold at every step where their atoms
     exist, as (atom, truth) pairs, fluents first, each group in position
@@ -644,18 +600,7 @@ class StepTemplate:
             if isinstance(law, Caused) and _sets_last_step_apart(law):
                 raise CompileError(f"cannot compile '{law}': its rules would differ "
                                    "at the last step, which has no actions")
-        rules = desugar(ground)
-        # formulas of the first step, of a later step, and of a step's actions
-        parts: tuple[list, list, list] = ([], [], [])
-        for f in complete(unroll([r for r in rules if r.head is not None], ground, 1),
-                          ground, 1):
-            parts[f.head.step if isinstance(f, Support) else f.atoms[0].step].append(f)
-        for rule in rules:
-            if rule.head is None:
-                stops_early = rule.after is not None or _mentions_action(rule)
-                for t, r in _stamp_rule(rule, 1):
-                    parts[2 if stops_early else t].append(Nogood(r.body))
-        blocks = [self._clausify(fs, step) for fs, step in zip(parts, (0, 1, 0))]
+        blocks = self._clausified()
         facts = self._facts(*blocks)
         atoms = ground.fluent_atoms + ground.action_atoms
         self.facts = tuple((atoms[abs(q) - 1], q > 0) for q in facts)
@@ -708,19 +653,67 @@ class StepTemplate:
         return sorted(facts, key=abs) + [-(p + 1) for p in range(nf, width)
                                          if -(width + p + 1) in fixed]
 
-    def _clausify(self, formulas, step: int) -> tuple[list[tuple[int, ...]], int]:
-        """Clausify formulas stamped around step into window variables: the
-        clauses and the number of definition variables."""
-        width, position = self.width, self.ground.atom_position
+    def _clausified(self) -> list[tuple[list[tuple[int, ...]], int]]:
+        """The blocks first, step and actions, clausified from the
+        desugared rules into window literals: the clauses and the number
+        of definition variables of each.  Each rule's DNF is stamped once,
+        a head at offset 0, an after-part at -1 and its if-part at 0, one
+        step up in the actions block.  A block holds, in order, each
+        fluent position's support and then its negated face's if some
+        rule has that head, with the bodies in rule order and initial
+        freedom last (an action's support, its exogeneity, gives no
+        clause); then the exactly-ones in fluent_slots order; then the
+        nogoods in rule order."""
+        ground, width = self.ground, self.width
+        position = ground.atom_position
 
-        def lit(l: TimedLit) -> int:
-            v = (l.step - step + 1) * width + position[l.atom] + 1
-            return v if l.positive else -v
+        def stamp(lits, d: int) -> list[int]:
+            base = (d + 1) * width + 1
+            return [base + position[a] if pos else -base - position[a] for a, pos in lits]
 
-        sink = _ClauseSink(3 * width)
-        for f in formulas:
-            sink._add_formula(f, lit)
-        return sink.clauses, sink.var_count - 3 * width
+        blocks: list[tuple[dict[int, list], list]] = [({}, []) for _ in range(3)]
+        for rule in desugar(ground):
+            cond, head = _dnf(rule.cond) or (), rule.head
+            if rule.after is None:
+                into = (2,) if head is None and _mentions_action(rule) else (0, 1)
+                bodies = [sorted(stamp(c, 0)) for c in cond]
+            else:
+                if head is not None and head[0].constant.is_action:
+                    raise CompileError(f"after-rule head {head[0]} is an action atom")
+                # a nogood reads a step's actions: in actions, one step up
+                up = 1 if head is None else 0
+                into = (1 + up,)
+                bodies = [sorted(stamp(c, up) + stamp(a, up - 1))
+                          for a in _dnf(rule.after) or () for c in cond]
+            for k in into:
+                by_head, nogoods = blocks[k]
+                if head is None:
+                    nogoods += bodies
+                elif bodies:
+                    by_head.setdefault(stamp([head], 0)[0], []).extend(bodies)
+        # inertial-kind fluents are free at step 0
+        for (const, _), (_, boolean, values) in zip(ground.fluent_instances, ground.fluent_slots):
+            if const.kind is Kind.INERTIAL_FLUENT:
+                for _, p in values:
+                    v = width + p + 1
+                    for l in (v, -v) if boolean else (v,):
+                        blocks[0][0].setdefault(l, []).append([l])
+
+        out = []
+        for k, (by_head, nogoods) in enumerate(blocks):
+            sink = _ClauseSink(3 * width)
+            if k < 2:  # actions holds nogoods only
+                for v in range(width + 1, width + self.n_fluents + 1):
+                    sink._add_support(v, by_head.get(v, []))
+                    if -v in by_head:
+                        sink._add_support(-v, by_head[-v])
+                for _, boolean, values in ground.fluent_slots:
+                    if not boolean:
+                        sink.exactly_one([width + p + 1 for _, p in values])
+            for b in nogoods:
+                sink._add(sorted(-l for l in b))
+            out.append((sink.clauses, sink.var_count - 3 * width))
+        return out
 
     def _block(self, clausified, ints: dict) -> Block:
         """Pack clausified window clauses by length, taking each int object
@@ -864,12 +857,12 @@ class Encoder(_ClauseSink):
             placed += zip(*[map(get, lits)] * n)
         self.clauses += map(placed.__getitem__, order)
 
-    def _lit(self, l: TimedLit) -> int:
-        p = self.ground.atom_position.get(l.atom)
-        v = self.rows[l.step][p] if p is not None and 0 <= l.step < len(self.rows) else 0
+    def _lit(self, atom: Atom, step: int, positive: bool) -> int:
+        p = self.ground.atom_position.get(atom)
+        v = self.rows[step][p] if p is not None and 0 <= step < len(self.rows) else 0
         if not v:
-            raise CompileError(f"{l.atom}@{l.step} is outside the encoding horizon")
-        return v if l.positive else -v
+            raise CompileError(f"{atom}@{step} is outside the encoding horizon")
+        return v if positive else -v
 
     def assert_formula(self, f: Formula, step: int, guard: int | None = None) -> None:
         """Add clauses forcing the ground formula to hold at the given step;
@@ -883,7 +876,7 @@ class Encoder(_ClauseSink):
         if disjuncts is None:
             self._add(())  # unsatisfiable
         else:
-            bodies = [sorted(self._lit(TimedLit(a, step, pos)) for a, pos in d)
+            bodies = [sorted(self._lit(a, step, pos) for a, pos in d)
                       for d in disjuncts]
             if any(not b for b in bodies):
                 return  # trivially true

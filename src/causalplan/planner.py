@@ -37,7 +37,7 @@ from .model import (FINAL, ActionArg, ActionCost, Atom, AtomF,
                     instance_str, mentions_action, split_top_level)
 from .sat import Solver, enumerate_models
 from .sat import solve as sat_solve
-from .semantics import check_trajectory
+from .semantics import _valuation, check_trajectory
 
 __all__ = [
     "ActionArg", "ActionCost", "Consistent", "FluentRef", "Inconsistent",
@@ -400,14 +400,8 @@ def validate_plan(domain: DomainDescription, problem: PlanningProblem, p: Plan,
         if mentions_action(f) and step >= h:
             issues.append(f"{label} mentions actions but lands on the final state")
             return True
-
-        def att(atom: Atom) -> bool:
-            if atom.constant.is_action:
-                held = (atom.constant.name, atom.args) in step_sets[step]
-                return held if atom.value == "true" else not held
-            return p.trajectory[step][(atom.constant.name, atom.args)] == atom.value
-
-        return eval_formula(f, att)
+        acts = step_sets[step] if step < h else set()
+        return eval_formula(f, _valuation(p.trajectory[step], acts))
 
     init = close_formula(problem.init, domain, registry)
     goal = close_formula(problem.goal, domain, registry)

@@ -5,8 +5,10 @@ those that satisfy the symbolic completion formulas (completion_for),
 evaluated directly.  Nothing here builds clauses or calls a solver, so
 an encoder or solver fault cannot hide itself from these answers.
 Unlike oracles.py, these draw on the package's compiler: the completion
-is what they enumerate against, through the same window_truth valuation
-that planner.validate_plan uses.
+is what they enumerate against, valued over a trajectory by window_truth
+below.  The encoder's step template is built without the completion, and
+planner.validate_plan checks plans law by law (semantics.py), so neither
+shares this valuation.
 """
 
 from __future__ import annotations
@@ -14,12 +16,25 @@ from __future__ import annotations
 import itertools
 
 from causalplan.compiler import (Nogood, Support, TimedAtom, TimedLit, atom_table,
-                                 completion_for, desugar, eval_completion,
-                                 window_truth)
+                                 completion_for, desugar, eval_completion)
 from causalplan.grounding import GroundDomain
 from causalplan.model import Kind, State, freeze_state
 
-__all__ = ["oracle_paths", "oracle_states", "oracle_transitions"]
+__all__ = ["oracle_paths", "oracle_states", "oracle_transitions", "window_truth"]
+
+
+def window_truth(trajectory, step_actions):
+    """TimedLit -> bool over a trajectory and its per-step action sets, for
+    eval_completion."""
+    def truth(l: TimedLit) -> bool:
+        a = l.atom
+        if a.constant.is_action:
+            held = (a.constant.name, a.args) in step_actions[l.step]
+            v = held if a.value == "true" else not held
+        else:
+            v = trajectory[l.step][(a.constant.name, a.args)] == a.value
+        return v if l.positive else not v
+    return truth
 
 
 def _value_complete_states(gd: GroundDomain, limit: int):
@@ -110,7 +125,9 @@ def oracle_transitions(gd: GroundDomain, *, noconcurrency: bool = False,
     statics = [f for f in completion_for(gd, 0) if isinstance(f, Nogood)]
     cand1 = [s for s in _value_complete_states(gd, 1 << 18)
              if eval_completion(statics, window_truth([s], [])) is None]
-    n_subsets = 2 ** len(gd.action_instances)
+    # under :noconcurrency only the empty set and the singletons can occur
+    actions = gd.action_instances
+    n_subsets = len(actions) + 1 if noconcurrency else 2 ** len(actions)
     if len(states0) * len(cand1) * n_subsets > max_triples:
         raise ValueError("too many candidate transitions; enumeration refused")
 
@@ -140,10 +157,11 @@ def oracle_transitions(gd: GroundDomain, *, noconcurrency: bool = False,
         else:
             flu1.append((i, (a.constant.name, a.args), a.value))
 
-    subsets = [frozenset(inst for inst, on in zip(gd.action_instances, mask) if on)
-               for mask in itertools.product((False, True), repeat=len(gd.action_instances))]
     if noconcurrency:
-        subsets = [s for s in subsets if len(s) <= 1]
+        subsets = [frozenset(), *(frozenset([inst]) for inst in actions)]
+    else:
+        subsets = [frozenset(inst for inst, on in zip(actions, mask) if on)
+                   for mask in itertools.product((False, True), repeat=len(actions))]
 
     bits = [False] * (len(table) + 1)
     out = []

@@ -11,7 +11,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 
 import oracles
 import toy_domains
@@ -20,7 +20,7 @@ from causalplan import ParseError, compile_cnf, parse_domain
 from causalplan.compiler import (CompileError, Encoder, ExactlyOne, Nogood,
                                  Support, TimedAtom, TimedLit, _ClauseSink, _dnf,
                                  atom_table, completion_for, desugar, eval_completion,
-                                 step_template, unroll)
+                                 step_template)
 from causalplan.grounding import GroundDomain, GroundingError, ground
 from causalplan.model import FINAL, And, AtomF, Caused, Not, formula_atoms
 from causalplan.sat import Solver, emit_dimacs, enumerate_models
@@ -103,9 +103,8 @@ def test_unroll_statics_with_actions_stop_before_final_step():
   inertial p;
   nonexecutable a if p;
 """)
-    rules = unroll(desugar(gd), gd, 2)
-    ban_steps = sorted({max(l.step for l in r.body)
-                        for r in rules if r.head is None and r.body})
+    bans = [f for f in completion_for(gd, 2) if isinstance(f, Nogood)]
+    ban_steps = sorted({max(l.step for l in f.body) for f in bans if f.body})
     assert ban_steps == [0, 1]  # no action atoms at step 2
 
 
@@ -673,12 +672,11 @@ def test_templated_encoder_equals_symbolic_clausification(name, gd, query):
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
 @given(domains())
 def test_templated_encoder_equals_symbolic_clausification_on_random_domains(text):
-    # domains with facts, in more shapes than the fixed cases have
+    # domains with facts and without, in more shapes than the fixed cases have
     try:
         gd = ground(parse_domain(text))
     except (ParseError, GroundingError):
         return  # the generator may draw clashing names
-    assume(step_template(gd).facts)
     test_templated_encoder_equals_symbolic_clausification("random", gd, None)
 
 

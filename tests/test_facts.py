@@ -51,10 +51,9 @@ def test_facts_hold_in_every_enumerated_state_and_transition(name):
 
 
 def test_facts_hold_for_three_disks():
-    # under :noconcurrency, as build_toh poses its problems: the 2^18 sets
-    # of its eighteen actions are too many to enumerate transitions over
+    # under :noconcurrency, as build_toh poses its problems
     assert _assert_facts_hold(ground(build_toh(3).domain), noconcurrency=True,
-                              max_window_atoms=54, max_triples=1 << 30) == 12
+                              max_window_atoms=54) == 12
 
 
 def test_facts_are_the_literals_fixed_at_every_step():

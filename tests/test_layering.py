@@ -84,9 +84,17 @@ def _reached(tree, start: str) -> set[str]:
     the module's other functions that it calls by a name it does not bind
     itself (a parameter or local called plan is not the function plan)."""
     funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
-    names, todo = set(), [start]
+    return _reached_from(funcs, [funcs[start]])
+
+
+def _reached_from(funcs, roots) -> set[str]:
+    """Every name used by the function nodes roots and, transitively, by
+    the functions of funcs (by name) that they call, as _reached says."""
+    names, todo = set(), list(roots)
     while todo:
-        fn = funcs.get(todo.pop())
+        fn = todo.pop()
+        if isinstance(fn, str):
+            fn = funcs.get(fn)
         if fn is None:
             continue
         local = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
@@ -113,3 +121,26 @@ def test_modules_the_checks_draw_on_do_not_import_the_cost_encoder():
         bad = [f"{m}.{n}" if n else m for m, n in _imports(path)
                if m == "causalplan.charges" or n in ("charges", "ChargeCounter")]
         assert bad == [], f"{path.name} imports the cost encoder: {bad}"
+
+
+# what only the symbolic completion uses, which the tests read as their
+# reference: the step template and the encoder, which build every
+# query's clauses, must reach none of it, so that the equivalence tests
+# compare two routes that share nothing below desugar and _dnf
+REFERENCE_NAMES = {"completion_for", "_stamp_rule", "Support", "Nogood", "ExactlyOne",
+                   "TimedLit", "atom_table"}
+
+
+def test_the_template_and_the_encoder_are_built_without_the_completion():
+    tree = ast.parse(Path(causalplan.__file__).with_name("compiler.py").read_text(encoding="utf-8"))
+    funcs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+    todo, methods = ["StepTemplate", "Encoder"], []
+    while todo:  # each class with the module's classes it derives from
+        cls = classes[todo.pop()]
+        todo += [b.id for b in cls.bases if isinstance(b, ast.Name) and b.id in classes]
+        methods += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+    used = _reached_from(funcs, methods)
+    assert {"desugar", "_dnf", "_add_support", "exactly_one", "step_template"} <= used
+    bad = used & REFERENCE_NAMES
+    assert not bad, f"the template or the encoder reaches the symbolic completion: {sorted(bad)}"

@@ -19,11 +19,11 @@ from hypothesis import HealthCheck, given, settings
 
 import sample_files
 import toy_domains
-from enumeration import oracle_states, oracle_transitions
+from enumeration import oracle_states, oracle_transitions, window_truth
 from test_parser import domains
 from causalplan import (Plan, ParseError, parse_domain, parse_problem, parse_world,
                         plan, registry_for, validate_plan)
-from causalplan.compiler import completion_for, eval_completion, window_truth
+from causalplan.compiler import completion_for, eval_completion
 from causalplan.domains import build_mapp, build_robot_boxes, build_toh
 from causalplan.grounding import GroundDomain, GroundingError, ground
 from causalplan.model import (Atom, AtomF, Caused, PlanningProblem,
