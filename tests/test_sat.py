@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import search_golden
 from causalplan.sat import (DimacsError, ResourceLimit, Solver, emit_dimacs,
                             enumerate_models, parse_dimacs, read_dimacs_model,
                             solve)
@@ -251,6 +252,13 @@ def test_search_counters_on_php_7_6_are_pinned():
     s = Solver(n, clauses, seed=0)
     assert not s.solve().is_sat
     assert (s.stats.conflicts, s.stats.decisions, s.stats.propagations) == (739, 911, 9531)
+
+
+def test_search_matches_golden():
+    # search_golden.json pins every solve's counters and learnt clauses
+    got, want = search_golden.record(), search_golden.pinned()
+    moved = [name for name in want if got.get(name) != want[name]]
+    assert got.keys() == want.keys() and moved == [], f"the search moved on {moved}"
 
 
 def test_verify_checks_clauses_added_after_solving():
