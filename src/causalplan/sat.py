@@ -7,6 +7,15 @@ seed (default 0); wall-clock time never influences a decision unless a
 time limit is set.  Every SAT answer is verified against the clause set
 before it is returned.
 
+Conflict analysis (see Solver._analyze) walks the trail back from the
+false clause to the first UIP, then minimizes locally (Sorensson &
+Biere, "Minimizing Learned Clauses", 2009): a learnt literal goes when
+each literal of its reason has its variable in the clause or is fixed
+at level 0, with no recursion into those reasons.  The highest level
+among the literals left besides the asserting one is the backjump
+level, and the first of them at that level is the clause's second
+watch.
+
 Branching takes the most active unassigned variable, the lowest-numbered
 one on a tie, from a heap that re-inserts a variable only when it has no
 entry at its current activity (after MiniSat's order heap: Een &
@@ -350,21 +359,23 @@ class Solver:
 
     def _propagate(self) -> list[int] | None:
         """Unit propagation; returns a conflicting clause or None.  Does
-        _enqueue's work inline.  A clause that finds a new literal to watch
-        leaves the watch list of neg, the literal that became false; the
-        list is rebuilt only then, keeping its order, from the clauses
-        that still have neg as one of their first two literals."""
+        _enqueue's work inline.  The trail is walked from qhead by one list
+        iterator, which also yields the literals appended meanwhile.  A
+        clause that finds a new literal to watch leaves the watch list of
+        neg, the literal that became false; the list is rebuilt only
+        then, keeping its order, from the clauses that still have neg as
+        one of their first two literals."""
         watches, val = self.watches, self.val
         trail, level, reason = self.trail, self.level, self.reason
         enqueue = trail.append
         dl = len(self.trail_lim)
-        start = qhead = self.qhead
-        while qhead < len(trail):
-            neg = -trail[qhead]
-            qhead += 1
+        start = self.qhead
+        pending = iter(trail)
+        pending.__setstate__(start)  # the iterator's position
+        for lit in pending:
+            neg = -lit
             ws = watches[neg]
             moved = False
-            confl = None
             for c in ws:
                 w0 = c[0]
                 if w0 == neg:
@@ -388,25 +399,40 @@ class Solver:
                     if k:
                         continue
                 if x:
-                    confl = c
-                    break
+                    break  # c is false: a conflict
                 val[w0] = 1
                 val[-w0] = -1
                 v = w0 if w0 > 0 else -w0
                 level[v] = dl
                 reason[v] = c
                 enqueue(w0)
+            else:
+                if moved:
+                    watches[neg] = [d for d in ws if d[1] == neg or d[0] == neg]
+                continue
             if moved:
                 watches[neg] = [d for d in ws if d[1] == neg or d[0] == neg]
-            if confl is not None:
-                self.stats.propagations += qhead - start
-                self.qhead = len(trail)
-                return confl
-        self.stats.propagations += qhead - start
-        self.qhead = qhead
+            self.stats.propagations += trail.index(lit, start) + 1 - start
+            self.qhead = len(trail)
+            return c
+        self.stats.propagations += len(trail) - start
+        self.qhead = len(trail)
         return None
 
     def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        """First-UIP learning from the conflicting clause confl; returns the
+        learnt clause, its asserting literal first, and the level to
+        backjump to.
+
+        The walk resolves back along the trail from confl, marking in seen
+        each variable above level 0 that it meets, until one marked
+        literal of the current level is left (the first UIP).  Then local
+        minimization (Sorensson & Biere, "Minimizing Learned Clauses",
+        2009) drops each other literal whose reason's literals are all
+        marked or fixed at level 0: at that point seen marks exactly the
+        variables of the clause before minimization.  The first literal
+        of the highest level among the rest moves to the second slot, to
+        be watched, and that level is the backjump level (0 for a unit)."""
         seen = self.seen  # cleared through bumped before returning
         level, trail, reason = self.level, self.trail, self.reason
         learnt: list[int] = [0]
@@ -443,35 +469,40 @@ class Solver:
         learnt[0] = -p
         self._bump(bumped)
 
-        # local minimization: drop literals implied by the rest
-        def redundant(q: int) -> bool:
-            r = self.reason[q if q > 0 else -q]
-            if r is None:
-                return False
-            return all(seen[x if x > 0 else -x] or self.level[x if x > 0 else -x] == 0
-                       for x in r if x != -q)
-
-        learnt = [learnt[0]] + [q for q in learnt[1:] if not redundant(q)]
+        # keep q unless every literal of its reason is marked or at level 0;
+        # the reason's own literal -q is marked, as q's variable is
+        kept = 1
+        bt = 0
+        for q in learnt[1:]:
+            r = reason[q if q > 0 else -q]
+            if r is not None:
+                for x in r:
+                    u = x if x > 0 else -x
+                    if not seen[u] and level[u]:
+                        break
+                else:
+                    continue  # redundant
+            lv = level[q if q > 0 else -q]
+            if lv > bt:
+                bt = lv
+                second = kept
+            learnt[kept] = q
+            kept += 1
+        del learnt[kept:]
         for v in bumped:
             seen[v] = 0
-
-        if len(learnt) == 1:
-            return learnt, 0
-        # move a max-level literal into the second watch slot
-        mi = max(range(1, len(learnt)),
-                 key=lambda i: self.level[learnt[i] if learnt[i] > 0 else -learnt[i]])
-        learnt[1], learnt[mi] = learnt[mi], learnt[1]
-        bt = self.level[learnt[1] if learnt[1] > 0 else -learnt[1]]
+        if kept > 1:
+            learnt[1], learnt[second] = learnt[second], learnt[1]
         return learnt, bt
 
     def _pick_branch(self) -> int:
-        if self.nvars and self.rng.random() < self.RANDOM_FREQ:
-            start = self.rng.randrange(1, self.nvars + 1)
-            for off in range(self.nvars):
-                v = (start + off - 1) % self.nvars + 1
-                if self.val[v] == 0:
+        rng, nvars, val = self.rng, self.nvars, self.val
+        if nvars and rng.random() < self.RANDOM_FREQ:
+            start = rng.randrange(1, nvars + 1)
+            for v in chain(range(start, nvars + 1), range(1, start)):
+                if not val[v]:
                     return self.saved[v] * v
-        heap, activity, in_order, val = self.order, self.activity, self.in_order, self.val
+        heap, activity, in_order = self.order, self.activity, self.in_order
         pop = heapq.heappop
         while heap:
             key, v = pop(heap)
@@ -484,73 +515,90 @@ class Solver:
 
     def solve(self, assumptions=(), *, max_conflicts: int | None = None,
               max_seconds: float | None = None) -> SolveResult:
+        """Search under assumptions, which are decided first, in order.
+        Raises ResourceLimit once this call has had max_conflicts
+        conflicts, or once max_seconds have passed.  The clock is read only
+        when max_seconds is set, every 256 steps of the call's search loop
+        (a step ends in a conflict, a decision or an assumption), so a
+        search with few conflicts still stops."""
         t0 = time.perf_counter()
         deadline = t0 + max_seconds if max_seconds is not None else None
+        stats = self.stats
 
         def done(status: str, model=None) -> SolveResult:
-            self.stats.elapsed += time.perf_counter() - t0
-            return SolveResult(status, model, self.stats)
+            stats.elapsed += time.perf_counter() - t0
+            return SolveResult(status, model, stats)
+
+        def limit() -> ResourceLimit:
+            stats.elapsed += time.perf_counter() - t0
+            return ResourceLimit(stats)
 
         if not self.ok:
             return done("UNSAT")
         self._backtrack(0)
-        if self._propagate() is not None:
+        propagate, analyze, backtrack = self._propagate, self._analyze, self._backtrack
+        enqueue, attach, pick_branch = self._enqueue, self._attach, self._pick_branch
+        trail, trail_lim = self.trail, self.trail_lim
+        if propagate() is not None:
             self.ok = False
             return done("UNSAT")
 
         assumptions = list(assumptions)
+        n_assumed = len(assumptions)
         conflicts_here = 0
+        steps = 0  # counted only under a deadline
         restart_n = 1
         restart_limit = self.RESTART_BASE * _luby(1)
 
         while True:
-            confl = self._propagate()
+            if deadline is not None:
+                steps += 1
+                if not steps & 255 and time.perf_counter() > deadline:
+                    raise limit()
+            confl = propagate()
             if confl is not None:
-                self.stats.conflicts += 1
+                stats.conflicts += 1
                 conflicts_here += 1
-                if len(self.trail_lim) == 0:
+                if not trail_lim:
                     self.ok = False
                     return done("UNSAT")
-                learnt, bt = self._analyze(confl)
-                self._backtrack(bt)
+                learnt, bt = analyze(confl)
+                backtrack(bt)
                 if len(learnt) == 1:
-                    self._enqueue(learnt[0])
+                    enqueue(learnt[0])
                 else:
-                    self._attach(learnt)
-                    self._enqueue(learnt[0], learnt)
+                    attach(learnt)
+                    enqueue(learnt[0], learnt)
                 self.var_inc /= self.VAR_DECAY
-                if (max_conflicts is not None and conflicts_here >= max_conflicts) or \
-                        (deadline is not None and self.stats.conflicts % 256 == 0
-                         and time.perf_counter() > deadline):
-                    self.stats.elapsed += time.perf_counter() - t0
-                    raise ResourceLimit(self.stats)
+                if max_conflicts is not None and conflicts_here >= max_conflicts:
+                    raise limit()
                 if conflicts_here >= restart_limit:
                     restart_n += 1
                     restart_limit = conflicts_here + self.RESTART_BASE * _luby(restart_n)
-                    self.stats.restarts += 1
-                    self._backtrack(0)
+                    stats.restarts += 1
+                    backtrack(0)
                 continue
 
-            if len(self.trail_lim) < len(assumptions):
-                lit = assumptions[len(self.trail_lim)]
+            if len(trail_lim) < n_assumed:
+                lit = assumptions[len(trail_lim)]
                 if not (1 <= abs(lit) <= self.nvars):
                     raise ValueError(f"assumption literal {lit} out of range")
                 value = self.val[lit]
                 if value == -1:
                     return done("UNSAT")
-                self.trail_lim.append(len(self.trail))
+                trail_lim.append(len(trail))
                 if value == 0:
-                    self._enqueue(lit)
+                    enqueue(lit)
                 continue
 
-            lit = self._pick_branch()
+            lit = pick_branch()
             if lit == 0:
                 model = tuple(a == 1 for a in self.val[:self.nvars + 1])
                 self._verify(model)
                 return done("SAT", model)
-            self.stats.decisions += 1
-            self.trail_lim.append(len(self.trail))
-            self._enqueue(lit)
+            stats.decisions += 1
+            trail_lim.append(len(trail))
+            enqueue(lit)
 
     def _verify(self, model: tuple[bool, ...]) -> None:
         """Check model against every clause given to the solver, as given."""

@@ -1,8 +1,9 @@
 """Independent verification routes for the test suite.
 
 Nothing in here touches the package's solver or compiler: CNF
-satisfiability is decided by truth-table bitmasks, and optimal makespans
-come from breadth-first search over hand-written transition rules.
+satisfiability is decided by truth-table bitmasks, learnt clauses are
+derived by explicit resolution, and optimal makespans come from
+breadth-first search over hand-written transition rules.
 Tests compare package output against these.
 """
 
@@ -65,6 +66,46 @@ def php_clauses(pigeons: int, holes: int):
         for p1, p2 in itertools.combinations(range(pigeons), 2):
             clauses.append([-var(p1, h), -var(p2, h)])
     return pigeons * holes, clauses
+
+
+# --- conflict analysis by resolution -------------------------------------------
+
+def first_uip(conflict, trail, level, reason, current: int):
+    """The clause that first-UIP learning derives from the false clause
+    conflict, then locally minimized, as (its literals as a set, its
+    asserting literal, the level to backjump to).
+
+    Written as resolution: starting from conflict, the clause is
+    resolved with the reason of its latest-assigned literal of level
+    current until one literal of that level (the first UIP) is left;
+    literals fixed at level 0 are dropped.  A literal other than the
+    UIP is then dropped when every other literal of its reason has a
+    variable of that clause or is fixed at level 0 (Sorensson & Biere,
+    "Minimizing Learned Clauses", 2009).  The backjump level is the
+    highest level among the kept literals other than the UIP, 0 if
+    there are none.  trail lists the assigned literals in assignment
+    order; level[v] and reason[v] are variable v's decision level and
+    implying clause (None for a decision)."""
+    rank = {abs(l): i for i, l in enumerate(trail)}
+    clause = {l for l in conflict if level[abs(l)] > 0}
+    while True:
+        top = [l for l in clause if level[abs(l)] == current]
+        if len(top) == 1:
+            break
+        latest = max(top, key=lambda l: rank[abs(l)])
+        clause.remove(latest)
+        clause |= {l for l in reason[abs(latest)] if l != -latest and level[abs(l)] > 0}
+    uip = top[0]
+    in_clause = {abs(l) for l in clause}
+
+    def redundant(q):
+        r = reason[abs(q)]
+        return r is not None and all(abs(l) in in_clause or level[abs(l)] == 0
+                                     for l in r if l != -q)
+
+    learnt = {q for q in clause if q == uip or not redundant(q)}
+    backjump = max((level[abs(q)] for q in learnt if q != uip), default=0)
+    return learnt, uip, backjump
 
 
 # --- breadth-first search -------------------------------------------------------

@@ -1,6 +1,7 @@
 """CDCL engine against truth-table ground truth, plus DIMACS exchange."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 import oracles
 import search_golden
+from causalplan import PlanFound, plan, planner, sat
+from causalplan.domains import build_toh
 from causalplan.sat import (DimacsError, ResourceLimit, Solver, emit_dimacs,
                             enumerate_models, parse_dimacs, read_dimacs_model,
                             solve)
@@ -92,6 +95,17 @@ def test_conflict_limit_raises():
     n, clauses = oracles.php_clauses(6, 5)
     with pytest.raises(ResourceLimit):
         Solver(n, clauses).solve(max_conflicts=3)
+
+
+def test_time_limit_holds_without_conflicts(monkeypatch):
+    # 400 decisions and no conflict: the clock is read at the 256th step
+    with pytest.raises(ResourceLimit):
+        Solver(400, ()).solve(max_seconds=1e-9)
+    # without a time limit the clock is read only to time the call
+    reads = []
+    monkeypatch.setattr(sat, "time", SimpleNamespace(
+        perf_counter=lambda: reads.append(0) or float(len(reads))))
+    assert Solver(400, ()).solve().is_sat and len(reads) == 2
 
 
 def test_enumerate_models_counts():
@@ -259,6 +273,33 @@ def test_search_matches_golden():
     got, want = search_golden.record(), search_golden.pinned()
     moved = [name for name in want if got.get(name) != want[name]]
     assert got.keys() == want.keys() and moved == [], f"the search moved on {moved}"
+
+
+def test_conflict_analysis_matches_resolution(monkeypatch):
+    # every learnt clause, its asserting literal and its backjump level,
+    # against first-UIP learning written as resolution (oracles.first_uip)
+    checked = []
+
+    class CheckedAnalysis(Solver):
+        def _analyze(self, confl):
+            want = oracles.first_uip(confl, self.trail, self.level, self.reason,
+                                     len(self.trail_lim))
+            learnt, bt = super()._analyze(confl)
+            assert (set(learnt), learnt[0], bt) == want
+            checked.append(learnt)
+            return learnt, bt
+
+    monkeypatch.setattr(planner, "Solver", CheckedAnalysis)
+    for disks in (3, 4):
+        toh = build_toh(disks)
+        assert isinstance(plan(toh.domain, toh.problem, seed=0), PlanFound)
+    on_toh = len(checked)
+    rng = random.Random(search_golden.RANDOM_SEED)
+    n = search_golden.RANDOM_VARS
+    for i in range(search_golden.RANDOM_CASES):
+        clauses = search_golden.random_3cnf(rng, n, round(search_golden.RANDOM_RATIO * n))
+        CheckedAnalysis(n, clauses, seed=i).solve()
+    assert on_toh > 250 and len(checked) - on_toh > 5000
 
 
 def test_verify_checks_clauses_added_after_solving():
