@@ -74,6 +74,13 @@ def random_3cnf(rng: random.Random, n: int, m: int) -> list[list[int]]:
             for _ in range(m)]
 
 
+def random_formulas():
+    """(solver seed, clauses) for each of the random 3-CNF cases."""
+    rng = random.Random(RANDOM_SEED)
+    for i in range(RANDOM_CASES):
+        yield i, random_3cnf(rng, RANDOM_VARS, round(RANDOM_RATIO * RANDOM_VARS))
+
+
 def planned(bundle, seed: int) -> list[dict]:
     """The recorded solve calls of plan() on bundle at solver seed."""
     made: list[Recording] = []
@@ -105,15 +112,12 @@ def cases():
                       [(0, 0), (4, 4)], [(4, 4), (0, 0)])
     for seed in MAPP_SEEDS:
         yield f"mapp5x5/seed{seed}", lambda seed=seed: planned(mapp, seed)
-    rng = random.Random(RANDOM_SEED)
-    for i in range(RANDOM_CASES):
-        clauses = random_3cnf(rng, RANDOM_VARS, round(RANDOM_RATIO * RANDOM_VARS))
-
-        def rand(clauses=clauses, i=i):
-            s = Recording(RANDOM_VARS, clauses, seed=i)
+    for seed, clauses in random_formulas():
+        def rand(clauses=clauses, seed=seed):
+            s = Recording(RANDOM_VARS, clauses, seed=seed)
             s.solve()
             return s.calls
-        yield f"random3/{i}", rand
+        yield f"random3/{seed}", rand
 
 
 def record() -> dict[str, list[dict]]:

@@ -236,15 +236,10 @@ class CheckedBranching(Solver):
         assert all(v in current and self.in_order[v] for v in self._unassigned())
 
 
-def random_3sat(rng, n, m):
-    return [[v if rng.random() < 0.5 else -v for v in rng.sample(range(1, n + 1), 3)]
-            for _ in range(m)]
-
-
 @pytest.mark.parametrize("var_inc", [1.0, 1e98])  # 1e98 rescales after a few conflicts
 def test_branching_picks_the_most_active_unassigned_variable(var_inc):
     rng = random.Random(31)
-    cases = [(50, random_3sat(rng, 50, 213)) for _ in range(12)]
+    cases = [(50, search_golden.random_3cnf(rng, 50, 213)) for _ in range(12)]
     cases.append(oracles.php_clauses(6, 5))  # UNSAT; SAT models are checked by _verify
     conflicts = rescaled = 0
     for seed, (n, clauses) in enumerate(cases):
@@ -294,11 +289,8 @@ def test_conflict_analysis_matches_resolution(monkeypatch):
         toh = build_toh(disks)
         assert isinstance(plan(toh.domain, toh.problem, seed=0), PlanFound)
     on_toh = len(checked)
-    rng = random.Random(search_golden.RANDOM_SEED)
-    n = search_golden.RANDOM_VARS
-    for i in range(search_golden.RANDOM_CASES):
-        clauses = search_golden.random_3cnf(rng, n, round(search_golden.RANDOM_RATIO * n))
-        CheckedAnalysis(n, clauses, seed=i).solve()
+    for seed, clauses in search_golden.random_formulas():
+        CheckedAnalysis(search_golden.RANDOM_VARS, clauses, seed=seed).solve()
     assert on_toh > 250 and len(checked) - on_toh > 5000
 
 
