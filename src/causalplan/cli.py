@@ -448,8 +448,9 @@ def main(argv=None) -> int:
             DimacsError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ResourceLimit:
-        print("error: solver resource limit reached", file=sys.stderr)
+    except ResourceLimit as e:
+        print(f"error: solver resource limit reached (--max-{e.limit}) after "
+              f"{e.stats.conflicts} conflicts and {e.stats.decisions} decisions", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 Pipeline (each stage is exposed for testing):
 
-    desugar   ground laws -> (head literal, if-part, after-part) triples
+    desugar   laws -> (head literal, if-part, after-part) triples
     template  StepTemplate: each triple's parts, in DNF, stamped once into
               window literals and clausified per ground domain (which
               ground() keeps across queries) into three integer clause
@@ -44,8 +44,10 @@ DIMACS file's atom comments are as without facts; see StepTemplate.
 completion_for(h) is the test suite's reference: one pass that stamps
 every desugared rule over steps 0..h into symbolic supports and nogoods,
 with the exactly-ones of the multi-valued fluents (Support, Nogood and
-ExactlyOne over timed literals), which eval_completion evaluates.  No query reads it, and the template is built
-without it, so the two share nothing below desugar and _dnf.  cnf() is,
+ExactlyOne over timed literals), which eval_completion evaluates.  No
+query reads it, and the template is built without it, from the ground
+domain's rules rather than its ground laws, so the two share nothing
+below the desugaring of one law (_desugared) and _dnf.  cnf() is,
 up to the numbering of its variables, clause for clause the clausified
 completion_for(h) under the template's facts: each clause that a fact
 satisfies dropped, each literal that one falsifies stripped, and a unit
@@ -151,57 +153,59 @@ def _instances(const):
 
 
 def desugar(ground: GroundDomain) -> list[Desugared]:
-    """Reduce every law form to plain caused-if-after triples."""
-    out: list[Desugared] = []
-    for law in ground.laws:
-        if isinstance(law, Caused):
-            head = _norm_lit(law.head, True) if law.head is not None else None
-            out.append(Desugared(head, law.cond, law.after))
-        elif isinstance(law, Causes):
-            # a causes F if G  ==  caused F after a & G
-            out.append(Desugared(_norm_lit(law.effect, True), TRUE,
-                                 And((AtomF(law.action), law.cond))
-                                 if not isinstance(law.cond, TrueF) else AtomF(law.action)))
-        elif isinstance(law, Nonexecutable):
-            out.append(Desugared(None, TRUE,
-                                 And((AtomF(law.action), law.cond))
-                                 if not isinstance(law.cond, TrueF) else AtomF(law.action)))
-        elif isinstance(law, Constraint):
-            out.append(Desugared(None, Not(law.body)))
-        elif isinstance(law, Inertial):
-            if law.constant.is_action:
-                raise CompileError(f"'{law.constant.name}' is an action; it cannot be inertial")
-            for atom in _instances(law.constant):
-                lit = _norm_lit(atom, True)
-                out.append(Desugared(lit, AtomF(atom), AtomF(atom)))
-        elif isinstance(law, Exogenous):
-            if law.constant.is_action:
-                continue  # actions are exogenous implicitly
-            for atom in _instances(law.constant):
-                out.append(Desugared(_norm_lit(atom, True), AtomF(atom)))
-        else:
-            raise CompileError(f"cannot desugar {law!r}")
-    return out
+    """Reduce every ground law to plain caused-if-after triples."""
+    return [rule for law in ground.laws for rule in _desugared(law)]
+
+
+def _desugared(law) -> list[Desugared]:
+    """The caused-if-after triples of one law, ground or schematic."""
+    if isinstance(law, Caused):
+        head = _norm_lit(law.head, True) if law.head is not None else None
+        return [Desugared(head, law.cond, law.after)]
+    if isinstance(law, Causes):
+        # a causes F if G  ==  caused F after a & G
+        return [Desugared(_norm_lit(law.effect, True), TRUE,
+                          And((AtomF(law.action), law.cond))
+                          if not isinstance(law.cond, TrueF) else AtomF(law.action))]
+    if isinstance(law, Nonexecutable):
+        return [Desugared(None, TRUE,
+                          And((AtomF(law.action), law.cond))
+                          if not isinstance(law.cond, TrueF) else AtomF(law.action))]
+    if isinstance(law, Constraint):
+        return [Desugared(None, Not(law.body))]
+    if isinstance(law, Inertial):
+        if law.constant.is_action:
+            raise CompileError(f"'{law.constant.name}' is an action; it cannot be inertial")
+        return [Desugared(_norm_lit(atom, True), AtomF(atom), AtomF(atom))
+                for atom in _instances(law.constant)]
+    if isinstance(law, Exogenous):
+        if law.constant.is_action:
+            return []  # actions are exogenous implicitly
+        return [Desugared(_norm_lit(atom, True), AtomF(atom))
+                for atom in _instances(law.constant)]
+    raise CompileError(f"cannot desugar {law!r}")
 
 
 # --- DNF over literals -------------------------------------------------------
 
-def _dnf(f: Formula, positive: bool = True) -> list[frozenset[Lit]] | None:
+def _dnf(f: Formula, positive: bool = True, lit=_norm_lit) -> list[frozenset[Lit]] | None:
     """Disjunctive normal form as literal sets; None encodes FALSE, [frozenset()]
-    encodes TRUE.  Syntactically inconsistent conjunctions are dropped."""
+    encodes TRUE.  Syntactically inconsistent conjunctions are dropped.
+    lit(atom, positive) makes each literal; it is called once per atom
+    occurrence, left to right."""
     if isinstance(f, TrueF):
         return None if not positive else [frozenset()]
     if isinstance(f, FalseF):
         return None if positive else [frozenset()]
     if isinstance(f, AtomF):
-        return [frozenset([_norm_lit(f.atom, positive)])]
+        return [frozenset([lit(f.atom, positive)])]
     if isinstance(f, Not):
-        return _dnf(f.sub, not positive)
+        return _dnf(f.sub, not positive, lit)
     parts = f.parts if isinstance(f, (And, Or)) else None
     if parts is None:
         raise CompileError(f"cannot normalize {f!r} (ungrounded external?)")
     conjunctive = isinstance(f, And) == positive
-    sub = [_dnf(p, positive) for p in parts]
+    sub = [_dnf(p, positive, lit) for p in parts]
     if conjunctive:
         disjuncts: list[frozenset[Lit]] = [frozenset()]
         for alternatives in sub:
@@ -250,6 +254,107 @@ def _sets_last_step_apart(law: Caused) -> bool:
     if law.after is not None:
         return mentions_action(law.cond)
     return law.head is not None and (law.head.constant.is_action or mentions_action(law.cond))
+
+
+def _shape(f: Formula, atoms: list[tuple[str, ...]]):
+    """f's structure with its atoms taken out: a key that formulas which
+    differ only in their atoms share.  The atoms go to atoms, as (name,
+    *args, value), in the order _dnf meets them; each leaves whether it
+    is an action's."""
+    kind = f.__class__
+    if kind is AtomF:
+        a = f.atom
+        atoms.append((a.constant.name, *a.args, a.value))
+        return a.constant.kind is Kind.ACTION
+    if kind is Not:
+        return (Not, _shape(f.sub, atoms))
+    if kind is And or kind is Or:
+        return (kind, *[_shape(p, atoms) for p in f.parts])
+    return f  # TRUE, FALSE, or an external call, which _dnf refuses
+
+
+def _law_shape(law) -> tuple[tuple, list[tuple[str, ...]]]:
+    """A key for the shape of law's desugared rules (see _desugared), and
+    their atoms as (name, *args, value): per rule its head's atom, then
+    the atoms of its if-part and of its after-part, each in the order
+    _dnf meets them.  Laws with one key have rules that differ only in
+    these atoms."""
+    atoms: list[tuple[str, ...]] = []
+
+    def head_key(head: Lit | None):
+        if head is None:
+            return None
+        a = head[0]
+        atoms.append((a.constant.name, *a.args, a.value))
+        return a.constant.kind is Kind.ACTION, head[1]
+
+    if isinstance(law, Caused):
+        head = head_key(_norm_lit(law.head, True) if law.head is not None else None)
+        rules = [(head, _shape(law.cond, atoms),
+                  None if law.after is None else _shape(law.after, atoms))]
+    elif isinstance(law, (Causes, Nonexecutable)):
+        head = head_key(_norm_lit(law.effect, True) if isinstance(law, Causes) else None)
+        # the after-part is a & G, or a alone
+        a = law.action
+        atoms.append((a.constant.name, *a.args, a.value))
+        act = a.constant.kind is Kind.ACTION
+        rules = [(head, TRUE, act if isinstance(law.cond, TrueF)
+                  else (And, act, _shape(law.cond, atoms)))]
+    elif isinstance(law, Constraint):
+        rules = [(None, (Not, _shape(law.body, atoms)), None)]
+    else:  # inertial and exogenous laws: rules over the constant's ground atoms
+        rules = [(head_key(r.head), _shape(r.cond, atoms),
+                  None if r.after is None else _shape(r.after, atoms))
+                 for r in _desugared(law)]
+    return tuple(rules), atoms
+
+
+def _law_rules(law) -> list[tuple]:
+    """law's rules, desugared and put in DNF once, over the atoms that
+    _law_shape gives: per rule (into, up, head, cond, after).  into lists
+    the template blocks the rule goes to and up is the step by which an
+    after-rule is moved up there; head is the head literal +-(1 + the
+    index of its atom), or None for FALSE; cond and after are the DNFs
+    of the if-part and the after-part, each disjunct a tuple of literals
+    +-(1 + atom index), after None for a static rule.  As every atom
+    occurrence is a literal of its own, these DNFs drop nothing:
+    _disjuncts does that once the atoms are known."""
+    n = itertools.count(1)
+
+    def occurrence(atom: Atom, positive: bool) -> Lit:
+        return (next(n), positive)
+
+    def dnf(f) -> list[tuple[int, ...]]:
+        return [tuple(k if pos else -k for k, pos in d) for d in _dnf(f, lit=occurrence) or ()]
+
+    rules = []
+    for rule in _desugared(law):
+        head = None if rule.head is None else next(n) * (1 if rule.head[1] else -1)
+        cond = dnf(rule.cond)
+        if rule.after is None:
+            into, up, after = (2,) if head is None and _mentions_action(rule) else (0, 1), 0, None
+        else:
+            if head is not None and rule.head[0].constant.is_action:
+                raise CompileError(f"after-rule head {rule.head[0]} is an action atom")
+            up = 1 if head is None else 0  # a nogood reads a step's actions
+            into, after = (1 + up,), dnf(rule.after)
+        rules.append((into, up, head, cond, after))
+    return rules
+
+
+def _disjuncts(dnf: list[tuple[int, ...]], vals: list[int]) -> list[frozenset[int]]:
+    """A DNF of _law_rules bound: each literal +-k read as +-vals[k], a
+    signed atom position, and as _dnf does to the ground law's DNF, each
+    disjunct that needs an atom both true and false dropped, and each
+    repeat."""
+    out: list[frozenset[int]] = []
+    seen: set[frozenset[int]] = set()
+    for d in dnf:
+        c = frozenset([vals[l] if l > 0 else -vals[-l] for l in d])
+        if c not in seen and len({*map(abs, c)}) == len(c):
+            seen.add(c)
+            out.append(c)
+    return out
 
 
 # --- the symbolic completion: the tests' reference ---------------------------
@@ -473,7 +578,7 @@ class _ClauseSink:
 
     def _add(self, lits) -> None:
         c = tuple(lits)
-        if len(set(abs(x) for x in c)) != len(c):
+        if len({*map(abs, c)}) != len(c):
             seen = set(c)
             if any(-x in seen for x in c):
                 return  # tautology
@@ -557,8 +662,9 @@ class StepTemplate:
     """Integer clause blocks from which Encoder grows any horizon of one
     ground domain, step by step.
 
-    The blocks are clausified straight from the desugared rules, each
-    rule's DNF stamped once into window literals (see _clausified).
+    The blocks are clausified straight from the ground domain's rules,
+    each law shape's DNF made once and each rule's stamped once into
+    window literals (see _clausified); no ground law is built.
     first holds step 0's supports, exactly-one clauses and the nogoods
     that read only that step, initial freedom among the supports; step
     holds the same for any later step, since a step's supports read only
@@ -596,10 +702,6 @@ class StepTemplate:
         self.ground = ground
         self.n_fluents = len(ground.fluent_atoms)
         self.width = self.n_fluents + len(ground.action_atoms)
-        for law in ground.laws:
-            if isinstance(law, Caused) and _sets_last_step_apart(law):
-                raise CompileError(f"cannot compile '{law}': its rules would differ "
-                                   "at the last step, which has no actions")
         blocks = self._clausified()
         facts = self._facts(*blocks)
         atoms = ground.fluent_atoms + ground.action_atoms
@@ -656,41 +758,75 @@ class StepTemplate:
     def _clausified(self) -> list[tuple[list[tuple[int, ...]], int]]:
         """The blocks first, step and actions, clausified from the
         desugared rules into window literals: the clauses and the number
-        of definition variables of each.  Each rule's DNF is stamped once,
-        a head at offset 0, an after-part at -1 and its if-part at 0, one
-        step up in the actions block.  A block holds, in order, each
-        fluent position's support and then its negated face's if some
-        rule has that head, with the bodies in rule order and initial
-        freedom last (an action's support, its exogeneity, gives no
-        clause); then the exactly-ones in fluent_slots order; then the
-        nogoods in rule order."""
+        of definition variables of each.  The rules are read from
+        GroundDomain.rules, not from ground laws: the laws of one shape
+        (_law_shape), as the instances of a schema are, are desugared and
+        put in DNF once (_law_rules); each instance maps that DNF to atom
+        positions and redoes what _dnf does to its literal sets
+        (_disjuncts), so the bodies are those of the ground law's DNF.
+        A rule's DNF is stamped with a head at offset 0, an after-part at
+        -1 and its if-part at 0, one step up in the actions block.  A
+        block holds, in order, each fluent position's support and then
+        its negated face's if some rule has that head, with the bodies in
+        rule order and initial freedom last (an action's support, its
+        exogeneity, gives no clause); then the exactly-ones in
+        fluent_slots order; then the nogoods in rule order."""
         ground, width = self.ground, self.width
-        position = ground.atom_position
-
-        def stamp(lits, d: int) -> list[int]:
-            base = (d + 1) * width + 1
-            return [base + position[a] if pos else -base - position[a] for a, pos in lits]
+        # a ground atom's signed position, by (name, *args, value): +(p +
+        # 1) for the atom at position p, -(p + 1) for a Boolean's false
+        # face (a name and an arity make one constant)
+        slot: dict[tuple[str, ...], int] = {}
+        for p, a in enumerate(ground.fluent_atoms + ground.action_atoms):
+            slot[(a.constant.name, *a.args, a.value)] = p + 1
+            if a.constant.is_boolean:
+                slot[(a.constant.name, *a.args, "false")] = -p - 1
 
         blocks: list[tuple[dict[int, list], list]] = [({}, []) for _ in range(3)]
-        for rule in desugar(ground):
-            cond, head = _dnf(rule.cond) or (), rule.head
-            if rule.after is None:
-                into = (2,) if head is None and _mentions_action(rule) else (0, 1)
-                bodies = [sorted(stamp(c, 0)) for c in cond]
+        # id(law) -> (variable names, rules, its atoms as (name, terms)),
+        # or (None, rules, vals) for a law without variables
+        laws: dict[int, tuple] = {}
+        shapes: dict[tuple, tuple] = {}  # _law_shape key -> (sets apart, _law_rules)
+        for i, (law, binding) in enumerate(ground.rules):
+            known = laws.get(id(law))
+            if known is None:
+                key, atoms = _law_shape(law)
+                shape = shapes.get(key)
+                if shape is None:
+                    # whether a law sets the last step apart shows in its key
+                    shape = shapes[key] = (isinstance(law, Caused) and _sets_last_step_apart(law),
+                                           _law_rules(law))
+                apart, rules = shape
+                if apart:
+                    raise CompileError(f"cannot compile '{ground.laws[i]}': its rules would "
+                                       "differ at the last step, which has no actions")
+                if law.vars:
+                    known = ([v for v, _ in law.vars], rules, [(a[0], a[1:]) for a in atoms])
+                else:  # one binding, the empty one
+                    known = (None, rules, [0] + [slot[a] for a in atoms])
+                laws[id(law)] = known
+            names, rules, atoms = known
+            if names is None:
+                vals = atoms
             else:
-                if head is not None and head[0].constant.is_action:
-                    raise CompileError(f"after-rule head {head[0]} is an action atom")
-                # a nogood reads a step's actions: in actions, one step up
-                up = 1 if head is None else 0
-                into = (1 + up,)
-                bodies = [sorted(stamp(c, up) + stamp(a, up - 1))
-                          for a in _dnf(rule.after) or () for c in cond]
-            for k in into:
-                by_head, nogoods = blocks[k]
-                if head is None:
-                    nogoods += bodies
-                elif bodies:
-                    by_head.setdefault(stamp([head], 0)[0], []).extend(bodies)
+                get = dict(zip(names, binding)).get
+                vals = [0] + [slot[(name, *map(get, terms, terms))] for name, terms in atoms]
+            for into, up, head, cond, after in rules:
+                cond = _disjuncts(cond, vals)
+                if after is None:
+                    bodies = [sorted([x + width if x > 0 else x - width for x in c])
+                              for c in cond]
+                else:
+                    here, before = (up + 1) * width, up * width
+                    bodies = [sorted([x + here if x > 0 else x - here for x in c]
+                                     + [x + before if x > 0 else x - before for x in a])
+                              for a in _disjuncts(after, vals) for c in cond]
+                for k in into:
+                    by_head, nogoods = blocks[k]
+                    if head is None:
+                        nogoods += bodies
+                    elif bodies:
+                        h = vals[head] if head > 0 else -vals[-head]
+                        by_head.setdefault(h + width if h > 0 else h - width, []).extend(bodies)
         # inertial-kind fluents are free at step 0
         for (const, _), (_, boolean, values) in zip(ground.fluent_instances, ground.fluent_slots):
             if const.kind is Kind.INERTIAL_FLUENT:
@@ -710,8 +846,11 @@ class StepTemplate:
                 for _, boolean, values in ground.fluent_slots:
                     if not boolean:
                         sink.exactly_one([width + p + 1 for _, p in values])
-            for b in nogoods:
-                sink._add(sorted(-l for l in b))
+            for b in nogoods:  # sorted, with no atom twice
+                if b:
+                    sink.clauses.append(tuple([-l for l in reversed(b)]))
+                else:
+                    sink._add(())
             out.append((sink.clauses, sink.var_count - 3 * width))
         return out
 

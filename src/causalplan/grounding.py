@@ -1,11 +1,25 @@
 """Grounding: instantiate law schemas over their sorts and close external calls.
 
-A schema with variables v1::S1 ... vk::Sk yields one ground law per
-element of S1 x ... x Sk (in declaration order, so two runs over equal
-inputs produce identical law lists).  External calls are evaluated
-against the registry while grounding and replaced by TRUE/FALSE; the
-resulting formulas are simplified, and laws whose firing condition
-became FALSE are dropped.
+A schema with variables v1::S1 ... vk::Sk has one instance per element
+of S1 x ... x Sk (in declaration order, so two runs over equal inputs
+produce identical law lists).  External calls are evaluated against the
+registry while grounding and replaced by TRUE/FALSE; the resulting
+formulas are simplified, and instances whose firing condition became
+FALSE are dropped.
+
+ground() does eagerly only what can fail or what a later ground() must
+re-ask: it validates the signature, enumerates each schema's bindings
+and evaluates every external call of every binding, so its
+GroundingErrors come at once.  It builds no formula and no ground law.
+What it keeps is GroundDomain.rules, one (law, binding) pair per
+surviving instance: law is the schema with its external calls closed
+to that binding's truths (one such law per schema and distinct truths,
+shared by all the bindings that give them), and binding the objects of
+its variables in order.  The step template reads these pairs directly
+(compiler.StepTemplate).  GroundDomain.laws, the ground Law objects, is
+built from them on first read, for the readers that need laws: the
+trajectory check (semantics.py), `ground --emit theory`, the symbolic
+completion and messages.
 
 Each domain is ground once: its GroundDomain is kept on it together with
 the external calls that grounding made and their results.  A later
@@ -16,7 +30,6 @@ gives another result.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .model import (
@@ -59,12 +72,34 @@ class ExternalRegistry:
         return fn(*args)
 
 
-@dataclass(frozen=True)
-class GroundDomain:
-    """A validated domain together with its fully instantiated laws."""
+#: one instance of a law schema: the schema with its external calls closed,
+#: and the objects its variables take, in the order of its vars
+Rule = tuple[Law, tuple[str, ...]]
 
-    domain: DomainDescription
-    laws: tuple[Law, ...]
+
+class GroundDomain:
+    """A validated domain together with its instantiated laws.
+
+    rules holds one (law, binding) pair per ground law, in ground law
+    order (see the module docstring); laws holds the ground laws, built
+    from rules on first read.  GroundDomain(domain, laws) makes one from
+    ground laws, each its own rule with the empty binding."""
+
+    def __init__(self, domain: DomainDescription, laws: tuple[Law, ...] | None = None,
+                 *, rules: tuple[Rule, ...] | None = None):
+        self.domain = domain
+        if laws is not None:
+            self.__dict__["laws"] = laws = tuple(laws)
+            rules = tuple((law, ()) for law in laws)
+        self.rules = rules
+
+    @cached_property
+    def laws(self) -> tuple[Law, ...]:
+        closer = _Closer(self.domain, None)  # rules hold no external call
+        return tuple(
+            law if isinstance(law, (Inertial, Exogenous))
+            else _ground_one(law, dict(zip([v for v, _ in law.vars], binding)), closer)
+            for law, binding in self.rules)
 
     @cached_property
     def fluent_atoms(self) -> tuple[Atom, ...]:
@@ -148,6 +183,16 @@ class _Closer:
             self.memo[key] = self.registry.evaluate(name, args)
         return self.memo[key]
 
+    def truth(self, name: str, args: tuple[str, ...]) -> bool:
+        """The call's result, which must be a bool: the call sits in a
+        formula."""
+        val = self.call(name, args)
+        if not isinstance(val, bool):
+            raise GroundingError(
+                f"external '@{name}' returned {val!r} inside a formula; "
+                "only Boolean externals may appear in formulas")
+        return val
+
     def atom_formula(self, a: Atom, env: dict[str, str]) -> AtomF:
         """a under env, as a formula.  Equal ground atoms come back as one
         AtomF over one Atom, so the ground laws hold one copy of each, and
@@ -174,14 +219,42 @@ class _Closer:
         if isinstance(f, Or):
             return disj([self.formula(p, env) for p in f.parts])
         if isinstance(f, ExternalCall):
-            args = tuple(env.get(t, t) for t in f.args)
-            val = self.call(f.name, args)
-            if not isinstance(val, bool):
-                raise GroundingError(
-                    f"external '@{f.name}' returned {val!r} inside a formula; "
-                    "only Boolean externals may appear in formulas")
-            return TRUE if val else FALSE
+            return TRUE if self.truth(f.name, tuple(env.get(t, t) for t in f.args)) else FALSE
         raise GroundingError(f"cannot ground {f!r}")
+
+
+class _Truths(_Closer):
+    """Closes a schema's external calls to given truths, keyed by (name,
+    argument terms), and leaves its atoms as written."""
+
+    def __init__(self, truths: dict[tuple[str, tuple[str, ...]], bool]):
+        self.truths = truths
+
+    def truth(self, name: str, args: tuple[str, ...]) -> bool:
+        return self.truths[(name, args)]
+
+    def atom_formula(self, a: Atom, env: dict[str, str]) -> AtomF:
+        return AtomF(a)
+
+
+def _scan(f: Formula, calls: dict, top: type | None) -> bool:
+    """Whether f is as a _Closer leaves a formula without external calls,
+    with a top-level constant only of type top; f's external calls go to
+    calls, as (name, argument terms) keys, in the order a _Closer
+    evaluates them."""
+    if isinstance(f, AtomF):
+        return True
+    if isinstance(f, Not):
+        return _scan(f.sub, calls, None) and not isinstance(f.sub, (Not, TrueF, FalseF))
+    if isinstance(f, (And, Or)):
+        closed = len(f.parts) > 1
+        for p in f.parts:
+            closed = _scan(p, calls, None) and closed and type(p) is not type(f)
+        return closed
+    if isinstance(f, ExternalCall):
+        calls.setdefault((f.name, f.args))
+        return False
+    return top is not None and isinstance(f, top)
 
 
 def close_formula(f: Formula, domain: DomainDescription,
@@ -193,6 +266,12 @@ def close_formula(f: Formula, domain: DomainDescription,
 
 def ground(domain: DomainDescription, registry: ExternalRegistry | None = None) -> GroundDomain:
     """Instantiate every schema, or return the domain's kept GroundDomain.
+
+    Instantiating validates the domain, enumerates each schema's
+    bindings and evaluates every external call of each, and records the
+    surviving instances as GroundDomain.rules (see the module
+    docstring).  Each schema is closed once per distinct truths of its
+    calls, as the first binding that gives them would close it.
 
     The result is kept on domain with the external calls its grounding
     made and their results.  A later call returns the kept GroundDomain,
@@ -215,45 +294,81 @@ def ground(domain: DomainDescription, registry: ExternalRegistry | None = None) 
     if diags:
         raise GroundingError("invalid domain: " + "; ".join(str(d) for d in diags))
     closer = _Closer(domain, registry)
-    out: list[Law] = []
+    rules: list[Rule] = []
     for law in domain.laws:
         if isinstance(law, (Inertial, Exogenous)):
-            out.append(law)
+            rules.append((law, ()))
             continue
         names = [v for v, _ in law.vars]
-        domains = [s.members for _, s in law.vars]
-        for combo in itertools.product(*domains):
-            env = dict(zip(names, combo))
-            g = _ground_one(law, env, closer)
-            if g is not None:
-                out.append(g)
-    gd = GroundDomain(domain=domain, laws=tuple(out))
+        bindings = itertools.product(*(s.members for _, s in law.vars))
+        calls: dict = {}  # a list below, so that every formula is scanned
+        as_closed = all([_scan(f, calls, top) for f, top in _formulas(law)])
+        if not calls:
+            only = law if as_closed else _closed(law, {})
+            if only is not None:
+                rules += [(only, b) for b in bindings]
+            continue
+        closed: dict[tuple[bool, ...], Law | None] = {}
+        for b in bindings:
+            env = dict(zip(names, b))
+            truths = {key: closer.truth(key[0], tuple(env.get(t, t) for t in key[1]))
+                      for key in calls}
+            key = tuple(truths.values())
+            if key not in closed:
+                closed[key] = _closed(law, truths)
+            if closed[key] is not None:
+                rules.append((closed[key], b))
+    gd = GroundDomain(domain=domain, rules=tuple(rules))
     domain.__dict__["_grounded"] = (gd, tuple(closer.memo.items()))
     return gd
 
 
+def _formulas(law: Law) -> list[tuple[Formula, type]]:
+    """The formulas of a law schema, in the order _ground_one closes them,
+    each with the type of constant that it keeps the law with."""
+    if isinstance(law, Caused):
+        return [(law.cond, TrueF)] + ([] if law.after is None else [(law.after, TrueF)])
+    if isinstance(law, Constraint):
+        return [(law.body, FalseF)]
+    return [(law.cond, TrueF)]
+
+
+def _closed(law: Law, truths: dict) -> Law | None:
+    """The schema with its external calls closed to truths and its
+    formulas simplified, keeping its variables; None when it can never
+    fire.  Closing does not look at atoms, so each of its instances is
+    this law instantiated."""
+    return _instance(law, {}, _Truths(truths), law.vars)
+
+
 def _ground_one(law: Law, env: dict[str, str], closer: _Closer) -> Law | None:
+    """The ground law that law gives under env, or None when it can never
+    fire."""
+    return _instance(law, env, closer, ())
+
+
+def _instance(law: Law, env: dict[str, str], closer: _Closer, vars_) -> Law | None:
     if isinstance(law, Caused):
         head = closer.atom(law.head, env) if law.head is not None else None
         cond = closer.formula(law.cond, env)
         after = closer.formula(law.after, env) if law.after is not None else None
         if isinstance(cond, FalseF) or isinstance(after, FalseF):
             return None  # can never fire
-        return Caused(head, cond, after, (), law.span)
+        return Caused(head, cond, after, vars_, law.span)
     if isinstance(law, Causes):
         cond = closer.formula(law.cond, env)
         if isinstance(cond, FalseF):
             return None
         return Causes(closer.atom(law.action, env), closer.atom(law.effect, env),
-                      cond, (), law.span)
+                      cond, vars_, law.span)
     if isinstance(law, Nonexecutable):
         cond = closer.formula(law.cond, env)
         if isinstance(cond, FalseF):
             return None
-        return Nonexecutable(closer.atom(law.action, env), cond, (), law.span)
+        return Nonexecutable(closer.atom(law.action, env), cond, vars_, law.span)
     if isinstance(law, Constraint):
         body = closer.formula(law.body, env)
         if isinstance(body, TrueF):
             return None  # vacuously satisfied
-        return Constraint(body, (), law.span)
+        return Constraint(body, vars_, law.span)
     raise GroundingError(f"cannot ground {law!r}")

@@ -82,6 +82,10 @@ class Sort:
     members: tuple[str, ...]
     span: SourceSpan | None = field(default=None, compare=False)
 
+    @cached_property
+    def member_set(self) -> frozenset[str]:
+        return frozenset(self.members)
+
 
 #: Built-in value sort for Boolean constants.  Kept out of
 #: DomainDescription.sorts; it exists implicitly in every domain.
@@ -519,15 +523,18 @@ def charge(cost: ActionCost, args: tuple[str, ...], state, registry) -> int | No
 
 def _check_term(term: str, expected: Sort, scope: dict[str, Sort],
                 span, where: str | Law, out: list[Diagnostic]):
-    if term in scope:
+    sort = scope.get(term)
+    if sort is not None:
         # accept narrower sorts by extension (every disk is a place)
-        extra = [m for m in scope[term].members if m not in expected.members]
-        if scope[term] != expected and extra:
-            out.append(Diagnostic(
-                f"{where}: variable '{term}' has sort {scope[term].name}, "
-                f"expected {expected.name} ('{extra[0]}' is not a member)", span))
+        if sort is not expected and sort != expected:
+            members = expected.member_set
+            extra = next((m for m in sort.members if m not in members), None)
+            if extra is not None:
+                out.append(Diagnostic(
+                    f"{where}: variable '{term}' has sort {sort.name}, "
+                    f"expected {expected.name} ('{extra}' is not a member)", span))
         return
-    if term not in expected.members:
+    if term not in expected.member_set:
         out.append(Diagnostic(
             f"{where}: '{term}' is not a member of sort {expected.name}", span))
 
@@ -535,15 +542,19 @@ def _check_term(term: str, expected: Sort, scope: dict[str, Sort],
 def _check_atom(atom: Atom, scope: dict[str, Sort], domain: DomainDescription,
                 span, where: str | Law, out: list[Diagnostic]):
     const = atom.constant
-    if domain.constant_by_key.get(const.key) != const:
+    known = domain.constant_by_key.get(const.key)
+    if known is not const and known != const:
         out.append(Diagnostic(f"{where}: unknown constant '{const.name}/{len(atom.args)}'", span))
         return
     if len(atom.args) != len(const.arg_sorts):
         out.append(Diagnostic(f"{where}: '{const.name}' expects {len(const.arg_sorts)} arguments", span))
         return
+    # an object that is a member needs no closer look
     for term, sort in zip(atom.args, const.arg_sorts):
-        _check_term(term, sort, scope, span, where, out)
-    _check_term(atom.value, const.value_sort, scope, span, where, out)
+        if term in scope or term not in sort.member_set:
+            _check_term(term, sort, scope, span, where, out)
+    if atom.value in scope or atom.value not in const.value_sort.member_set:
+        _check_term(atom.value, const.value_sort, scope, span, where, out)
 
 
 def _check_formula(f: Formula, scope, domain, span, where, out, *, allow_actions: bool):

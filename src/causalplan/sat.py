@@ -55,11 +55,15 @@ from itertools import chain
 
 
 class ResourceLimit(Exception):
-    """Raised when a conflict or time budget runs out; distinct from UNSAT."""
+    """Raised when a conflict or time budget runs out; distinct from UNSAT.
+    limit names the budget that ran out, "conflicts" or "seconds"; stats
+    are the solver's counters when it did."""
 
-    def __init__(self, stats: "Stats"):
+    def __init__(self, stats: "Stats", limit: str):
         self.stats = stats
-        super().__init__(f"solver limit reached after {stats.conflicts} conflicts")
+        self.limit = limit
+        super().__init__(f"solver {limit} limit reached after {stats.conflicts} conflicts "
+                         f"and {stats.decisions} decisions")
 
 
 class DimacsError(Exception):
@@ -529,9 +533,9 @@ class Solver:
             stats.elapsed += time.perf_counter() - t0
             return SolveResult(status, model, stats)
 
-        def limit() -> ResourceLimit:
+        def limit(which: str) -> ResourceLimit:
             stats.elapsed += time.perf_counter() - t0
-            return ResourceLimit(stats)
+            return ResourceLimit(stats, which)
 
         if not self.ok:
             return done("UNSAT")
@@ -554,7 +558,7 @@ class Solver:
             if deadline is not None:
                 steps += 1
                 if not steps & 255 and time.perf_counter() > deadline:
-                    raise limit()
+                    raise limit("seconds")
             confl = propagate()
             if confl is not None:
                 stats.conflicts += 1
@@ -571,7 +575,7 @@ class Solver:
                     enqueue(learnt[0], learnt)
                 self.var_inc /= self.VAR_DECAY
                 if max_conflicts is not None and conflicts_here >= max_conflicts:
-                    raise limit()
+                    raise limit("conflicts")
                 if conflicts_here >= restart_limit:
                     restart_n += 1
                     restart_limit = conflicts_here + self.RESTART_BASE * _luby(restart_n)

@@ -343,7 +343,9 @@ def test_demo_dimacs_out_grounds_once(tmp_path, monkeypatch, capsys):
 def test_demo_conflict_limit_is_exit_3(capsys):
     assert main(["demo", "toh", "--disks", "3", "--seed", "0",
                  "--max-conflicts", "1"]) == 3
-    assert "error: solver resource limit reached" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: solver resource limit reached (--max-conflicts) after 1 conflicts and ")
+    assert err.endswith(" decisions\n") and err.count("\n") == 1
 
 
 def test_demo_within_conflict_limit_finds_the_plan(capsys):

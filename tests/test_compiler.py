@@ -560,6 +560,8 @@ def _equivalence_cases():
     out.append(("falsum", gd_of(FALSUM), None))
     out.append(("facts", gd_of(toy_domains.FACTS), None))
     out.append(("chain", gd_of(toy_domains.CHAIN), None))
+    out.append(("externals", ground(parse_domain(toy_domains.EXTERNALS),
+                                    toy_domains.externals_registry()), None))
     return out
 
 

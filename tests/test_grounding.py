@@ -1,11 +1,15 @@
 """Schema instantiation and external-call closure."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
+import toy_domains
+from eager_grounding import bench_domains, eager_laws
 from sample_files import samples_dir
-from causalplan import (Consistent, NoPlanUpTo, PlanFound, check_consistency, compiler,
-                        emit_plan, grounding, parse_domain, parse_problem, parse_world,
-                        plan, predict, registry_for)
+from test_parser import domains
+from causalplan import (Consistent, NoPlanUpTo, ParseError, PlanFound, check_consistency,
+                        compiler, emit_plan, grounding, parse_cost_spec, parse_domain,
+                        parse_problem, parse_query, parse_world, plan, predict, registry_for)
 from causalplan.domains import build_robot_boxes
 from causalplan.grounding import (ExternalRegistry, GroundingError,
                                   close_formula, ground, signature_atoms)
@@ -195,6 +199,8 @@ def test_a_repeat_grounding_validates_and_instantiates_nothing(monkeypatch):
     d = parse_domain(ROBOT)
     counts = _count_grounding_steps(monkeypatch)
     first = ground(d)
+    assert counts == {"validate_signature": 1, "_ground_one": 0}
+    assert len(first.laws) == 7  # the ground laws are built on first read
     assert counts == {"validate_signature": 1, "_ground_one": 6}
     assert ground(d) is first and ground(d, ExternalRegistry()) is first
     assert counts == {"validate_signature": 1, "_ground_one": 6}
@@ -229,7 +235,8 @@ def test_a_true_that_becomes_one_grounds_afresh(monkeypatch):
     reg.register("pathExists", 2, lambda a, b: 1)  # == True, but not a bool
     with pytest.raises(GroundingError, match="only Boolean externals"):
         ground(d, reg)
-    assert counts["validate_signature"] == 1 and counts["_ground_one"] > 0
+    # ground() itself evaluates the calls, before any ground law is built
+    assert counts == {"validate_signature": 1, "_ground_one": 0}
 
 
 def test_a_changed_external_takes_effect_at_the_next_query():
@@ -251,3 +258,100 @@ def test_a_changed_external_takes_effect_at_the_next_query():
     assert ground(domain, registry).laws == kept.laws
     again = plan(domain, problem, registry)
     assert isinstance(again, PlanFound) and emit_plan(again.plan) == emit_plan(found.plan)
+
+
+# --- what ground() builds, and what waits for the first law read --------------------
+
+def _refuse_to_build_laws(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("a ground law was built")
+    monkeypatch.setattr(grounding, "_ground_one", refuse)
+
+
+def _sample_text(name: str) -> str:
+    return (samples_dir() / name).read_text()
+
+
+@pytest.mark.parametrize("name", ["mapp", "toh", "boxes", "boxes-grid"])
+def test_queries_on_a_fresh_domain_build_no_ground_law(monkeypatch, name):
+    _refuse_to_build_laws(monkeypatch)
+    domain = parse_domain(_sample_text(f"{name}.cp"))
+    problem = parse_problem(_sample_text(f"{name}.prob"), domain)
+    registry, costs = None, ()
+    if name == "boxes-grid":
+        registry = registry_for(parse_world(_sample_text("corridor.world")))
+        costs = (parse_cost_spec("goto=timeEstimate(@atRobo,$0)"),)
+    assert isinstance(plan(domain, problem, registry, costs=costs), PlanFound)
+    if name == "boxes":
+        init, steps = parse_query(_sample_text("boxes.query"), domain)
+    else:
+        init, steps = problem.init, [[]]
+    assert predict(domain, init, steps, registry).outcomes
+    assert isinstance(check_consistency(domain, registry), Consistent)
+    gd = ground(domain, registry)
+    assert "laws" not in gd.__dict__
+    with pytest.raises(AssertionError, match="a ground law was built"):
+        gd.laws
+
+
+def _assert_laws_are_eager(domain, registry=None) -> None:
+    gd = ground(domain, registry)
+    want = eager_laws(domain, registry)
+    assert list(gd.laws) == want
+    assert [law.span for law in gd.laws] == [law.span for law in want]
+
+
+@pytest.mark.parametrize("name", ["boxes", "boxes-grid", "mapp", "toh"])
+def test_laws_built_on_demand_equal_an_eager_grounding_on_the_samples(name):
+    domain = parse_domain(_sample_text(f"{name}.cp"))
+    if not domain.externals:
+        _assert_laws_are_eager(domain)
+    for world in ("corridor", "open", "walled") if domain.externals else ():
+        _assert_laws_are_eager(domain, registry_for(parse_world(_sample_text(f"{world}.world"))))
+
+
+@pytest.mark.parametrize("name", [*toy_domains.ALL_SMALL, "FACTS", "CHAIN", "EXTERNALS"])
+def test_laws_built_on_demand_equal_an_eager_grounding_on_the_toy_corpus(name):
+    if name == "EXTERNALS":
+        domain, registry = parse_domain(toy_domains.EXTERNALS), toy_domains.externals_registry()
+    elif name.isupper():
+        domain, registry = parse_domain(getattr(toy_domains, name)), None
+    else:
+        domain, registry = toy_domains.load(name).domain, toy_domains.registry_of(name)
+    _assert_laws_are_eager(domain, registry)
+
+
+def test_laws_built_on_demand_equal_an_eager_grounding_on_the_benchmark_domains():
+    texts = bench_domains()
+    assert len(texts) == 36
+    for key, (domain_text, world_text) in texts.items():
+        domain = parse_domain(domain_text, f"{key}.cp")
+        registry = registry_for(parse_world(world_text)) if world_text else None
+        _assert_laws_are_eager(domain, registry)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(domains())
+def test_laws_built_on_demand_equal_an_eager_grounding_on_random_domains(text):
+    try:
+        domain = parse_domain(text)
+        ground(domain)
+    except (ParseError, GroundingError):
+        return  # the generator may draw clashing names
+    _assert_laws_are_eager(domain)
+
+
+def test_ground_itself_raises_for_a_non_boolean_external(monkeypatch):
+    _refuse_to_build_laws(monkeypatch)
+    reg = ExternalRegistry()
+    reg.register("pathExists", 2, lambda a, b: 7)
+    with pytest.raises(GroundingError, match="only Boolean externals"):
+        ground(parse_domain(WALLED), reg)
+
+
+@pytest.mark.parametrize("registry", [None, ExternalRegistry()], ids=["none", "empty"])
+def test_ground_itself_raises_for_a_missing_registry(monkeypatch, registry):
+    _refuse_to_build_laws(monkeypatch)
+    with pytest.raises(GroundingError, match="no external registered for 'pathExists/2'"):
+        ground(parse_domain(WALLED), registry)

@@ -135,7 +135,8 @@ def test_modules_the_checks_draw_on_do_not_import_the_cost_encoder():
 # what only the symbolic completion uses, which the tests read as their
 # reference: the step template and the encoder, which build every
 # query's clauses, must reach none of it, so that the equivalence tests
-# compare two routes that share nothing below desugar and _dnf
+# compare two routes that share nothing below _desugared (one law's
+# rules) and _dnf
 REFERENCE_NAMES = {"completion_for", "_stamp_rule", "Support", "Nogood", "ExactlyOne",
                    "TimedLit", "atom_table"}
 
@@ -150,6 +151,6 @@ def test_the_template_and_the_encoder_are_built_without_the_completion():
         todo += [b.id for b in cls.bases if isinstance(b, ast.Name) and b.id in classes]
         methods += [n for n in cls.body if isinstance(n, ast.FunctionDef)]
     used = _reached_from(funcs, methods)
-    assert {"desugar", "_dnf", "_add_support", "exactly_one", "step_template"} <= used
+    assert {"_desugared", "_dnf", "_add_support", "exactly_one", "step_template"} <= used
     bad = used & REFERENCE_NAMES
     assert not bad, f"the template or the encoder reaches the symbolic completion: {sorted(bad)}"

@@ -178,3 +178,17 @@ def test_validate_problem_flags_at_past_horizon():
     from causalplan.parser import parse_problem
     problem = parse_problem(":init p;\n:at 9 p;\n:horizon 0..2;\n", domain)
     assert any("horizon" in str(d) for d in validate_problem(problem, domain))
+
+
+def test_wider_variable_sort_names_its_first_extra_member():
+    # place has members that disk lacks: P2 is the first of them in place's order
+    out = diags_of("""
+:sorts disk place
+:objects D1 :: disk; P2, D1, P1 :: place;
+:constants on(disk) :: inertialFluent(place); touch(disk) :: action;
+:laws
+  vars p :: place;
+  nonexecutable touch(D1) if on(p)=D1;
+""")
+    assert len(out) == 1 and out[0].endswith(
+        "variable 'p' has sort place, expected disk ('P2' is not a member)")

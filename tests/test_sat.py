@@ -93,14 +93,21 @@ def test_incremental_add_clause():
 
 def test_conflict_limit_raises():
     n, clauses = oracles.php_clauses(6, 5)
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as e:
         Solver(n, clauses).solve(max_conflicts=3)
+    stats = e.value.stats
+    assert e.value.limit == "conflicts" and stats.conflicts == 3
+    assert str(e.value) == (f"solver conflicts limit reached after 3 conflicts "
+                            f"and {stats.decisions} decisions")
 
 
 def test_time_limit_holds_without_conflicts(monkeypatch):
     # 400 decisions and no conflict: the clock is read at the 256th step
-    with pytest.raises(ResourceLimit):
+    with pytest.raises(ResourceLimit) as e:
         Solver(400, ()).solve(max_seconds=1e-9)
+    assert e.value.limit == "seconds"
+    assert (e.value.stats.conflicts, e.value.stats.decisions) == (0, 255)
+    assert str(e.value) == "solver seconds limit reached after 0 conflicts and 255 decisions"
     # without a time limit the clock is read only to time the call
     reads = []
     monkeypatch.setattr(sat, "time", SimpleNamespace(

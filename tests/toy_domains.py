@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from causalplan import parse_domain, parse_world, registry_for
 from causalplan.domains import build_mapp, build_robot_boxes, build_toh
-from causalplan.grounding import ground
+from causalplan.grounding import ExternalRegistry, ground
 
 # Two statically interlocked Booleans: the completion admits exactly
 # the all-true and all-false states.
@@ -120,6 +120,36 @@ CHAIN = """
   constraint ~x;
   caused false after ~d;
 """
+
+# External calls where closing them changes a formula's shape, and
+# bindings that make two atoms one.  A true @near under an or closes the
+# or (q's if-part becomes p(x)), a false one under a negated and closes
+# it to true, and a constraint whose body closes to true is dropped; with
+# x = y, "p(x) & ~p(y)" cannot hold and "p(x) & p(y)" is one literal.
+EXTERNALS = """
+:sorts thing
+:objects A, B, C :: thing;
+:constants p(thing) :: inertialFluent; q(thing) :: simpleFluent; r :: simpleFluent;
+           go(thing) :: action;
+:externals near/2; big/1;
+:laws
+  inertial p;
+  vars x :: thing y :: thing;
+  caused q(x) if (p(y) | @near(x, y)) & p(x);
+  caused r if p(x) & ~p(y) & ~@near(x, y);
+  constraint ~(p(x) & p(y) & @big(x)) | @near(x, y);
+  go(x) causes p(y) if ~(@big(y) & p(x)) | q(y);
+  nonexecutable go(x) if p(x) & p(y) | q(x) & q(y);
+"""
+
+
+def externals_registry() -> ExternalRegistry:
+    """The registry for EXTERNALS: near holds for neighbouring letters,
+    big for C alone."""
+    reg = ExternalRegistry()
+    reg.register("near", 2, lambda x, y: abs(ord(x) - ord(y)) == 1)
+    reg.register("big", 1, lambda x: x == "C")
+    return reg
 
 
 def _boxes(num_locations, num_boxes, world_text=None):

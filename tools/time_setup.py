@@ -4,17 +4,23 @@ Every causalplan command runs in a new process, so each of its queries
 pays for importing the package, parsing, grounding and building the step
 template once.  This script measures those costs on the domain texts
 of one benchmark workload and seed (bench/instances.py generates them):
-by default the nine `mapp-wide` texts, whose encodings are wide, or
-with --texts toh the one `toh-deepen` text, a 4-disk Hanoi whose step
-template the compiler presimplifies with the domain's facts.  Phases:
+by default the nine `mapp-wide` texts, whose encodings are wide; with
+--texts toh the one `toh-deepen` text, a 4-disk Hanoi whose step
+template the compiler presimplifies with the domain's facts; with
+--texts boxes the eight `boxes-session` texts, each ground against the
+registry of its grid world, so grounding evaluates external calls, and
+planned with the workload's cost model.  Phases:
 
 - set-up, per phase, summed over the domains: `lex` (the parser's
-  tokenizer), `parse` (the rest of parse_domain and parse_problem),
-  `validate` (validate_signature, inside ground) and `ground` (the rest
-  of ground);
+  tokenizer), `parse` (the rest of parse_domain and parse_problem, and
+  parse_world), `validate` (validate_signature, inside ground) and
+  `ground` (the rest of ground);
 - each domain's first `plan` query, split into `template` (building its
   StepTemplate) and `plan` (the rest of the query, ground included);
-- `import`, the time to import the package.
+- `import`, the time to import the package;
+- `gc`, the garbage collector's passes, timed by a gc.callbacks hook
+  that only reads the clock.  A pass counts here and in no other phase,
+  so each phase above is net of the passes that ran inside it.
 
 Each run is a fresh interpreter.  With --against PATH, runs alternate
 between this checkout and the one at PATH, starting with a different
@@ -26,11 +32,13 @@ module.  No number is checked: the script only measures.
     python tools/time_setup.py                      # 10 runs, seed 1
     python tools/time_setup.py --seed 7 --runs 20 --against ../parent
     python tools/time_setup.py --texts toh --runs 1
+    python tools/time_setup.py --texts boxes --runs 1
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import statistics
@@ -41,27 +49,41 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-PHASES = ("import", "lex", "parse", "validate", "ground", "template", "plan")
-WORKLOADS = {"mapp": "mapp-wide", "toh": "toh-deepen"}
+PHASES = ("import", "lex", "parse", "validate", "ground", "template", "plan", "gc")
+WORKLOADS = {"mapp": "mapp-wide", "toh": "toh-deepen", "boxes": "boxes-session"}
 
 
 def child(root: str, texts_file: str) -> None:
     """One run: set up the domains and plan each once, in this fresh
     process, with the checkout at root; prints the phase times as JSON."""
-    t0 = time.perf_counter()
+    collected = [0.0]  # the collector's time so far
+    started = [0.0]
+
+    def on_gc(phase, info):
+        if phase == "start":
+            started[0] = time.perf_counter()
+        else:
+            collected[0] += time.perf_counter() - started[0]
+    gc.callbacks.append(on_gc)
+
+    def clock() -> float:
+        """The time so far, less the collector's."""
+        return time.perf_counter() - collected[0]
+
+    t0 = clock()
     sys.path.insert(0, str(Path(root, "src")))
     import causalplan
     from causalplan import compiler, grounding, parser
     spent = dict.fromkeys(PHASES, 0.0)
-    spent["import"] = time.perf_counter() - t0
+    spent["import"] = clock() - t0
 
     def timed(fn, phase):
         def wrapper(*args, **kwargs):
-            t = time.perf_counter()
+            t = clock()
             try:
                 return fn(*args, **kwargs)
             finally:
-                spent[phase] += time.perf_counter() - t
+                spent[phase] += clock() - t
         return wrapper
 
     # the package looks these up when it calls them
@@ -70,9 +92,9 @@ def child(root: str, texts_file: str) -> None:
     compiler.StepTemplate.__init__ = timed(compiler.StepTemplate.__init__, "template")
 
     def total(fn, *args, **kwargs):
-        t = time.perf_counter()
+        t = clock()
         out = fn(*args, **kwargs)
-        return out, time.perf_counter() - t
+        return out, clock() - t
 
     instances = json.loads(Path(texts_file).read_text())
     ready = []
@@ -80,30 +102,42 @@ def child(root: str, texts_file: str) -> None:
     for inst in instances:
         domain, s1 = total(causalplan.parse_domain, inst["domain"], "domain.cp")
         problem, s2 = total(causalplan.parse_problem, inst["problem"], domain, "problem.prob")
-        _, s3 = total(causalplan.ground, domain)
+        registry, costs = None, ()
+        if inst.get("world") is not None:
+            world, s3 = total(causalplan.parse_world, inst["world"], "domain.world")
+            s2 += s3
+            registry = causalplan.registry_for(world)
+            costs = (causalplan.parse_cost_spec(inst["costs"]),)
+        _, s4 = total(causalplan.ground, domain, registry)
         parse_s += s1 + s2
-        ground_s += s3
-        ready.append((domain, problem, inst["solver_seed"]))
+        ground_s += s4
+        ready.append((domain, problem, registry, costs, inst["solver_seed"]))
     spent["parse"] = parse_s - spent["lex"]
     spent["ground"] = ground_s - spent["validate"]
     plan_s = 0.0
-    for domain, problem, seed in ready:
-        answer, s = total(causalplan.plan, domain, problem, seed=seed)
+    for domain, problem, registry, costs, seed in ready:
+        answer, s = total(causalplan.plan, domain, problem, registry, costs=costs, seed=seed)
         if not isinstance(answer, causalplan.PlanFound):
             sys.exit(f"no plan found: {answer}")
         plan_s += s
     spent["plan"] = plan_s - spent["template"]
+    spent["gc"] = collected[0]
     print(json.dumps(spent))
 
 
 def workload_texts(texts: str, seed: int) -> list[dict]:
-    """The domain and problem texts of the mapp-wide or toh-deepen workload
-    at seed, each with the solver seed of its first query."""
+    """The domain and problem texts of the mapp-wide, toh-deepen or
+    boxes-session workload at seed, each with the solver seed of its
+    first query, and a boxes domain with its world text and cost model."""
     sys.path.insert(0, str(ROOT / "bench"))
     import instances
     if texts == "toh":
         return [{"domain": t.domain, "problem": t.problem, "solver_seed": t.solver_seeds[0]}
                 for t in instances.toh_instances(seed)]
+    if texts == "boxes":
+        return [{"domain": b.domain, "problem": b.problem, "solver_seed": b.solver_seed,
+                 "world": b.world, "costs": instances.COST_SPEC}
+                for b in instances.boxes_instances(seed)]
     return [{"domain": m.domain, "problem": m.problem, "solver_seed": m.solver_seed}
             for m in instances.mapp_instances(seed)]
 
