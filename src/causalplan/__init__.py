@@ -13,8 +13,7 @@ The brute-force oracles that cross-check the SAT route live with the
 tests, not here.
 """
 
-from .compiler import (CnfFormula, CompileError, Encoder, TimedAtom,
-                       compile_cnf, completion_for, desugar)
+from .compiler import CnfFormula, CompileError, Encoder, compile_cnf
 from .domains import DomainBundle, build_mapp, build_robot_boxes, build_toh
 from .grid import GridWorld, WorldError, load_world, parse_world, registry_for
 from .grounding import (ExternalRegistry, GroundDomain, GroundingError,
@@ -37,19 +36,19 @@ from .sat import (DimacsError, ResourceLimit, SolveResult, Solver,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionArg", "ActionCost", "Atom", "AtomF", "BOOLEAN", "Caused",
-    "Causes", "CnfFormula", "CompileError", "Consistent", "Constant",
-    "Constraint", "Diagnostic", "DimacsError", "DomainBundle",
-    "DomainDescription", "Encoder", "Exogenous", "ExternalRegistry",
-    "FluentRef", "GridWorld", "GroundDomain", "GroundingError", "Inconsistent",
-    "Inertial", "Kind", "NoPlanUpTo", "Nonexecutable", "ParseError", "Plan",
-    "PlanFound", "PlanfileError", "PlanningProblem", "Predicted",
-    "ResourceLimit", "SolveResult", "Solver", "Sort", "State", "TimedAtom",
-    "WorldError", "build_mapp", "build_robot_boxes", "build_toh",
-    "check_consistency", "close_formula", "compile_cnf", "completion_for",
-    "desugar", "emit_dimacs", "emit_plan", "enumerate_models", "ground",
-    "load_world", "parse_cost_spec", "parse_dimacs", "parse_domain", "parse_plan",
-    "parse_problem", "parse_query", "parse_world", "plan", "plan_cost",
-    "predict", "pretty_print", "read_dimacs_model", "registry_for", "solve",
-    "validate_plan", "validate_problem", "validate_signature",
+    "ActionArg", "ActionCost", "Atom", "AtomF", "BOOLEAN", "Caused", "Causes",
+    "CnfFormula", "CompileError", "Consistent", "Constant", "Constraint",
+    "Diagnostic", "DimacsError", "DomainBundle", "DomainDescription",
+    "Encoder", "Exogenous", "ExternalRegistry", "FluentRef", "GridWorld",
+    "GroundDomain", "GroundingError", "Inconsistent", "Inertial", "Kind",
+    "NoPlanUpTo", "Nonexecutable", "ParseError", "Plan", "PlanFound",
+    "PlanfileError", "PlanningProblem", "Predicted", "ResourceLimit",
+    "SolveResult", "Solver", "Sort", "State", "WorldError", "build_mapp",
+    "build_robot_boxes", "build_toh", "check_consistency", "close_formula",
+    "compile_cnf", "emit_dimacs", "emit_plan", "enumerate_models", "ground",
+    "load_world", "parse_cost_spec", "parse_dimacs", "parse_domain",
+    "parse_plan", "parse_problem", "parse_query", "parse_world", "plan",
+    "plan_cost", "predict", "pretty_print", "read_dimacs_model",
+    "registry_for", "solve", "validate_plan", "validate_problem",
+    "validate_signature",
 ]

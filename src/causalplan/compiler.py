@@ -2,9 +2,12 @@
 
 Pipeline (each stage is exposed for testing):
 
-    desugar   laws -> (head literal, if-part, after-part) triples
+    desugar   a law -> (head literal, if-part, after-part) triples
+              (_desugared; desugar gives every ground law's, for the
+              symbolic completion)
     template  StepTemplate: each triple's parts, in DNF, stamped once into
-              window literals and clausified per ground domain (which
+              window literals (per law shape, from GroundDomain.rules,
+              not from ground laws) and clausified per ground domain (which
               ground() keeps across queries) into three integer clause
               blocks: the first step, any later step, and the nogoods
               that read a step's actions.  A block holds the completion
@@ -246,16 +249,6 @@ def _mentions_action(rule: Desugared) -> bool:
     return any(f is not None and mentions_action(f) for f in (rule.cond, rule.after))
 
 
-def _sets_last_step_apart(law: Caused) -> bool:
-    """Whether the law's rules would differ at the last step, where no
-    actions exist: an after-law's if-part sits at the step after its
-    after-part, and a static law with a head is stamped only where the
-    atoms it mentions exist."""
-    if law.after is not None:
-        return mentions_action(law.cond)
-    return law.head is not None and (law.head.constant.is_action or mentions_action(law.cond))
-
-
 def _shape(f: Formula, atoms: list[tuple[str, ...]]):
     """f's structure with its atoms taken out: a key that formulas which
     differ only in their atoms share.  The atoms go to atoms, as (name,
@@ -309,16 +302,22 @@ def _law_shape(law) -> tuple[tuple, list[tuple[str, ...]]]:
     return tuple(rules), atoms
 
 
-def _law_rules(law) -> list[tuple]:
-    """law's rules, desugared and put in DNF once, over the atoms that
-    _law_shape gives: per rule (into, up, head, cond, after).  into lists
-    the template blocks the rule goes to and up is the step by which an
-    after-rule is moved up there; head is the head literal +-(1 + the
-    index of its atom), or None for FALSE; cond and after are the DNFs
-    of the if-part and the after-part, each disjunct a tuple of literals
-    +-(1 + atom index), after None for a static rule.  As every atom
-    occurrence is a literal of its own, these DNFs drop nothing:
-    _disjuncts does that once the atoms are known."""
+def _law_rules(law) -> tuple[bool, list[tuple]]:
+    """Whether law's rules would differ at the last step, and the rules,
+    desugared and put in DNF once, over the atoms that _law_shape gives:
+    per rule (into, up, head, cond, after).  into lists the template
+    blocks the rule goes to and up is the step by which an after-rule is
+    moved up there; head is the head literal +-(1 + the index of its
+    atom), or None for FALSE; cond and after are the DNFs of the if-part
+    and the after-part, each disjunct a tuple of literals +-(1 + atom
+    index), after None for a static rule.  As every atom occurrence is a
+    literal of its own, these DNFs drop nothing: _disjuncts does that
+    once the atoms are known.
+
+    The last step has no actions: a rule differs there when it is an
+    after-rule whose if-part reads an action, which would sit at the
+    step after its after-part, or a static rule with a head that reads
+    or causes one, which is stamped only where its atoms exist."""
     n = itertools.count(1)
 
     def occurrence(atom: Atom, positive: bool) -> Lit:
@@ -327,19 +326,22 @@ def _law_rules(law) -> list[tuple]:
     def dnf(f) -> list[tuple[int, ...]]:
         return [tuple(k if pos else -k for k, pos in d) for d in _dnf(f, lit=occurrence) or ()]
 
-    rules = []
+    apart, rules = False, []
     for rule in _desugared(law):
         head = None if rule.head is None else next(n) * (1 if rule.head[1] else -1)
         cond = dnf(rule.cond)
         if rule.after is None:
-            into, up, after = (2,) if head is None and _mentions_action(rule) else (0, 1), 0, None
+            acts = _mentions_action(rule)
+            apart |= acts and head is not None
+            into, up, after = (2,) if head is None and acts else (0, 1), 0, None
         else:
             if head is not None and rule.head[0].constant.is_action:
                 raise CompileError(f"after-rule head {rule.head[0]} is an action atom")
+            apart |= mentions_action(rule.cond)
             up = 1 if head is None else 0  # a nogood reads a step's actions
             into, after = (1 + up,), dnf(rule.after)
         rules.append((into, up, head, cond, after))
-    return rules
+    return apart, rules
 
 
 def _disjuncts(dnf: list[tuple[int, ...]], vals: list[int]) -> list[frozenset[int]]:
@@ -518,7 +520,8 @@ class CnfFormula:
     copy of the Encoder's: rows[t][p] is the variable of the atom at
     position p at step t, 0 where no atom exists.  Every other variable is
     a definition variable or an unused activation variable.  The atom
-    table (in atom_table order) and its index are built on first use."""
+    table, in atom_table order, which is that of the rows' nonzero
+    variables, is built on first use."""
 
     var_count: int
     clauses: list[tuple[int, ...]]
@@ -526,13 +529,11 @@ class CnfFormula:
     horizon: int
     rows: list[tuple[int, ...]]
 
+    # no query reads it; bench/trace.py's compile_cnf hook counts the
+    # definition variables as var_count less its length
     @cached_property
     def atoms(self) -> tuple[TimedAtom, ...]:
         return tuple(atom_table(self.ground, self.horizon))
-
-    @cached_property
-    def index(self) -> dict[TimedAtom, int]:
-        return dict(zip(self.atoms, (v for row in self.rows for v in row if v)))
 
 
 # An exactly-one over at most this many values gets pairwise "not both"
@@ -785,7 +786,7 @@ class StepTemplate:
         # id(law) -> (variable names, rules, its atoms as (name, terms)),
         # or (None, rules, vals) for a law without variables
         laws: dict[int, tuple] = {}
-        shapes: dict[tuple, tuple] = {}  # _law_shape key -> (sets apart, _law_rules)
+        shapes: dict[tuple, tuple] = {}  # _law_shape key -> _law_rules
         for i, (law, binding) in enumerate(ground.rules):
             known = laws.get(id(law))
             if known is None:
@@ -793,8 +794,7 @@ class StepTemplate:
                 shape = shapes.get(key)
                 if shape is None:
                     # whether a law sets the last step apart shows in its key
-                    shape = shapes[key] = (isinstance(law, Caused) and _sets_last_step_apart(law),
-                                           _law_rules(law))
+                    shape = shapes[key] = _law_rules(law)
                 apart, rules = shape
                 if apart:
                     raise CompileError(f"cannot compile '{ground.laws[i]}': its rules would "

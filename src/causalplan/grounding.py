@@ -15,11 +15,14 @@ What it keeps is GroundDomain.rules, one (law, binding) pair per
 surviving instance: law is the schema with its external calls closed
 to that binding's truths (one such law per schema and distinct truths,
 shared by all the bindings that give them), and binding the objects of
-its variables in order.  The step template reads these pairs directly
-(compiler.StepTemplate).  GroundDomain.laws, the ground Law objects, is
-built from them on first read, for the readers that need laws: the
-trajectory check (semantics.py), `ground --emit theory`, the symbolic
-completion and messages.
+its variables in order; a schema is closed as a ground law is built,
+by a _Closer whose memo already holds the truths.  The step template
+reads these pairs directly (compiler.StepTemplate).  GroundDomain.laws,
+the ground Law objects, is built from them on first read, for the
+readers that need laws: the trajectory check (semantics.py), `ground
+--emit theory`, the symbolic completion and messages.  The rules are
+the one way to make a GroundDomain: a caller with ground laws of its
+own passes each as a rule with the empty binding.
 
 Each domain is ground once: its GroundDomain is kept on it together with
 the external calls that grounding made and their results.  A later
@@ -82,23 +85,21 @@ class GroundDomain:
 
     rules holds one (law, binding) pair per ground law, in ground law
     order (see the module docstring); laws holds the ground laws, built
-    from rules on first read.  GroundDomain(domain, laws) makes one from
-    ground laws, each its own rule with the empty binding."""
+    from rules on first read.  A ground law is a rule of its own, with
+    the empty binding."""
 
-    def __init__(self, domain: DomainDescription, laws: tuple[Law, ...] | None = None,
-                 *, rules: tuple[Rule, ...] | None = None):
+    def __init__(self, domain: DomainDescription, rules: tuple[Rule, ...]):
         self.domain = domain
-        if laws is not None:
-            self.__dict__["laws"] = laws = tuple(laws)
-            rules = tuple((law, ()) for law in laws)
         self.rules = rules
 
     @cached_property
     def laws(self) -> tuple[Law, ...]:
-        closer = _Closer(self.domain, None)  # rules hold no external call
+        closer = _Closer(None)  # rules hold no external call
+        # ground() keeps no law that can never fire; a caller's own such
+        # law stays as given, so laws[i] is always rules[i]'s
         return tuple(
             law if isinstance(law, (Inertial, Exogenous))
-            else _ground_one(law, dict(zip([v for v, _ in law.vars], binding)), closer)
+            else _ground_one(law, dict(zip([v for v, _ in law.vars], binding)), closer) or law
             for law, binding in self.rules)
 
     @cached_property
@@ -168,8 +169,7 @@ def signature_atoms(ground: GroundDomain) -> list[Atom]:
 class _Closer:
     """Substitutes an environment into formulas and closes external calls."""
 
-    def __init__(self, domain: DomainDescription, registry: ExternalRegistry | None):
-        self.domain = domain
+    def __init__(self, registry: ExternalRegistry | None):
         self.registry = registry
         self.memo: dict[tuple[str, tuple[str, ...]], object] = {}
         self.atoms: dict[tuple, AtomF] = {}  # see atom_formula
@@ -223,20 +223,6 @@ class _Closer:
         raise GroundingError(f"cannot ground {f!r}")
 
 
-class _Truths(_Closer):
-    """Closes a schema's external calls to given truths, keyed by (name,
-    argument terms), and leaves its atoms as written."""
-
-    def __init__(self, truths: dict[tuple[str, tuple[str, ...]], bool]):
-        self.truths = truths
-
-    def truth(self, name: str, args: tuple[str, ...]) -> bool:
-        return self.truths[(name, args)]
-
-    def atom_formula(self, a: Atom, env: dict[str, str]) -> AtomF:
-        return AtomF(a)
-
-
 def _scan(f: Formula, calls: dict, top: type | None) -> bool:
     """Whether f is as a _Closer leaves a formula without external calls,
     with a top-level constant only of type top; f's external calls go to
@@ -261,7 +247,7 @@ def close_formula(f: Formula, domain: DomainDescription,
                   registry: ExternalRegistry | None = None) -> Formula:
     """Close external calls in an already-ground formula (used for problem
     formulas, which may call externals just like law bodies)."""
-    return _Closer(domain, registry).formula(f, {})
+    return _Closer(registry).formula(f, {})
 
 
 def ground(domain: DomainDescription, registry: ExternalRegistry | None = None) -> GroundDomain:
@@ -293,7 +279,7 @@ def ground(domain: DomainDescription, registry: ExternalRegistry | None = None) 
     diags = validate_signature(domain)
     if diags:
         raise GroundingError("invalid domain: " + "; ".join(str(d) for d in diags))
-    closer = _Closer(domain, registry)
+    closer = _Closer(registry)
     rules: list[Rule] = []
     for law in domain.laws:
         if isinstance(law, (Inertial, Exogenous)):
@@ -336,9 +322,12 @@ def _formulas(law: Law) -> list[tuple[Formula, type]]:
 def _closed(law: Law, truths: dict) -> Law | None:
     """The schema with its external calls closed to truths and its
     formulas simplified, keeping its variables; None when it can never
-    fire.  Closing does not look at atoms, so each of its instances is
-    this law instantiated."""
-    return _instance(law, {}, _Truths(truths), law.vars)
+    fire.  truths holds the result of each of its calls, by (name,
+    argument terms), so the closer evaluates none.  Closing does not look
+    at atoms, so each of its instances is this law instantiated."""
+    closer = _Closer(None)
+    closer.memo = truths
+    return _instance(law, {}, closer, law.vars)
 
 
 def _ground_one(law: Law, env: dict[str, str], closer: _Closer) -> Law | None:

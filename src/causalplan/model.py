@@ -717,7 +717,3 @@ def split_top_level(text: str) -> list[str]:
         cur.append(ch)
     parts.append("".join(cur))
     return parts
-
-
-def freeze_state(state: State) -> frozenset:
-    return frozenset((name, args, val) for (name, args), val in state.items())

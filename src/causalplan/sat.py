@@ -665,9 +665,14 @@ def emit_dimacs(cnf) -> str:
     variable order, so external tooling can map variables back to timed
     atoms: 'c atom v' for a timed atom, 'c aux v' for any other variable
     (a definition variable, or an activation variable that no clause of a
-    compiler.CnfFormula mentions)."""
+    compiler.CnfFormula mentions).  The variable rows[t][p] is the ground
+    domain's p-th atom, fluents before actions, at step t: 'atom@t'."""
     n, clauses = _as_pair(cnf)
-    atom_of = {v: ta for ta, v in getattr(cnf, "index", {}).items()}
+    atom_of = {}
+    if not isinstance(cnf, tuple):
+        atoms = cnf.ground.fluent_atoms + cnf.ground.action_atoms
+        atom_of = {v: f"{atoms[p]}@{t}" for t, row in enumerate(cnf.rows)
+                   for p, v in enumerate(row) if v}
     lines = [f"c atom {v} {atom_of[v]}" if v in atom_of else f"c aux {v}"
              for v in range(1, n + 1)]
     lines.append(f"p cnf {n} {len(clauses)}")

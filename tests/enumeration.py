@@ -18,9 +18,15 @@ import itertools
 from causalplan.compiler import (Nogood, Support, TimedAtom, TimedLit, atom_table,
                                  completion_for, desugar, eval_completion)
 from causalplan.grounding import GroundDomain
-from causalplan.model import Kind, State, freeze_state
+from causalplan.model import Kind, State
 
-__all__ = ["oracle_paths", "oracle_states", "oracle_transitions", "window_truth"]
+__all__ = ["freeze_state", "oracle_paths", "oracle_states", "oracle_transitions",
+           "window_truth"]
+
+
+def freeze_state(state: State) -> frozenset:
+    """A state as a hashable set of (name, args, value) triples."""
+    return frozenset((name, args, val) for (name, args), val in state.items())
 
 
 def window_truth(trajectory, step_actions):

@@ -16,28 +16,30 @@ import time
 from pathlib import Path
 
 import toy_domains
-from enumeration import oracle_paths, oracle_states
+from enumeration import freeze_state, oracle_paths, oracle_states
 import causalplan
 from causalplan import (NoPlanUpTo, PlanFound, parse_problem, parse_world,
                         plan, predict)
 from causalplan.compiler import TimedAtom, compile_cnf
 from causalplan.domains import build_mapp, build_robot_boxes, build_toh
 from causalplan.grounding import ground
-from causalplan.model import TRUE, Atom, freeze_state
+from causalplan.model import TRUE, Atom
 from causalplan.planner import encode_problem, parse_cost_spec
 from causalplan.sat import Solver, enumerate_models, solve
 
 from oracles import (boxes_optimal, mapp_optimal, php_clauses, toh_optimal,
                      truth_table_sat)
+from test_compiler import atom_index
 
 
 def _cnf_trajectories(gd, h, *, seed=0):
     """Every model of the h-step encoding, projected onto the timed atoms
     and decoded to a (state, actions, ..., state) tuple."""
     cnf = compile_cnf(gd, h)
+    index = atom_index(cnf)
     out = set()
-    for model in enumerate_models(Solver(cnf.var_count, cnf.clauses, seed=seed), cnf.index.values()):
-        truth = {ta: model[v] for ta, v in cnf.index.items()}
+    for model in enumerate_models(Solver(cnf.var_count, cnf.clauses, seed=seed), index.values()):
+        truth = {ta: model[v] for ta, v in index.items()}
         parts = []
         for t in range(h + 1):
             state = {}
@@ -158,10 +160,11 @@ def test_walls_make_unreachable_landmarks_unusable():
     assert sorted(cut) == [("L1", "L3"), ("L2", "L3"), ("L3", "L1"), ("L3", "L2")]
     for h in range(1, 9):
         cnf = encode_problem(gd, TRUE, TRUE, [], h, noconcurrency=True).cnf()
+        index = atom_index(cnf)
         for t in range(h):
             for x, y in cut:
-                here = cnf.index[TimedAtom(Atom(at_robo, (), x), t)]
-                go = cnf.index[TimedAtom(Atom(goto, (y,), "true"), t)]
+                here = index[TimedAtom(Atom(at_robo, (), x), t)]
+                go = index[TimedAtom(Atom(goto, (y,), "true"), t)]
                 assert not solve(cnf, assumptions=(here, go)).is_sat, (h, t, x, y)
 
 

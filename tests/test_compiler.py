@@ -22,7 +22,7 @@ from causalplan.compiler import (CompileError, Encoder, ExactlyOne, Nogood,
                                  atom_table, completion_for, desugar, eval_completion,
                                  step_template)
 from causalplan.grounding import GroundDomain, GroundingError, ground
-from causalplan.model import FINAL, And, AtomF, Caused, Not, formula_atoms
+from causalplan.model import FINAL, And, Atom, AtomF, Caused, Not, formula_atoms
 from causalplan.sat import Solver, emit_dimacs, enumerate_models
 
 
@@ -30,11 +30,18 @@ def gd_of(text):
     return ground(parse_domain(text))
 
 
+def atom_index(cnf):
+    """The variable of each timed atom of cnf: the rows' nonzero variables
+    are in atom table order."""
+    return dict(zip(cnf.atoms, (v for row in cnf.rows for v in row if v)))
+
+
 def model_set(cnf):
     """Projections of all models onto the timed atoms, in atom table order,
     via truth tables."""
     models = oracles.truth_table_models(cnf.var_count, cnf.clauses)
-    real = [cnf.index[ta] - 1 for ta in cnf.atoms]
+    index = atom_index(cnf)
+    real = [index[ta] - 1 for ta in cnf.atoms]
     return {tuple(m[i] for i in real) for m in models}
 
 
@@ -252,9 +259,10 @@ def test_variable_numbering_keeps_each_steps_numbers_as_it_grows():
     # b@0 and step 0's activation variable 2; each new step numbers, after
     # every variable in use, the actions before it, its fluents, its
     # activation variable and its definition variables (6 at step 1)
-    assert [cnf.index[ta] for ta in cnf.atoms] == [1, 3, 4, 7, 8]
+    index = atom_index(cnf)
+    assert [index[ta] for ta in cnf.atoms] == [1, 3, 4, 7, 8]
     assert cnf.rows == [(1, 3), (4, 7), (8, 0)]
-    assert compile_cnf(gd, 1).index.items() <= cnf.index.items()
+    assert atom_index(compile_cnf(gd, 1)).items() <= index.items()
 
 
 def test_dimacs_emission_is_stable():
@@ -658,14 +666,14 @@ def test_templated_encoder_equals_symbolic_clausification(name, gd, query):
             assert not isinstance(templated, str), (where, templated)
             cnf = templated.cnf()
             assert cnf.atoms == symbolic.table, where
-            assert len(set(cnf.index.values())) == len(cnf.atoms), where
+            assert len(set(atom_index(cnf).values())) == len(cnf.atoms), where
             # numbered but unused: h + 1 activation variables
             assert cnf.var_count == symbolic.var_count + h + 1, where
             # a domain with no facts is compared with no simplification
             facts = step_template(gd).facts
             clauses = symbolic.with_facts(facts) if facts else symbolic.clauses
             assert _used(cnf.clauses) == _used(clauses), where
-            got = _by_meaning(cnf.clauses, {v: ta for ta, v in cnf.index.items()})
+            got = _by_meaning(cnf.clauses, {v: ta for ta, v in atom_index(cnf).items()})
             want = _by_meaning(clauses, dict(enumerate(symbolic.table, 1)))
             assert got == want, where
 
@@ -707,7 +715,8 @@ def test_growing_encoder_has_the_fixed_encodings_models(name, gd):
             if h:
                 enc.extend()
             cnf = enc.cnf()
-            real = [cnf.index[ta] for ta in cnf.atoms]
+            index = atom_index(cnf)
+            real = [index[ta] for ta in cnf.atoms]
             want = {tuple(m[v] for v in real)
                     for m in enumerate_models(Solver(cnf.var_count, cnf.clauses), real)}
             grown = Solver(enc.var_count, enc.clauses + [(enc.active,)])
@@ -724,7 +733,7 @@ def caused_action():
     a = edges.action_atoms[0]
     q = next(atom for atom in edges.fluent_atoms if atom.constant.name == "q")
     laws = (Caused(a, And((AtomF(q), Not(AtomF(a))))), Caused(a, AtomF(q)))
-    return GroundDomain(edges.domain, edges.laws + laws), laws
+    return GroundDomain(edges.domain, tuple((law, ()) for law in edges.laws + laws)), laws
 
 
 def caused_by_action():
@@ -735,7 +744,7 @@ def caused_by_action():
                  ":laws\n  inertial b;\n  flip causes b if ~b;\n  flip causes b=false if b;\n")
     r = next(atom for atom in base.fluent_atoms if atom.constant.name == "r")
     laws = (Caused(r, AtomF(base.action_atoms[0])),)
-    return GroundDomain(base.domain, base.laws + laws), laws
+    return GroundDomain(base.domain, tuple((law, ()) for law in base.laws + laws)), laws
 
 
 @pytest.mark.parametrize("make", [caused_action, caused_by_action],
@@ -755,6 +764,37 @@ def test_encoder_refuses_a_law_that_sets_the_last_step_apart(make):
             stamped = [frozenset(TimedLit(a, t, pos) for a, pos in cond)
                        in bodies.get(TimedLit(law.head, t), ()) for t in range(h + 1)]
             assert stamped == [True] * h + [False], (law, h)
+
+
+TOGGLE = (":constants b :: inertialFluent; r :: simpleFluent; flip :: action;\n"
+          ":laws\n  inertial b;\n  flip causes b if ~b;\n")
+
+
+@pytest.mark.parametrize("extra, make, message", [
+    ("caused r if flip after b;", lambda flip, b, r: Caused(r, AtomF(flip), AtomF(b)),
+     "cannot compile 'caused r if flip after b;': its rules would differ at the last step, "
+     "which has no actions"),
+    ("caused flip if b after b;", lambda flip, b, r: Caused(flip, AtomF(b), AtomF(b)),
+     "after-rule head flip is an action atom"),
+    # both refusals apply; the head's comes first
+    ("caused flip if flip after b;", lambda flip, b, r: Caused(flip, AtomF(flip), AtomF(b)),
+     "after-rule head flip is an action atom"),
+], ids=["reads an action", "causes an action", "both"])
+def test_the_template_refuses_an_after_law_it_cannot_stamp(extra, make, message):
+    # validation rejects each law (an action in an after-law's if-part, an
+    # action as its head), so the ground domain is built directly, with the
+    # law as a rule of its own, as a library caller could
+    with pytest.raises(GroundingError):
+        gd_of(TOGGLE + "  " + extra + "\n")
+    base = gd_of(TOGGLE)
+    law = make(*(Atom(base.domain.constant_by_key[(n, 0)], (), "true")
+                 for n in ("flip", "b", "r")))
+    assert str(law) == extra
+    gd = GroundDomain(base.domain, tuple((l, ()) for l in base.laws + (law,)))
+    for h in range(3):
+        with pytest.raises(CompileError) as e:
+            Encoder(gd, h)
+        assert str(e.value) == message
 
 
 # sha256 of the (var_count, clauses) of each encoding, in order: a sample

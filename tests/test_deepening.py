@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import toy_domains
 from enumeration import oracle_paths, oracle_states
 from sample_files import samples_dir
+from test_compiler import atom_index
 from causalplan import (NoPlanUpTo, PlanFound, check_consistency, parse_domain,
                         parse_problem, parse_world, plan, registry_for,
                         validate_plan)
@@ -50,7 +51,7 @@ def reference_horizon(gd, problem, registry=None, costs=()):
             found = decode_model(cnf, res.model)
             if plan_cost(found, costs, registry) <= problem.cost_deadline:
                 return h
-            block = [-v if res.model[v] else v for ta, v in cnf.index.items()
+            block = [-v if res.model[v] else v for ta, v in atom_index(cnf).items()
                      if ta.atom.constant.is_action]
             if not block:
                 break

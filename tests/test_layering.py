@@ -154,3 +154,34 @@ def test_the_template_and_the_encoder_are_built_without_the_completion():
     assert {"_desugared", "_dnf", "_add_support", "exactly_one", "step_template"} <= used
     bad = used & REFERENCE_NAMES
     assert not bad, f"the template or the encoder reaches the symbolic completion: {sorted(bad)}"
+
+
+# planner.py imports these only so that bench/trace.py's hooks find them
+HOOK_ONLY_IMPORTS = {"planner.py": {"compile_cnf", "completion_for", "eval_completion",
+                                    "sat_solve"}}
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # a dead import outlives the code that used it; a module's __all__
+    # counts as a use, so the package's re-exports are checked against it
+    unused = {}
+    for path in sorted(Path(causalplan.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+                used |= set(ast.literal_eval(node.value))
+        exempt = HOOK_ONLY_IMPORTS.get(path.name, set())
+        # an exemption for a name no longer imported would hide nothing
+        assert exempt <= imported - used, (path.name, sorted(exempt - (imported - used)))
+        dead = imported - used - exempt
+        if dead:
+            unused[path.name] = sorted(dead)
+    assert unused == {}, f"imported and never used: {unused}"

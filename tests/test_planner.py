@@ -8,13 +8,12 @@ import pytest
 
 import sample_files
 import toy_domains
-from enumeration import oracle_paths, oracle_states, oracle_transitions
+from enumeration import freeze_state, oracle_paths, oracle_states, oracle_transitions
 from causalplan import (NoPlanUpTo, Plan, PlanFound, check_consistency,
                         parse_domain, parse_problem, parse_query, parse_world,
                         plan, predict, registry_for, validate_plan)
 from causalplan.domains import build_robot_boxes
 from causalplan.grounding import ground
-from causalplan.model import freeze_state
 from causalplan.planner import (ActionCost, Consistent, FluentRef,
                                 Inconsistent, ActionArg, parse_cost_spec,
                                 plan_cost)

@@ -161,6 +161,10 @@ def test_dimacs_roundtrip_preserves_clauses():
     assert [sorted(c) for c in clauses] == [sorted(c) for c in cnf.clauses]
 
 
+def test_dimacs_of_a_plain_pair_names_no_atom():
+    assert emit_dimacs((2, [(1, -2)])) == "c aux 1\nc aux 2\np cnf 2 1\n1 -2 0\n"
+
+
 def test_read_dimacs_model_formats():
     from causalplan import compile_cnf, parse_domain
     from causalplan.grounding import ground

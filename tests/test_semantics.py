@@ -19,15 +19,14 @@ from hypothesis import HealthCheck, given, settings
 
 import sample_files
 import toy_domains
-from enumeration import oracle_states, oracle_transitions, window_truth
+from enumeration import freeze_state, oracle_states, oracle_transitions, window_truth
 from test_parser import domains
 from causalplan import (Plan, ParseError, parse_domain, parse_problem, parse_world,
                         plan, registry_for, validate_plan)
 from causalplan.compiler import completion_for, eval_completion
 from causalplan.domains import build_mapp, build_robot_boxes, build_toh
 from causalplan.grounding import GroundDomain, GroundingError, ground
-from causalplan.model import (Atom, AtomF, Caused, PlanningProblem,
-                              freeze_state)
+from causalplan.model import FALSE, TRUE, Atom, AtomF, Caused, Constraint, PlanningProblem
 from causalplan.planner import parse_cost_spec
 from causalplan.semantics import NOCONCURRENCY, UNIVERSAL_CAUSATION, check_trajectory
 
@@ -130,6 +129,21 @@ def test_ruled_false_face_must_be_caused():
     assert len(law_states(gd)) == 1
 
 
+def test_a_callers_law_that_can_never_fire_is_checked_as_given():
+    # ground() drops such laws; one passed as a rule of its own stays a
+    # law that never fires
+    d = parse_domain(":constants p :: inertialFluent; q :: simpleFluent;\n"
+                     ":laws\n  inertial p;\n  caused q if p;\n")
+    q = Atom(d.constant_by_key[("q", 0)], (), "true")
+    extra = (Caused(q, FALSE), Constraint(TRUE))
+    base = ground(d)
+    gd = GroundDomain(d, tuple((law, ()) for law in base.laws + extra))
+    assert gd.laws[-2:] == extra
+    _assert_oracles_agree(gd)
+    for s in _assignments(gd):
+        assert check_trajectory(gd, [s], []) == check_trajectory(base, [s], [])
+
+
 def test_static_law_with_an_action_head():
     # validation refuses such a law; the ground domain is built directly,
     # as a library caller could, to hold both routes to one reading
@@ -142,7 +156,7 @@ def test_static_law_with_an_action_head():
 """)
     flip, stop, b = (Atom(d.constant_by_key[(n, 0)], (), "true") for n in ("flip", "stop", "b"))
     extra = (Caused(flip, AtomF(b)), Caused(Atom(stop.constant, (), "false"), AtomF(b)))
-    gd = GroundDomain(d, ground(d).laws + extra)
+    gd = GroundDomain(d, tuple((law, ()) for law in ground(d).laws + extra))
     _assert_oracles_agree(gd)
     _assert_oracles_agree(gd, noconcurrency=True)
     v = check_trajectory(gd, [{("b", ()): "true"}, {("b", ()): "true"}], [{("stop", ())}])

@@ -27,14 +27,12 @@ from __future__ import annotations
 import argparse
 import gc
 import json
-import os
 import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-from time_setup import quartiles
+from time_setup import alternated, checkouts, quartiles, run_child
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -72,15 +70,6 @@ def child(root: str, workload: str, seed: int, seconds: float) -> None:
     print(json.dumps({"calls": calls, "passes": passes}))
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = subprocess.run([sys.executable, __file__, "--child", str(root), workload,
-                          str(seed), str(seconds)], env=env, capture_output=True, text=True)
-    if out.returncode != 0:
-        sys.exit(f"a run with {root} failed:\n{out.stderr}")
-    return json.loads(out.stdout)
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--workload", choices=WORKLOADS, default="toh-deepen",
@@ -97,18 +86,9 @@ def main(argv=None) -> int:
         root, workload, seed, seconds = a.child
         child(root, workload, int(seed), float(seconds))
         return 0
-    if a.runs < 1:
-        ap.error("--runs must be at least 1")
-    sides = {"this": ROOT}
-    if a.against is not None:
-        if not (a.against / "src" / "causalplan").is_dir():
-            ap.error(f"{a.against} holds no src/causalplan")
-        sides["against"] = a.against.resolve()
-    runs: dict[str, list[dict]] = {name: [] for name in sides}
-    for r in range(a.runs):
-        order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-        for name in order:
-            runs[name].append(run_once(sides[name], a.workload, a.seed, a.seconds))
+    sides = checkouts(ap, a)
+    runs = alternated(sides, a.runs,
+                      lambda root: run_child(__file__, root, a.workload, a.seed, a.seconds))
 
     calls = runs["this"][0]["calls"]
     print(f"{a.workload} seed {a.seed}: {a.runs} fresh-process run(s) per checkout, "

@@ -147,13 +147,41 @@ def has_pyc(root: Path) -> bool:
     return any(cache.glob(f"*.{sys.implementation.cache_tag}.pyc"))
 
 
-def run_once(root: Path, texts_file: str) -> dict[str, float]:
+def run_child(script: str, root: Path, *args) -> dict:
+    """One run of script's --child with the checkout at root and args, in
+    a fresh interpreter without PYTHONPATH, so that the package comes
+    from root; what the run prints, read as JSON."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = subprocess.run([sys.executable, __file__, "--child", str(root), texts_file],
+    out = subprocess.run([sys.executable, script, "--child", str(root), *map(str, args)],
                          env=env, capture_output=True, text=True)
     if out.returncode != 0:
         sys.exit(f"a run with {root} failed:\n{out.stderr}")
     return json.loads(out.stdout)
+
+
+def checkouts(ap: argparse.ArgumentParser, a: argparse.Namespace) -> dict[str, Path]:
+    """The checkouts to run, by side: "this" one and, with --against, the
+    "against" one.  Refuses --runs below 1 and an --against that holds no
+    package."""
+    if a.runs < 1:
+        ap.error("--runs must be at least 1")
+    sides = {"this": ROOT}
+    if a.against is not None:
+        if not (a.against / "src" / "causalplan").is_dir():
+            ap.error(f"{a.against} holds no src/causalplan")
+        sides["against"] = a.against.resolve()
+    return sides
+
+
+def alternated(sides: dict[str, Path], runs: int, run) -> dict[str, list]:
+    """run(root) runs times per side, the sides in turn, starting with a
+    different side in each pair of runs."""
+    out: dict[str, list] = {name: [] for name in sides}
+    for r in range(runs):
+        order = list(sides) if r % 2 == 0 else list(sides)[::-1]
+        for name in order:
+            out[name].append(run(sides[name]))
+    return out
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -175,22 +203,12 @@ def main(argv=None) -> int:
     if a.child:
         child(*a.child)
         return 0
-    if a.runs < 1:
-        ap.error("--runs must be at least 1")
-    sides = {"this": ROOT}
-    if a.against is not None:
-        if not (a.against / "src" / "causalplan").is_dir():
-            ap.error(f"{a.against} holds no src/causalplan")
-        sides["against"] = a.against.resolve()
+    sides = checkouts(ap, a)
     pyc = {name: has_pyc(root) for name, root in sides.items()}
-    times: dict[str, list[dict]] = {name: [] for name in sides}
     with tempfile.TemporaryDirectory() as tmp:
         texts_file = str(Path(tmp, "texts.json"))
         Path(texts_file).write_text(json.dumps(workload_texts(a.texts, a.seed)))
-        for r in range(a.runs):
-            order = list(sides) if r % 2 == 0 else list(sides)[::-1]
-            for name in order:
-                times[name].append(run_once(sides[name], texts_file))
+        times = alternated(sides, a.runs, lambda root: run_child(__file__, root, texts_file))
 
     print(f"{WORKLOADS[a.texts]} seed {a.seed}: {a.runs} fresh-process run(s) per checkout; "
           "times in ms, median [q1, q3]")
