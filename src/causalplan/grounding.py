@@ -243,8 +243,7 @@ def _scan(f: Formula, calls: dict, top: type | None) -> bool:
     return top is not None and isinstance(f, top)
 
 
-def close_formula(f: Formula, domain: DomainDescription,
-                  registry: ExternalRegistry | None = None) -> Formula:
+def close_formula(f: Formula, registry: ExternalRegistry | None = None) -> Formula:
     """Close external calls in an already-ground formula (used for problem
     formulas, which may call externals just like law bodies)."""
     return _Closer(registry).formula(f, {})
@@ -304,7 +303,7 @@ def ground(domain: DomainDescription, registry: ExternalRegistry | None = None) 
                 closed[key] = _closed(law, truths)
             if closed[key] is not None:
                 rules.append((closed[key], b))
-    gd = GroundDomain(domain=domain, rules=tuple(rules))
+    gd = GroundDomain(domain, tuple(rules))
     domain.__dict__["_grounded"] = (gd, tuple(closer.memo.items()))
     return gd
 

@@ -25,13 +25,32 @@ Problems:
 
 Tokens are three parallel lists, the kinds, texts and start offsets, and
 a token is its index into them.  The lexer builds them in a few passes
-that run in C: one regular-expression scan yields each token with the
-blanks after it, and map() and accumulate() split those pairs into the
-lists.  No Python code runs per token, and no object is made per token
-but its text; equal texts are one str object.  Kinds are decided once
-per distinct text.  A token's line and column are worked out from its
+that run in C: one regular-expression scan yields one string per token,
+the token with the blanks after it; each distinct string is stripped
+once, and accumulate() over the strings' lengths gives the offsets.  No
+Python code runs per token, and no object is made per token but its
+string; equal texts are one str object.  Kinds are decided once per
+distinct text.  A token's line and column are worked out from its
 offset only when a SourceSpan is needed (a diagnostic, a sort, a
 constant or a law), by bisecting the offsets at which lines start.
+
+A well-formed atom written on one line -- ``name(arg, ...)``,
+``name=value`` or both, with blanks between the parts -- is one ATOM
+token, unless its name is one of the words the grammar reads by their
+text (``if``, ``true``, ...).  Most tokens of a ground domain are inside
+such atoms.  Every place that reads ``name(...)`` or ``=value`` (an atom
+in a formula or a law, a constant declaration, an ``@external(...)``
+call, a ``:do`` instance) takes the parts from split(), which splits
+each distinct text once per parse, and reports a mistake at the span
+that the part's own token would have had.  Anything else -- a malformed
+atom, one split across lines, one with a comment inside -- is lexed
+token by token.  Where the grammar needs an ATOM token's parts as
+tokens of their own (a name that stands alone, as after ``inertial``,
+or one inside an atom read token by token, as ``q`` in the malformed
+``p(x, q(y))``), refine() lexes the rest of the text again without ATOM
+tokens.  So the grammar reads every text as if it were lexed token by
+token, and reports every mistake at the same place with the same
+message.  The lexer knows nothing of sections.
 
 A formula may sit inside at most MAX_NESTING of ``(`` and ``~``, so
 that parsing and everything after it stay well inside Python's
@@ -62,8 +81,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from functools import cached_property
-from itertools import accumulate, chain, compress
-from operator import itemgetter
+from itertools import accumulate, compress
 
 from .model import (
     BOOLEAN, FALSE, FINAL, TRUE, Atom, AtomF, Caused, Causes, Constant,
@@ -91,23 +109,47 @@ _PUNCT = {
     "@": "AT", "/": "SLASH",
 }
 
+_NAME = r"[^\W\d]\w*"
+# The words that the parser tells apart by their text where a name may
+# stand.  No ATOM token starts with one, so each is a NAME token
+# wherever it is written.
+_KEYWORDS = ("after", "caused", "causes", "constraint", "exogenous", "false",
+             "final", "if", "inertial", "nonexecutable", "true", "vars")
+_PART = rf"[ \t]*{_NAME}"  # an argument or a value, after blanks on its line
+# A well-formed atom on one line: name(arg, ...), name=value, or both.
+# Its one unbounded repeat ends in a ',', which no name or blank
+# matches, so a failed match gives back one argument per ',' it passed.
+_ATOM = (rf"(?!(?:{'|'.join(_KEYWORDS)})(?!\w)){_NAME}[ \t]*"
+         rf"(?:\((?:{_PART}[ \t]*,)*{_PART}[ \t]*\)(?:[ \t]*={_PART})?|={_PART})")
 # Every token kind with its pattern, in the order they are tried.  An
 # integer is decimal digits only, which int() always accepts.
 _KINDS = [
     ("SECTION", r":[^\W\d]\w*"),
-    ("NAME", r"[^\W\d]\w*"),
+    ("ATOM", _ATOM),
+    ("NAME", _NAME),
     ("INT", r"\d+"),
     *((kind, re.escape(mark)) for mark, kind in _PUNCT.items()),
     ("OTHER", "."),
 ]
 _BLANKS = " \t\r\n"
-# A token and the blanks after it.  Its one unbounded repeat that can
-# run long is the blanks', which nothing else matches, so the scan makes
-# one pass over the text with no backtracking.
-_SCAN = re.compile("(" + "|".join(p for _, p in _KINDS) + f")([{_BLANKS}]*)")
+
+
+def _scanner(kinds: list[tuple[str, str]]) -> re.Pattern:
+    """A token and the blanks after it, as one match.  A run of blanks
+    is matched only there, and an atom's arguments as _ATOM says, so the
+    scan makes one pass over the text."""
+    return re.compile("(?:" + "|".join(p for _, p in kinds) + f")[{_BLANKS}]*")
+
+
+_FINE_KINDS = [k for k in _KINDS if k[0] != "ATOM"]
+_SCAN = _scanner(_KINDS)
+_FINE_SCAN = _scanner(_FINE_KINDS)  # an atom token by token
 # The kind of a token's text: the alternative that scanned a token is the
-# first that matches its text, since every earlier one failed on it.
-_KIND = re.compile("|".join(f"(?P<{kind}>{p})" for kind, p in _KINDS))
+# first that matches its text, since every earlier one failed on it.  An
+# ATOM token's text is the one that no other kind matches whole: only
+# its name matches, as a NAME.
+_KIND = re.compile("|".join(f"(?P<{kind}>{p})" for kind, p in _FINE_KINDS))
+_NAMES = re.compile(_NAME)
 _COMMENT = re.compile(r"%[^\n]*")
 
 
@@ -115,25 +157,33 @@ def _blank(m: re.Match) -> str:
     return " " * (m.end() - m.start())
 
 
-def _lex(text: str) -> tuple[list[str], list[str], list[int]]:
-    """The kinds, texts and start offsets of text's tokens, as three
-    parallel lists.  Index 0 holds a START marker, so every token's index
-    is true; the last token is EOF.  A character that starts no token is
-    an OTHER token of its own."""
+def _lex(text: str, scan: re.Pattern = _SCAN, first: int | None = None
+         ) -> tuple[list[str], list[str], list[int], dict[str, str]]:
+    """The kinds, texts and start offsets of text's tokens from offset
+    first on (its first token by default), as three parallel lists, and
+    the one str object of each distinct text.  Index 0 holds a START
+    marker, so every token's index is true; the last token is EOF.  A
+    character that starts no token is an OTHER token of its own."""
     if "%" in text:
         # a comment becomes blanks of its own length: offsets stay put
         text = _COMMENT.sub(_blank, text)
-    first = len(text) - len(text.lstrip(_BLANKS))
-    pairs = _SCAN.findall(text, first)  # (token, blanks after it)
-    texts = list(map(itemgetter(0), pairs))
+    if first is None:
+        first = len(text) - len(text.lstrip(_BLANKS))
+    found = scan.findall(text, first)  # each token with the blanks after it
     # one str object per distinct text: equal names in the parsed objects
     # are then one object, and compare by identity
-    one = {t: t for t in set(texts)}
-    texts = list(map(one.__getitem__, texts))
-    kind_of = {t: _KIND.match(t).lastgroup for t in one}
-    # each pair starts where the one before ends; EOF starts after the last
-    offsets = list(accumulate(map(len, chain.from_iterable(pairs)), initial=first))[::2]
-    return ["START", *map(kind_of.__getitem__, texts), "EOF"], ["", *texts, ""], [0, *offsets]
+    names: dict[str, str] = {}
+    text_of = {}
+    for s in set(found):
+        t = s.rstrip(_BLANKS)
+        text_of[s] = names.setdefault(t, t)
+    texts = list(map(text_of.__getitem__, found))
+    kind_of = {t: m.lastgroup if (m := _KIND.match(t)).end() == len(t) else "ATOM"
+               for t in names}
+    # each token starts where the one before ends; EOF starts after the last
+    offsets = list(accumulate(map(len, found), initial=first))
+    return (["START", *map(kind_of.__getitem__, texts), "EOF"], ["", *texts, ""],
+            [0, *offsets], names)
 
 
 # --- parser ------------------------------------------------------------------
@@ -144,7 +194,8 @@ class _Parser:
         self.source = source
         self.diags: list[Diagnostic] = []
         self.quiet = False  # reports held back after a broken statement
-        self.kinds, self.texts, self.offsets = _lex(text)
+        self.kinds, self.texts, self.offsets, self.names = _lex(text)
+        self.parts: dict[str, tuple] = {}  # ATOM text -> split(), this parse only
         self.pos = 1
         if "OTHER" in self.kinds:
             self.drop_unexpected()
@@ -168,14 +219,68 @@ class _Parser:
     def line(self, i: int) -> int:
         return bisect_right(self.line_starts, self.offsets[i])
 
-    def span(self, i: int) -> SourceSpan:
-        line = self.line(i)
-        col = self.offsets[i] - self.line_starts[line - 1] + 1
-        return SourceSpan(self.source, line, col, line, col + len(self.texts[i]))
+    def span(self, i: int, part: int | None = None) -> SourceSpan:
+        """Where token i is; with part, where that part of it is, the
+        token that lexing token by token would have made there: part 0
+        is an ATOM token's name (or the whole of any other token), and
+        its arguments, then its value, follow in order."""
+        offset, text = self.offsets[i], self.texts[i]
+        if part is not None and self.kinds[i] == "ATOM":
+            if part:
+                m = list(_NAMES.finditer(text))[part]
+                offset += m.start()
+                text = m[0]
+            else:
+                text = self.split(i)[0]
+        line = bisect_right(self.line_starts, offset)
+        col = offset - self.line_starts[line - 1] + 1
+        return SourceSpan(self.source, line, col, line, col + len(text))
+
+    def split(self, i: int) -> tuple[str, tuple[str, ...], str | None]:
+        """ATOM token i's name, its arguments and its value (None without
+        '=').  Each distinct text is split once per parse, and its names
+        are the lexer's str objects."""
+        text = self.texts[i]
+        parts = self.parts.get(text)
+        if parts is None:
+            # the names are what the marks of a well-formed atom leave
+            words = text.replace("(", " ").replace(")", " ").replace(",", " ").replace("=", " ")
+            words = words.split()
+            words = tuple(map(self.names.setdefault, words, words))
+            if "=" in text:  # the value is the last name
+                parts = words[0], words[1:-1], words[-1]
+            else:
+                parts = words[0], words[1:], None
+            self.parts[text] = parts
+        return parts
+
+    def refine(self, i: int) -> None:
+        """Lex the text again from token i on, with no ATOM token, where
+        the grammar reads an atom's parts one by one: at a malformed
+        atom's mistake, or at a name that stands on its own.  Every
+        token before i is kept, and none after it is an ATOM any more,
+        so a parse refines at most once.  An OTHER token was reported
+        already and is dropped again."""
+        kinds, texts, offsets, _ = _lex(self.text, _FINE_SCAN, self.offsets[i])
+        keep = [k != "OTHER" for k in kinds]
+        keep[0] = False  # the START marker
+        names = self.names
+        self.kinds[i:] = compress(kinds, keep)
+        self.texts[i:] = [names.setdefault(t, t) for t in compress(texts, keep)]
+        self.offsets[i:] = compress(offsets, keep)
+
+    def word(self, i: int) -> str:
+        """The text of token i, or an ATOM token's name."""
+        return self.split(i)[0] if self.kinds[i] == "ATOM" else self.texts[i]
 
     def at(self, kind: str, text: str | None = None) -> bool:
+        """Whether the current token is of kind, with text if given.  An
+        ATOM token asked for as any NAME is lexed token by token first,
+        and is no keyword, since no keyword starts one."""
         i = self.pos
-        return self.kinds[i] == kind and (text is None or self.texts[i] == text)
+        if self.kinds[i] == kind:
+            return text is None or self.texts[i] == text
+        return kind == "NAME" and text is None and self.name_at(i)
 
     def advance(self) -> int:
         i = self.pos
@@ -186,8 +291,16 @@ class _Parser:
                 self.quiet = False  # a statement boundary: report again
         return i
 
+    def name_at(self, i: int) -> bool:
+        """Whether token i is a NAME token, once an ATOM token there is
+        lexed token by token: inside an atom read token by token, an
+        argument or a value is a name of its own."""
+        if self.kinds[i] == "ATOM":
+            self.refine(i)
+        return self.kinds[i] == "NAME"
+
     def found(self) -> str:
-        return repr(self.texts[self.pos] or "end of input")
+        return repr(self.word(self.pos) or "end of input")
 
     def error(self, msg: str, span: SourceSpan | None = None):
         """Report msg at span (the current token by default), unless a
@@ -195,12 +308,12 @@ class _Parser:
         place was reported already."""
         if self.quiet or len(self.diags) >= MAX_DIAGNOSTICS:
             return
-        span = span or self.span(self.pos)
+        span = span or self.span(self.pos, 0)
         if all((d.span.line, d.span.col) != (span.line, span.col) for d in self.diags):
             self.diags.append(Diagnostic(msg, span))
 
     def expect(self, kind: str, what: str) -> int | None:
-        if self.kinds[self.pos] == kind:
+        if self.kinds[self.pos] == kind or kind == "NAME" and self.name_at(self.pos):
             return self.advance()
         self.error(f"expected {what}, found {self.found()}")
         return None
@@ -251,7 +364,8 @@ class _DomainParser(_Parser):
         self.laws: list[Law] = []
         self.scope: dict[str, Sort] = {}  # current `vars` scope
         self.used: set[str] = set()  # argument and value names of the current law
-        self.atoms: dict[tuple, AtomF] = {}  # (name, args, value) -> its atom
+        # (name, args, value), and the text of an ATOM token -> its atom
+        self.atoms: dict[tuple | str, AtomF] = {}
 
     # sections ---------------------------------------------------------------
 
@@ -320,12 +434,26 @@ class _DomainParser(_Parser):
 
     def sort(self, what: str = "a sort name") -> Sort | None:
         t = self.expect("NAME", what)
-        if t is None:
-            return None
-        s = self.sorts.get(self.texts[t])
+        return None if t is None else self.known_sort(self.texts[t], t)
+
+    def known_sort(self, name: str, i: int, part: int | None = None) -> Sort | None:
+        """The sort named name, read from token i (or that part of it)."""
+        s = self.sorts.get(name)
         if s is None:
-            self.error(f"unknown sort '{self.texts[t]}'", self.span(t))
+            self.error(f"unknown sort '{name}'", self.span(i, part))
         return s
+
+    def call(self, i: int, arity: int | None = None) -> tuple[str, tuple[str, ...]] | None:
+        """The name and arguments of token i if it is an ATOM token
+        name(arg, ...), with arity arguments if given.  Otherwise None,
+        and an ATOM token there is lexed token by token, for the grammar
+        to read its parts."""
+        if self.kinds[i] == "ATOM":
+            name, args, value = self.split(i)
+            if args and value is None and arity in (None, len(args)):
+                return name, args
+            self.refine(i)
+        return None
 
     def section_constants(self):
         if not self.at("SECTION", ":constants"):
@@ -334,41 +462,63 @@ class _DomainParser(_Parser):
         self.advance()
         # :objects is behind us, so every sort has its final members
         self.sorts = {n: Sort(n, tuple(m), self.sort_spans[n]) for n, m in self.members.items()}
-        while self.at("NAME"):
+        while self.kinds[self.pos] in ("NAME", "ATOM"):
             name_t = self.pos
             const = self.statement(self.constant_decl)
             if const is None:
-                self.broken.add(self.texts[name_t])
+                self.broken.add(self.word(name_t))
             elif const.key in self.constants:
                 self.error(f"duplicate constant '{const.name}/{len(const.arg_sorts)}'",
-                           self.span(name_t))
+                           self.span(name_t, 0))
             else:
                 self.constants[const.key] = const
 
     def constant_decl(self) -> Constant | None:
-        name_t = self.advance()
-        arg_sorts: list[Sort] = []
-        if self.at("LPAREN"):
-            self.advance()
-            arg_sorts = self.separated(self.sort)
-            if arg_sorts is None or not self.expect("RPAREN", "')'"):
-                return None
-        kind_t = self.expect("DCOLON", "'::'") and self.expect("NAME", "a constant kind")
-        if kind_t is None:
+        """name(sort, ...) :: kind(value sort); the argument and the value
+        sorts may be left out."""
+        name_t = self.pos
+        head = self.call(name_t)
+        if head is not None:
+            name, args = head
+            arg_sorts = []
+            for k, arg in enumerate(args, 1):
+                if (s := self.known_sort(arg, name_t, k)) is None:
+                    return None
+                arg_sorts.append(s)
+            self.pos += 1
+        else:
+            name = self.texts[self.advance()]
+            arg_sorts = []
+            if self.at("LPAREN"):
+                self.advance()
+                arg_sorts = self.separated(self.sort)
+                if arg_sorts is None or not self.expect("RPAREN", "')'"):
+                    return None
+        if self.expect("DCOLON", "'::'") is None:
             return None
+        kind_t = self.pos
+        valued = self.call(kind_t, 1)
+        if valued is None and self.expect("NAME", "a constant kind") is None:
+            return None
+        kind_name = self.word(kind_t)
         try:
-            kind = Kind(self.texts[kind_t])
+            kind = Kind(kind_name)
         except ValueError:
-            self.error(f"unknown constant kind '{self.texts[kind_t]}' "
-                       "(expected inertialFluent, simpleFluent, or action)", self.span(kind_t))
+            self.error(f"unknown constant kind '{kind_name}' "
+                       "(expected inertialFluent, simpleFluent, or action)", self.span(kind_t, 0))
             return None
         value_sort = BOOLEAN
-        if self.at("LPAREN"):
+        if valued is not None:
+            self.pos += 1
+            value_sort = self.known_sort(valued[1][0], kind_t, 1)
+            if value_sort is None:
+                return None
+        elif self.at("LPAREN"):
             self.advance()
             value_sort = self.sort("a value sort")
             if value_sort is None or not self.expect("RPAREN", "')'"):
                 return None
-        return Constant(self.texts[name_t], tuple(arg_sorts), kind, value_sort, self.span(name_t))
+        return Constant(name, tuple(arg_sorts), kind, value_sort, self.span(name_t, 0))
 
     def section_externals(self):
         self.advance()
@@ -392,59 +542,74 @@ class _DomainParser(_Parser):
 
     def unknown_constant(self, name_t: int, what: str) -> None:
         # a constant whose declaration was reported is not reported again
-        if self.texts[name_t] not in self.broken:
-            self.error(f"unknown constant '{what}'", self.span(name_t))
+        if self.word(name_t) not in self.broken:
+            self.error(f"unknown constant '{what}'", self.span(name_t, 0))
 
     def parse_atom(self) -> Atom | None:
         f = self.atom_formula()
         return None if f is None else f.atom
 
     def atom_formula(self) -> AtomF | None:
-        """name, name(arg, ...), either one followed by '=value'.  The
-        tokens are read from the lists directly: an atom's tokens never
-        end a statement, so no advance() is needed.  Each distinct atom
-        is built once per parse."""
+        """name, name(arg, ...), either one followed by '=value': one
+        ATOM token, or where the lexer made none, the tokens of its
+        parts.  The tokens are read from the lists directly: an atom's
+        tokens never end a statement, so no advance() is needed.  Each
+        distinct atom is built once per parse, and each distinct ATOM
+        text read once."""
         kinds, texts = self.kinds, self.texts
         name_t = i = self.pos
-        if kinds[i] != "NAME":
+        if kinds[i] == "ATOM":
+            f = self.atoms.get(texts[i])
+            if f is not None and kinds[i + 1] != "EQ":
+                self.pos = i + 1
+                self.used.update(f.atom.args)
+                self.used.add(f.atom.value)
+                return f
+            name, args, value = self.split(i)
+            i += 1
+        elif kinds[i] != "NAME":
             return self.expect("NAME", "a constant name")
-        args: tuple[str, ...] = ()
-        i += 1
-        if kinds[i] == "LPAREN":
-            first = i = i + 1
-            while kinds[i] == "NAME" and kinds[i + 1] == "COMMA":
-                i += 2
-            if kinds[i] != "NAME":
-                self.pos = i
-                return self.expect("NAME", "an argument")
-            if kinds[i + 1] != "RPAREN":
-                self.pos = i + 1
-                return self.expect("RPAREN", "')'")
-            args = tuple(texts[first:i + 1:2])
-            self.used.update(args)
-            i += 2
-        self.pos = i
-        const = self.constants.get((texts[name_t], len(args)))
-        if const is None:
-            self.unknown_constant(name_t, f"{texts[name_t]}/{len(args)}")
-            return None
-        if kinds[i] == "EQ":
-            if kinds[i + 1] != "NAME":
-                self.pos = i + 1
-                return self.expect("NAME", "a value")
-            value = texts[i + 1]
-            self.pos = i + 2
         else:
-            if not const.is_boolean:
+            name, args, value = texts[i], (), None
+            i += 1
+            if kinds[i] == "LPAREN":
+                first = i = i + 1
+                while self.name_at(i) and kinds[i + 1] == "COMMA":
+                    i += 2
+                if not self.name_at(i):
+                    self.pos = i
+                    return self.expect("NAME", "an argument")
+                if kinds[i + 1] != "RPAREN":
+                    self.pos = i + 1
+                    return self.expect("RPAREN", "')'")
+                args = tuple(texts[first:i + 1:2])
+                i += 2
+        self.used.update(args)
+        self.pos = i
+        const = self.constants.get((name, len(args)))
+        if const is None:
+            self.unknown_constant(name_t, f"{name}/{len(args)}")
+            return None
+        if value is None:
+            if kinds[i] == "EQ":
+                if not self.name_at(i + 1):
+                    self.pos = i + 1
+                    return self.expect("NAME", "a value")
+                value = texts[i + 1]
+                self.pos = i + 2
+            elif not const.is_boolean:
                 self.error(f"constant '{const.name}' is {const.value_sort.name}-valued; "
-                           "'=value' is required", self.span(name_t))
+                           "'=value' is required", self.span(name_t, 0))
                 return None
-            value = "true"
+            else:
+                value = "true"
         self.used.add(value)
-        key = (texts[name_t], args, value)
+        key = (name, args, value)
         f = self.atoms.get(key)
         if f is None:
             f = self.atoms[key] = AtomF(Atom(const, args, value))
+        if self.pos == name_t + 1 and kinds[name_t] == "ATOM":
+            self.atoms[texts[name_t]] = f  # read without an '=' after it
         return f
 
     def parse_formula(self, depth: int = 0) -> Formula | None:
@@ -469,6 +634,8 @@ class _DomainParser(_Parser):
     def parse_unary(self, depth: int) -> Formula | None:
         i = self.pos
         kind = self.kinds[i]
+        if kind == "ATOM":
+            return self.atom_formula()
         if kind == "NAME":
             if self.texts[i] == "true":
                 self.pos = i + 1
@@ -494,6 +661,11 @@ class _DomainParser(_Parser):
 
     def parse_external(self) -> Formula | None:
         self.advance()  # '@'
+        call = self.call(self.pos)
+        if call is not None:
+            self.pos += 1
+            self.used.update(call[1])
+            return ExternalCall(*call)
         name_t = self.expect("NAME", "an external name")
         if name_t is None or not self.expect("LPAREN", "'('"):
             return None
@@ -551,10 +723,10 @@ class _DomainParser(_Parser):
 
     def parse_law(self) -> Law | None:
         t = self.pos
-        if self.kinds[t] != "NAME":
+        if self.kinds[t] != "NAME" and self.kinds[t] != "ATOM":
             self.error(f"expected a law, found {self.texts[t]!r}")
             return None
-        span = self.span(t)
+        span = self.span(t, 0)
         text = self.texts[t]
         self.used = set()
         if text == "caused":
@@ -643,7 +815,7 @@ class _ProblemParser(_DomainParser):
         def section():
             t = self.pos
             if self.kinds[t] != "SECTION":
-                self.error(f"expected {expected}, found {self.texts[t]!r}")
+                self.error(f"expected {expected}, found {self.found()}")
                 return None
             self.advance()
             if self.texts[t] not in parsers:
@@ -729,14 +901,15 @@ class _ProblemParser(_DomainParser):
             if a is None:
                 return None
             if not a.constant.is_action:
-                self.error(f"'{a.constant.name}' is not an action", self.span(name_t))
+                self.error(f"'{a.constant.name}' is not an action", self.span(name_t, 0))
                 return None
             if a.value != "true":
-                self.error("an action in :do cannot carry '=value'", self.span(name_t))
+                self.error("an action in :do cannot carry '=value'", self.span(name_t, 0))
                 return None
             inst = (a.constant.name, a.args)
             if inst in acts:
-                self.error(f"action '{instance_str(inst)}' appears twice in one step", self.span(name_t))
+                self.error(f"action '{instance_str(inst)}' appears twice in one step",
+                           self.span(name_t, 0))
                 return None
             acts.append(inst)
             return inst

@@ -506,6 +506,8 @@ class Solver:
             for v in chain(range(start, nvars + 1), range(1, start)):
                 if not val[v]:
                     return self.saved[v] * v
+        if len(self.trail) == nvars:
+            return 0  # all assigned: the heap's entries stay for the backtrack
         heap, activity, in_order = self.order, self.activity, self.in_order
         pop = heapq.heappop
         while heap:

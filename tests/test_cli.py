@@ -327,9 +327,9 @@ def test_demo_dimacs_out_grounds_once(tmp_path, monkeypatch, capsys):
         return grounding.ground(*args, **kwargs)
 
     class Counted(grounding.GroundDomain):
-        def __init__(self, **kwargs):
-            made.append(kwargs)
-            super().__init__(**kwargs)
+        def __init__(self, *args, **kwargs):
+            made.append((args, kwargs))
+            super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(cli, "ground", counted)
     monkeypatch.setattr(planner, "ground", counted)

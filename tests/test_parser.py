@@ -1,6 +1,7 @@
 """Surface syntax: lexing, laws, problems, queries, and the
 parse/pretty-print round trip."""
 
+import re
 from dataclasses import astuple
 
 import pytest
@@ -130,10 +131,7 @@ def test_lexer_golden():
         ("SECTION", ":sorts", (2, 1, 2, 7)),
         ("NAME", "peg_1", (2, 8, 2, 13)),
         ("NAME", "d2", (2, 14, 2, 16)),
-        ("NAME", "f", (3, 3, 3, 4)),
-        ("LPAREN", "(", (3, 4, 3, 5)),
-        ("NAME", "x", (3, 5, 3, 6)),
-        ("RPAREN", ")", (3, 6, 3, 7)),
+        ("ATOM", "f(x)", (3, 3, 3, 7)),
         ("DCOLON", "::", (3, 8, 3, 10)),
         ("NAME", "a", (3, 11, 3, 12)),
         ("DOTDOT", "..", (3, 12, 3, 14)),
@@ -201,6 +199,68 @@ def test_lexer_long_run_of_blanks_and_comments(tail, eof):
     block = "  \t% a comment %% with % signs\n\r\n\t \n"
     text = block * (200_000 // len(block) + 1) + tail
     assert _lexed(text) == ([("EOF", "", (*eof, *eof))], [])
+
+
+@pytest.mark.parametrize("text", ["f(" + "x, " * 50_000, "f(x" * 20_000])
+def test_lexer_long_unclosed_atom(text):
+    # no ')' closes the arguments, so no atom token forms: one pass, in
+    # which a failed atom gives back the arguments it passed only once
+    p = _Parser(text, "t")
+    assert p.texts[1:-1] == re.findall(r"\w+|\S", text)
+    assert "ATOM" not in p.kinds and p.diags == []
+
+
+_ONE_ROUTE = """:sorts robot dir
+:objects R1 :: robot; down, up :: dir;
+:constants
+  at(robot) :: inertialFluent(dir);
+  move(robot, dir) :: action;
+  ok :: simpleFluent;
+:externals g/2;
+:laws
+  inertial at;
+  vars r :: robot;
+  caused at(r)=up if at(r)=down & @g(r, r);
+  move(r, up) causes ok;
+  nonexecutable move(r, down) if ok;
+"""
+
+
+def _two_lines(text, old, atom, split):
+    """text with the atom in old followed by a comment and a line break,
+    which keep it on one line, and text with old rewritten as split."""
+    assert text.count(old) == 1
+    one, two = text.replace(old, old.replace(atom, atom + " % a note\n", 1)), text.replace(old, split)
+    # the first is one atom token, the second is read token by token
+    assert atom in _Parser(one, "t").texts and atom not in _Parser(two, "t").texts
+    return one, two
+
+
+@pytest.mark.parametrize("old,atom,split", [
+    ("move(robot, dir) :: action", "move(robot, dir)", "move(robot,\n  dir) :: action"),
+    ("inertialFluent(dir);", "inertialFluent(dir)", "inertialFluent(\ndir);"),
+    ("at(r)=up if", "at(r)=up", "at(r)\n=up if"),
+    ("at(r)=down &", "at(r)=down", "at(r % a note\n)=down &"),
+    ("g(r, r);", "g(r, r)", "g(r,\n r);"),
+    ("move(r, up) causes", "move(r, up)", "move(r, % a note\nup) causes"),
+    ("move(r, down) if", "move(r, down)", "move(\n  r, down) if"),
+])
+def test_an_atom_over_two_lines_parses_as_on_one(old, atom, split):
+    one, two = _two_lines(_ONE_ROUTE, old, atom, split)
+    assert parse_domain(two) == parse_domain(one)
+    # the spans too: both forms break the line once, inside the atom or after it
+    assert repr(parse_domain(two)) == repr(parse_domain(one))
+
+
+@pytest.mark.parametrize("parse,text,atom,split", [
+    (parse_problem, ":init at(R1)=up;", "at(R1)=up", ":init at(\n R1)=up;"),
+    (parse_problem, ":goal at(R1)=down;", "at(R1)=down", ":goal at(R1 % a note\n) = down;"),
+    (parse_query, ":do move(R1, up);", "move(R1, up)", ":do move(R1,\n up);"),
+])
+def test_a_problem_atom_over_two_lines_parses_as_on_one(parse, text, atom, split):
+    one, two = _two_lines(text, text, atom, split)
+    domain = parse_domain(_ONE_ROUTE)
+    assert parse(two, domain) == parse(one, domain)
 
 
 def test_unknown_constant_is_an_error():

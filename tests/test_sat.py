@@ -220,6 +220,27 @@ def test_a_rescale_keeps_branching_on_the_most_active_variable():
     assert s._pick_branch() == -2
 
 
+@pytest.mark.parametrize("freq", [0.0, 1.0])
+def test_a_pick_with_every_variable_assigned_leaves_the_heap(freq):
+    s = Solver(3, [(1, 2, 3)])
+    s.RANDOM_FREQ = freq
+    for lit in (1, -2, 3):
+        s.trail_lim.append(len(s.trail))
+        s._enqueue(lit)
+    order = list(s.order)
+    assert len(order) == 3
+    rng = random.Random()
+    rng.setstate(s.rng.getstate())
+    assert s._pick_branch() == 0
+    assert s.order == order
+    # the draws of the random pick, which finds nothing, and no others:
+    # the later picks of this search and of later solves see the same
+    # random sequence
+    if rng.random() < freq:
+        rng.randrange(1, 4)
+    assert s.rng.getstate() == rng.getstate()
+
+
 class CheckedBranching(Solver):
     """A solver that checks every pick against a scan of the variables,
     and the order heap's invariant after every backtrack."""
