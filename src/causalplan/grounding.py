@@ -243,9 +243,11 @@ def _scan(f: Formula, calls: dict, top: type | None) -> bool:
     return top is not None and isinstance(f, top)
 
 
-def close_formula(f: Formula, registry: ExternalRegistry | None = None) -> Formula:
+def close_formula(f: Formula, *, registry: ExternalRegistry | None = None) -> Formula:
     """Close external calls in an already-ground formula (used for problem
-    formulas, which may call externals just like law bodies)."""
+    formulas, which may call externals just like law bodies).  registry
+    is keyword-only, so that a call in the old form close_formula(f,
+    domain, registry), or with the registry left out, fails at once."""
     return _Closer(registry).formula(f, {})
 
 

@@ -39,18 +39,19 @@ A well-formed atom written on one line -- ``name(arg, ...)``,
 token, unless its name is one of the words the grammar reads by their
 text (``if``, ``true``, ...).  Most tokens of a ground domain are inside
 such atoms.  Every place that reads ``name(...)`` or ``=value`` (an atom
-in a formula or a law, a constant declaration, an ``@external(...)``
-call, a ``:do`` instance) takes the parts from split(), which splits
-each distinct text once per parse, and reports a mistake at the span
-that the part's own token would have had.  Anything else -- a malformed
-atom, one split across lines, one with a comment inside -- is lexed
-token by token.  Where the grammar needs an ATOM token's parts as
-tokens of their own (a name that stands alone, as after ``inertial``,
-or one inside an atom read token by token, as ``q`` in the malformed
-``p(x, q(y))``), refine() lexes the rest of the text again without ATOM
-tokens.  So the grammar reads every text as if it were lexed token by
-token, and reports every mistake at the same place with the same
-message.  The lexer knows nothing of sections.
+in a formula or a law, an ``@external(...)`` call, a ``:do`` instance)
+takes the parts from split(), and reports a mistake in an atom at the
+span of its name, the token that lexing token by token would have made
+there.  Anything else -- a malformed atom, one split across lines, one
+with a comment inside -- is lexed token by token.  Where the grammar
+needs an ATOM token's parts as tokens of their own (a name that stands
+alone, or one inside an atom read token by token, as ``q`` in the
+malformed ``p(x, q(y))``), refine() lexes that token again token by
+token, in place; the ``:constants`` section is refined whole, so a
+constant declaration is always read token by token.  So the grammar
+reads every text as if it were lexed token by token, and reports every
+mistake at the same place with the same message.  The lexer knows
+nothing of sections.
 
 A formula may sit inside at most MAX_NESTING of ``(`` and ``~``, so
 that parsing and everything after it stay well inside Python's
@@ -149,26 +150,25 @@ _FINE_SCAN = _scanner(_FINE_KINDS)  # an atom token by token
 # ATOM token's text is the one that no other kind matches whole: only
 # its name matches, as a NAME.
 _KIND = re.compile("|".join(f"(?P<{kind}>{p})" for kind, p in _FINE_KINDS))
-_NAMES = re.compile(_NAME)
 _COMMENT = re.compile(r"%[^\n]*")
+_NAME_AT = re.compile(_NAME).match  # an ATOM token's name, without splitting it
 
 
 def _blank(m: re.Match) -> str:
     return " " * (m.end() - m.start())
 
 
-def _lex(text: str, scan: re.Pattern = _SCAN, first: int | None = None
+def _lex(text: str, scan: re.Pattern = _SCAN
          ) -> tuple[list[str], list[str], list[int], dict[str, str]]:
-    """The kinds, texts and start offsets of text's tokens from offset
-    first on (its first token by default), as three parallel lists, and
-    the one str object of each distinct text.  Index 0 holds a START
-    marker, so every token's index is true; the last token is EOF.  A
-    character that starts no token is an OTHER token of its own."""
+    """The kinds, texts and start offsets of text's tokens, as three
+    parallel lists, and the one str object of each distinct text.  Index
+    0 holds a START marker, so every token's index is true; the last
+    token is EOF.  A character that starts no token is an OTHER token of
+    its own."""
     if "%" in text:
         # a comment becomes blanks of its own length: offsets stay put
         text = _COMMENT.sub(_blank, text)
-    if first is None:
-        first = len(text) - len(text.lstrip(_BLANKS))
+    first = len(text) - len(text.lstrip(_BLANKS))
     found = scan.findall(text, first)  # each token with the blanks after it
     # one str object per distinct text: equal names in the parsed objects
     # are then one object, and compare by identity
@@ -195,7 +195,6 @@ class _Parser:
         self.diags: list[Diagnostic] = []
         self.quiet = False  # reports held back after a broken statement
         self.kinds, self.texts, self.offsets, self.names = _lex(text)
-        self.parts: dict[str, tuple] = {}  # ATOM text -> split(), this parse only
         self.pos = 1
         if "OTHER" in self.kinds:
             self.drop_unexpected()
@@ -219,59 +218,47 @@ class _Parser:
     def line(self, i: int) -> int:
         return bisect_right(self.line_starts, self.offsets[i])
 
-    def span(self, i: int, part: int | None = None) -> SourceSpan:
-        """Where token i is; with part, where that part of it is, the
-        token that lexing token by token would have made there: part 0
-        is an ATOM token's name (or the whole of any other token), and
-        its arguments, then its value, follow in order."""
-        offset, text = self.offsets[i], self.texts[i]
-        if part is not None and self.kinds[i] == "ATOM":
-            if part:
-                m = list(_NAMES.finditer(text))[part]
-                offset += m.start()
-                text = m[0]
-            else:
-                text = self.split(i)[0]
+    def span(self, i: int, word: bool = False) -> SourceSpan:
+        """Where token i is; with word, where only word(i) is: an ATOM
+        token's name, the token that lexing token by token makes there."""
+        offset = self.offsets[i]
         line = bisect_right(self.line_starts, offset)
         col = offset - self.line_starts[line - 1] + 1
-        return SourceSpan(self.source, line, col, line, col + len(text))
+        end = col + len(self.word(i) if word else self.texts[i])
+        return SourceSpan(self.source, line, col, line, end)
 
     def split(self, i: int) -> tuple[str, tuple[str, ...], str | None]:
         """ATOM token i's name, its arguments and its value (None without
-        '=').  Each distinct text is split once per parse, and its names
-        are the lexer's str objects."""
+        '='), as the lexer's str objects."""
         text = self.texts[i]
-        parts = self.parts.get(text)
-        if parts is None:
-            # the names are what the marks of a well-formed atom leave
-            words = text.replace("(", " ").replace(")", " ").replace(",", " ").replace("=", " ")
-            words = words.split()
-            words = tuple(map(self.names.setdefault, words, words))
-            if "=" in text:  # the value is the last name
-                parts = words[0], words[1:-1], words[-1]
-            else:
-                parts = words[0], words[1:], None
-            self.parts[text] = parts
-        return parts
+        # the names are what the marks of a well-formed atom leave
+        words = text.replace("(", " ").replace(")", " ").replace(",", " ").replace("=", " ")
+        words = words.split()
+        words = tuple(map(self.names.setdefault, words, words))
+        if "=" in text:  # the value is the last name
+            return words[0], words[1:-1], words[-1]
+        return words[0], words[1:], None
 
-    def refine(self, i: int) -> None:
-        """Lex the text again from token i on, with no ATOM token, where
-        the grammar reads an atom's parts one by one: at a malformed
-        atom's mistake, or at a name that stands on its own.  Every
-        token before i is kept, and none after it is an ATOM any more,
-        so a parse refines at most once.  An OTHER token was reported
+    def refine(self, lo: int, hi: int | None = None) -> None:
+        """Lex tokens lo up to hi (token lo alone by default) again token
+        by token, in place, where the grammar reads an atom's parts one
+        by one.  A token boundary is one in both lexings, so the tokens
+        around them stay as they are.  An OTHER token was reported
         already and is dropped again."""
-        kinds, texts, offsets, _ = _lex(self.text, _FINE_SCAN, self.offsets[i])
+        hi = lo + 1 if hi is None else hi
+        start = self.offsets[lo]
+        kinds, texts, offsets, _ = _lex(self.text[start:self.offsets[hi]], _FINE_SCAN)
         keep = [k != "OTHER" for k in kinds]
-        keep[0] = False  # the START marker
+        keep[0] = keep[-1] = False  # the START and EOF markers
         names = self.names
-        self.kinds[i:] = compress(kinds, keep)
-        self.texts[i:] = [names.setdefault(t, t) for t in compress(texts, keep)]
-        self.offsets[i:] = compress(offsets, keep)
+        self.kinds[lo:hi] = compress(kinds, keep)
+        self.texts[lo:hi] = [names.setdefault(t, t) for t in compress(texts, keep)]
+        self.offsets[lo:hi] = [start + o for o in compress(offsets, keep)]
 
     def word(self, i: int) -> str:
         """The text of token i, or an ATOM token's name."""
-        return self.split(i)[0] if self.kinds[i] == "ATOM" else self.texts[i]
+        text = self.texts[i]
+        return _NAME_AT(text)[0] if self.kinds[i] == "ATOM" else text
 
     def at(self, kind: str, text: str | None = None) -> bool:
         """Whether the current token is of kind, with text if given.  An
@@ -308,7 +295,7 @@ class _Parser:
         place was reported already."""
         if self.quiet or len(self.diags) >= MAX_DIAGNOSTICS:
             return
-        span = span or self.span(self.pos, 0)
+        span = span or self.span(self.pos, word=True)
         if all((d.span.line, d.span.col) != (span.line, span.col) for d in self.diags):
             self.diags.append(Diagnostic(msg, span))
 
@@ -434,26 +421,12 @@ class _DomainParser(_Parser):
 
     def sort(self, what: str = "a sort name") -> Sort | None:
         t = self.expect("NAME", what)
-        return None if t is None else self.known_sort(self.texts[t], t)
-
-    def known_sort(self, name: str, i: int, part: int | None = None) -> Sort | None:
-        """The sort named name, read from token i (or that part of it)."""
-        s = self.sorts.get(name)
+        if t is None:
+            return None
+        s = self.sorts.get(self.texts[t])
         if s is None:
-            self.error(f"unknown sort '{name}'", self.span(i, part))
+            self.error(f"unknown sort '{self.texts[t]}'", self.span(t))
         return s
-
-    def call(self, i: int, arity: int | None = None) -> tuple[str, tuple[str, ...]] | None:
-        """The name and arguments of token i if it is an ATOM token
-        name(arg, ...), with arity arguments if given.  Otherwise None,
-        and an ATOM token there is lexed token by token, for the grammar
-        to read its parts."""
-        if self.kinds[i] == "ATOM":
-            name, args, value = self.split(i)
-            if args and value is None and arity in (None, len(args)):
-                return name, args
-            self.refine(i)
-        return None
 
     def section_constants(self):
         if not self.at("SECTION", ":constants"):
@@ -462,63 +435,47 @@ class _DomainParser(_Parser):
         self.advance()
         # :objects is behind us, so every sort has its final members
         self.sorts = {n: Sort(n, tuple(m), self.sort_spans[n]) for n, m in self.members.items()}
-        while self.kinds[self.pos] in ("NAME", "ATOM"):
+        # a declaration is read token by token: its head and kind may
+        # be ATOM tokens, and the few declarations are refined in one go
+        end = self.pos
+        while self.kinds[end] != "SECTION" and self.kinds[end] != "EOF":
+            end += 1
+        self.refine(self.pos, end)
+        while self.at("NAME"):
             name_t = self.pos
             const = self.statement(self.constant_decl)
             if const is None:
-                self.broken.add(self.word(name_t))
+                self.broken.add(self.texts[name_t])
             elif const.key in self.constants:
                 self.error(f"duplicate constant '{const.name}/{len(const.arg_sorts)}'",
-                           self.span(name_t, 0))
+                           self.span(name_t))
             else:
                 self.constants[const.key] = const
 
     def constant_decl(self) -> Constant | None:
-        """name(sort, ...) :: kind(value sort); the argument and the value
-        sorts may be left out."""
-        name_t = self.pos
-        head = self.call(name_t)
-        if head is not None:
-            name, args = head
-            arg_sorts = []
-            for k, arg in enumerate(args, 1):
-                if (s := self.known_sort(arg, name_t, k)) is None:
-                    return None
-                arg_sorts.append(s)
-            self.pos += 1
-        else:
-            name = self.texts[self.advance()]
-            arg_sorts = []
-            if self.at("LPAREN"):
-                self.advance()
-                arg_sorts = self.separated(self.sort)
-                if arg_sorts is None or not self.expect("RPAREN", "')'"):
-                    return None
-        if self.expect("DCOLON", "'::'") is None:
+        name_t = self.advance()
+        arg_sorts: list[Sort] = []
+        if self.at("LPAREN"):
+            self.advance()
+            arg_sorts = self.separated(self.sort)
+            if arg_sorts is None or not self.expect("RPAREN", "')'"):
+                return None
+        kind_t = self.expect("DCOLON", "'::'") and self.expect("NAME", "a constant kind")
+        if kind_t is None:
             return None
-        kind_t = self.pos
-        valued = self.call(kind_t, 1)
-        if valued is None and self.expect("NAME", "a constant kind") is None:
-            return None
-        kind_name = self.word(kind_t)
         try:
-            kind = Kind(kind_name)
+            kind = Kind(self.texts[kind_t])
         except ValueError:
-            self.error(f"unknown constant kind '{kind_name}' "
-                       "(expected inertialFluent, simpleFluent, or action)", self.span(kind_t, 0))
+            self.error(f"unknown constant kind '{self.texts[kind_t]}' "
+                       "(expected inertialFluent, simpleFluent, or action)", self.span(kind_t))
             return None
         value_sort = BOOLEAN
-        if valued is not None:
-            self.pos += 1
-            value_sort = self.known_sort(valued[1][0], kind_t, 1)
-            if value_sort is None:
-                return None
-        elif self.at("LPAREN"):
+        if self.at("LPAREN"):
             self.advance()
             value_sort = self.sort("a value sort")
             if value_sort is None or not self.expect("RPAREN", "')'"):
                 return None
-        return Constant(name, tuple(arg_sorts), kind, value_sort, self.span(name_t, 0))
+        return Constant(self.texts[name_t], tuple(arg_sorts), kind, value_sort, self.span(name_t))
 
     def section_externals(self):
         self.advance()
@@ -543,7 +500,7 @@ class _DomainParser(_Parser):
     def unknown_constant(self, name_t: int, what: str) -> None:
         # a constant whose declaration was reported is not reported again
         if self.word(name_t) not in self.broken:
-            self.error(f"unknown constant '{what}'", self.span(name_t, 0))
+            self.error(f"unknown constant '{what}'", self.span(name_t, word=True))
 
     def parse_atom(self) -> Atom | None:
         f = self.atom_formula()
@@ -599,7 +556,7 @@ class _DomainParser(_Parser):
                 self.pos = i + 2
             elif not const.is_boolean:
                 self.error(f"constant '{const.name}' is {const.value_sort.name}-valued; "
-                           "'=value' is required", self.span(name_t, 0))
+                           "'=value' is required", self.span(name_t, word=True))
                 return None
             else:
                 value = "true"
@@ -661,11 +618,14 @@ class _DomainParser(_Parser):
 
     def parse_external(self) -> Formula | None:
         self.advance()  # '@'
-        call = self.call(self.pos)
-        if call is not None:
-            self.pos += 1
-            self.used.update(call[1])
-            return ExternalCall(*call)
+        i = self.pos
+        if self.kinds[i] == "ATOM":
+            name, args, value = self.split(i)
+            if args and value is None:
+                self.pos = i + 1
+                self.used.update(args)
+                return ExternalCall(name, args)
+            self.refine(i)  # read as the grammar reads a malformed call
         name_t = self.expect("NAME", "an external name")
         if name_t is None or not self.expect("LPAREN", "'('"):
             return None
@@ -726,7 +686,7 @@ class _DomainParser(_Parser):
         if self.kinds[t] != "NAME" and self.kinds[t] != "ATOM":
             self.error(f"expected a law, found {self.texts[t]!r}")
             return None
-        span = self.span(t, 0)
+        span = self.span(t, word=True)
         text = self.texts[t]
         self.used = set()
         if text == "caused":
@@ -901,15 +861,15 @@ class _ProblemParser(_DomainParser):
             if a is None:
                 return None
             if not a.constant.is_action:
-                self.error(f"'{a.constant.name}' is not an action", self.span(name_t, 0))
+                self.error(f"'{a.constant.name}' is not an action", self.span(name_t, word=True))
                 return None
             if a.value != "true":
-                self.error("an action in :do cannot carry '=value'", self.span(name_t, 0))
+                self.error("an action in :do cannot carry '=value'", self.span(name_t, word=True))
                 return None
             inst = (a.constant.name, a.args)
             if inst in acts:
                 self.error(f"action '{instance_str(inst)}' appears twice in one step",
-                           self.span(name_t, 0))
+                           self.span(name_t, word=True))
                 return None
             acts.append(inst)
             return inst

@@ -222,9 +222,9 @@ def close_problem(domain: DomainDescription, problem: PlanningProblem,
     """Close the problem formulas over externals and squeeze the horizon
     window: a formula that mentions actions at step k forces at least k+1
     steps.  Returns (init, goal, extras, lo, hi)."""
-    init = close_formula(problem.init, registry)
-    goal = close_formula(problem.goal, registry)
-    extras = [(when, close_formula(f, registry)) for when, f in problem.extra]
+    init = close_formula(problem.init, registry=registry)
+    goal = close_formula(problem.goal, registry=registry)
+    extras = [(when, close_formula(f, registry=registry)) for when, f in problem.extra]
     if mentions_action(goal):
         raise ValueError("the goal may not mention actions")
     lo, hi = problem.horizon
@@ -320,7 +320,7 @@ def predict(domain: DomainDescription, init, actions,
     gd = ground(domain, registry)
     if isinstance(init, dict):
         init = _state_formula(domain, init)
-    init = close_formula(init, registry)
+    init = close_formula(init, registry=registry)
 
     declared = set(gd.action_instances)
     steps: list[list[GroundInstance]] = []
@@ -403,14 +403,14 @@ def validate_plan(domain: DomainDescription, problem: PlanningProblem, p: Plan,
         acts = step_sets[step] if step < h else set()
         return eval_formula(f, _valuation(p.trajectory[step], acts))
 
-    init = close_formula(problem.init, registry)
-    goal = close_formula(problem.goal, registry)
+    init = close_formula(problem.init, registry=registry)
+    goal = close_formula(problem.goal, registry=registry)
     if not holds(init, 0, "initial condition"):
         issues.append("initial condition fails in state 0")
     if not holds(goal, h, "goal"):
         issues.append(f"goal fails in state {h}")
     for when, f in problem.extra:
-        f = close_formula(f, registry)
+        f = close_formula(f, registry=registry)
         if when != FINAL and when > h:
             issues.append(f"constraint at step {when} exceeds the plan horizon {h}")
         elif not holds(f, h if when == FINAL else when, f"constraint at {when}"):

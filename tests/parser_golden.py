@@ -29,7 +29,7 @@ from dataclasses import astuple
 from pathlib import Path
 
 from causalplan import parse_domain, parse_problem, parse_query
-from causalplan.parser import _PUNCT, ParseError, _Parser
+from causalplan.parser import _FINE_SCAN, _PUNCT, ParseError, _lex
 
 import sample_files
 
@@ -109,21 +109,28 @@ def parse_digests() -> dict[str, str]:
     return out
 
 
+def tokens(text: str) -> tuple[list[tuple[int, int]], list[str]]:
+    """Where a mutation may land in text: the offset and length of each
+    token, as text lexes token by token (with no ATOM token, so a part
+    of an atom is a token of its own), then EOF; and the names a "name"
+    mutation may insert, each once per token it is."""
+    kinds, texts, offsets, _ = _lex(text, _FINE_SCAN)
+    toks = [(k, t, o) for k, t, o in zip(kinds, texts, offsets) if k != "OTHER"][1:]
+    return [(o, len(t)) for _, t, o in toks], ["x"] + [t for k, t, _ in toks if k == "NAME"]
+
+
 def draw_mutants() -> list[dict]:
-    """The seeded mutations, drawn with the lexer of the day; each is kept
-    by offset and length, so replaying it needs no lexer."""
+    """The seeded mutations; each is kept by offset and length, so
+    replaying it needs no lexer."""
     rng = random.Random(MUTANT_SEED)
     out = []
     for _ in range(MUTANTS):
         name = rng.choice(sorted(PARSED))
-        text = (sample_files.samples_dir() / name).read_text()
-        p = _Parser(text, name)
-        i = 1 + rng.randrange(len(p.kinds) - 1)  # past the start marker
+        places, names = tokens((sample_files.samples_dir() / name).read_text())
+        start, length = places[rng.randrange(len(places))]
         op = rng.choice(OPS)
-        names = ["x"] + [t for k, t in zip(p.kinds, p.texts) if k == "NAME"]
         new = rng.choice(names if op == "name" else sorted(_PUNCT)) if op in ("name", "punct") else ""
-        out.append({"file": name, "start": p.offsets[i], "length": len(p.texts[i]),
-                    "op": op, "new": new})
+        out.append({"file": name, "start": start, "length": length, "op": op, "new": new})
     return out
 
 

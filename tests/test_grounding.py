@@ -146,6 +146,14 @@ def test_close_formula_memoizes_and_substitutes():
     assert len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize("args", [(), (None,)])
+def test_close_formula_takes_no_domain(args):
+    # the old form passed the domain before the registry
+    d = parse_domain(WALLED)
+    with pytest.raises(TypeError):
+        close_formula(TrueF(), d, *args)
+
+
 def test_non_boolean_external_in_formula_rejected():
     reg = ExternalRegistry()
     reg.register("pathExists", 2, lambda a, b: 7)

@@ -1,8 +1,10 @@
 """Surface syntax: lexing, laws, problems, queries, and the
 parse/pretty-print round trip."""
 
+import ast
 import re
 from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from causalplan import parse_domain, parse_problem, parse_query, pretty_print
 from causalplan.model import (BOOLEAN, And, AtomF, Caused, Causes,
                               Constraint, Exogenous, Inertial, Nonexecutable,
                               Not, Or, TrueF, canonical, formula_atoms)
-from causalplan.parser import (_PUNCT, MAX_DIAGNOSTICS, MAX_NESTING, ParseError,
+from causalplan import parser
+from causalplan.parser import (_KEYWORDS, _PUNCT, MAX_DIAGNOSTICS, MAX_NESTING, ParseError,
                                _DomainParser, _Parser, _ProblemParser)
 
 import parser_golden
@@ -208,6 +211,39 @@ def test_lexer_long_unclosed_atom(text):
     p = _Parser(text, "t")
     assert p.texts[1:-1] == re.findall(r"\w+|\S", text)
     assert "ATOM" not in p.kinds and p.diags == []
+
+
+def _words_read_by_text():
+    """Every word that parser.py compares a token's text with: the text
+    asked for by at("NAME", ...), a condition()'s keyword, and each
+    string that text or self.texts[...] is compared with."""
+    def strings(node):
+        nodes = node.elts if isinstance(node, ast.Tuple) else [node]
+        return {n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+    words = set()
+    for node in ast.walk(ast.parse(Path(parser.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr == "at" and strings(node.args[0]) == {"NAME"} and len(node.args) == 2:
+                words |= strings(node.args[1])
+            elif node.func.attr == "condition":
+                words |= strings(node.args[0])
+        elif isinstance(node, ast.Compare):
+            left = node.left
+            if (isinstance(left, ast.Name) and left.id == "text"
+                    or isinstance(left, ast.Subscript) and isinstance(left.value, ast.Attribute)
+                    and left.value.attr == "texts"):
+                for right in node.comparators:
+                    words |= strings(right)
+    return words
+
+
+def test_every_word_read_by_its_text_is_a_keyword():
+    # no ATOM token starts with a keyword; a word missing from _KEYWORDS
+    # would lex as part of an atom in "word (f)" or "word = x"
+    words = _words_read_by_text()
+    assert "caused" in words and "if" in words and "after" in words
+    assert words == set(_KEYWORDS)
 
 
 _ONE_ROUTE = """:sorts robot dir
@@ -654,14 +690,13 @@ def _mutants(draw):
     by an inserted name or punctuation mark."""
     name = draw(st.sampled_from(sorted(parser_golden.PARSED)))
     text = (sample_files.samples_dir() / name).read_text()
-    p = _Parser(text, name)
-    i = draw(st.integers(1, len(p.kinds) - 1))
+    places, names = parser_golden.tokens(text)
+    start, length = draw(st.sampled_from(places))
     op = draw(st.sampled_from(parser_golden.OPS))
     new = ""
     if op in ("name", "punct"):
-        names = ["x"] + [t for k, t in zip(p.kinds, p.texts) if k == "NAME"]
         new = draw(st.sampled_from(names if op == "name" else sorted(_PUNCT)))
-    return name, parser_golden.mutate(text, p.offsets[i], len(p.texts[i]), op, new)
+    return name, parser_golden.mutate(text, start, length, op, new)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -669,6 +704,14 @@ def _mutants(draw):
 def test_a_mutated_sample_reports_no_place_twice(mutant):
     places = [tuple(d[2:4]) for d in parser_golden.diagnostics(*mutant)]
     assert len(places) == len(set(places)), places
+
+
+def test_the_pinned_mutants_are_drawn_again():
+    # the mutations land on the tokens of token-by-token lexing, inside
+    # atoms too, whatever tokens the parser reads
+    mutants = [{k: v for k, v in m.items() if k != "diagnostics"}
+               for m in parser_golden.pinned()["mutants"]]
+    assert parser_golden.draw_mutants() == mutants
 
 
 def test_parser_matches_golden():
