@@ -20,8 +20,12 @@ for every r up to deadline + 1 that some of those charges can reach.
 It grows with the encoding, one step at a time, and every clause it
 adds holds at every longer horizon, since a longer plan pays at least
 the charges of its first steps.  Only "the sum reaches deadline + 1" is
-forbidden per horizon, under the negation of the horizon's activation
-literal.
+forbidden per horizon, and no clause says so: update() returns the
+negated top register, which the horizon's solve call assumes.  A clause
+the solver learns from that assumption names the register, not the
+horizon's activation literal, so it keeps pruning at later horizons:
+the register still means that the first steps' charges reach
+deadline + 1, which the next top register then holds too.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ __all__ = ["ChargeCounter"]
 
 
 class ChargeCounter:
-    """Adds the charges of an Encoder's new steps and the bound
-    of its current horizon; call update() once per horizon, after any
-    extend() and before solving."""
+    """Adds the charges of an Encoder's new steps, and gives the bound of
+    its current horizon as a literal to assume; call update() once per
+    horizon, after any extend() and before solving."""
 
     def __init__(self, gd: GroundDomain, costs, registry: ExternalRegistry, deadline: int):
         self.cap = deadline + 1
@@ -45,7 +49,11 @@ class ChargeCounter:
         self.regs: dict[int, int] = {}  # reachable sum (at most cap) -> register
         self.nogoods, self.groups = _charges(gd, costs, registry)
 
-    def update(self, enc) -> None:
+    def update(self, enc) -> int | None:
+        """Count the charges of the steps that enc added since the last
+        call.  Returns the literal that keeps enc's current horizon within
+        the deadline, for the solve call to assume, or None when no
+        charges so far can pass it."""
         clauses = enc.clauses
         for row in enc.rows[self.steps:enc.horizon]:
             # window literal +-(p + 1) -> entry +-(p + 1), which Python's
@@ -57,8 +65,7 @@ class ChargeCounter:
                                   for weight, cond in group])
         self.steps = enc.horizon
         top = self.regs.get(self.cap)
-        if top is not None:
-            clauses.append((-top, -enc.active))
+        return None if top is None else -top
 
     def _count(self, enc, options) -> None:
         """Add one group of exclusive (weight, literal) charges to the sum."""

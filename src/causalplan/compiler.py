@@ -23,7 +23,9 @@ Pipeline (each stage is exposed for testing):
               from horizon 0, each step after every variable in use
               (its rows table records where each step's atoms land),
               plus asserted query formulas, those that hold only at the
-              last step under an activation literal; every query grows
+              last step under an activation literal (the plan search
+              assumes a last-step formula instead when it is a
+              conjunction of literals, see Encoder); every query grows
               one encoding on one solver, and cnf() gives the plain CNF
               of the current horizon, which compile_cnf returns for the
               query-free case
@@ -939,7 +941,14 @@ class Encoder(_ClauseSink):
     solve under the assumption active.  extend() retires it with the unit
     clause (-active,) and makes a new one.  An activation literal appears
     nowhere but as the last literal of the clauses it guards, which is
-    what cnf() relies on."""
+    what cnf() relies on.
+
+    The plan search guards only what it cannot assume: literals() gives
+    a formula that is a conjunction of literals as literals for the
+    solve call to assume, and adds nothing, so the clauses that the
+    solver learns from it do not carry -active and stay useful after
+    the horizon retires.  Only a formula that is not such a conjunction
+    (a disjunction, or false) is asserted with guard=active."""
 
     def __init__(self, ground: GroundDomain, horizon: int, *, noconcurrency: bool = False):
         tpl = step_template(ground)
@@ -1003,29 +1012,45 @@ class Encoder(_ClauseSink):
             raise CompileError(f"{atom}@{step} is outside the encoding horizon")
         return v if positive else -v
 
+    def _bodies(self, f: Formula, step: int) -> list[list[int]] | None:
+        """The ground formula's DNF at the given step: one sorted literal
+        list per conjunction, [[]] when it is trivially true, and None
+        when it is unsatisfiable."""
+        for atom in formula_atoms(f):
+            if atom.constant.is_action and step >= self.horizon:
+                raise CompileError(f"action atom {atom} cannot be asserted at step {step}")
+        disjuncts = _dnf(f)
+        if disjuncts is None:
+            return None
+        bodies = [sorted(self._lit(a, step, pos) for a, pos in d) for d in disjuncts]
+        return [[]] if any(not b for b in bodies) else bodies
+
     def assert_formula(self, f: Formula, step: int, guard: int | None = None) -> None:
         """Add clauses forcing the ground formula to hold at the given step;
         with a guard, each clause also gets -guard, so the formula holds
         only while guard is assumed."""
-        for atom in formula_atoms(f):
-            if atom.constant.is_action and step >= self.horizon:
-                raise CompileError(f"action atom {atom} cannot be asserted at step {step}")
         start = len(self.clauses)
-        disjuncts = _dnf(f)
-        if disjuncts is None:
+        bodies = self._bodies(f, step)
+        if bodies is None:
             self._add(())  # unsatisfiable
+        elif len(bodies) == 1:
+            for l in bodies[0]:
+                self._add((l,))
         else:
-            bodies = [sorted(self._lit(a, step, pos) for a, pos in d)
-                      for d in disjuncts]
-            if any(not b for b in bodies):
-                return  # trivially true
-            if len(bodies) == 1:
-                for l in bodies[0]:
-                    self._add((l,))
-            else:
-                self._add(self.arms(bodies))
+            self._add(self.arms(bodies))
         if guard is not None:
             self.clauses[start:] = [(*c, -guard) for c in self.clauses[start:]]
+
+    def literals(self, f: Formula, step: int) -> list[int] | None:
+        """The literals whose conjunction is the ground formula at the given
+        step, in increasing variable order (none when it is trivially
+        true), for a solve call to assume.  None when its DNF is not one
+        conjunction of literals (a disjunction, or false): such a formula
+        must be asserted as clauses instead.  Adds nothing."""
+        bodies = self._bodies(f, step)
+        if bodies is None or len(bodies) > 1:
+            return None
+        return sorted(bodies[0], key=abs)
 
     def cnf(self) -> CnfFormula:
         """The encoding at its current horizon as plain CNF: every clause

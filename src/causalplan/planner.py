@@ -5,18 +5,24 @@ completion encoding, asserts its own formulas on top (initial state,
 goal, observations), and hands the clauses to the embedded solver.
 Planning deepens the horizon one step at a time on one growing
 encoding and one solver, which keeps what it learnt: each horizon adds
-a step, and the clauses that hold only while h is the last step (the
-goal, :at final constraints and the cost bound) carry the negation of
-h's activation literal, which the solve call assumes and the next
-horizon retires.  A cost deadline is encoded too
-(charges.ChargeCounter), so every horizon is one solve call, and
-plan_cost prices the plan found on its own.  check_consistency asks
-horizon 0 and then 1 the same way.  predict grows the encoding to its
-one horizon, loads it into its solver with the activation literal
-asserted, and enumerates the models there, blocking the fluent values
-of each.  decode_model reads every model through the encoding's rows.
-validate_plan checks a trajectory law by law (semantics.py), with no
-completion, clause or solver.
+a step, and what holds only while h is the last step (the goal, :at
+final constraints and the cost bound) is assumed by h's solve call
+rather than given as clauses.  The solve call assumes h's activation
+literal, then the literals of each of those conditions that is a
+conjunction of literals, then the cost bound; a condition that is not
+(a disjunction, or false) is given as clauses that carry the negation
+of h's activation literal, which the next horizon retires.  Every
+clause the solver learns follows from the given clauses alone, so it
+stays valid at every later horizon, and one learnt from an assumed
+literal, not from a guarded clause, keeps pruning there.  A cost
+deadline is encoded too (charges.ChargeCounter), so every horizon is
+one solve call, and plan_cost prices the plan found on its own.
+check_consistency asks horizon 0 and then 1 the same way.  predict
+grows the encoding to its one horizon, loads it into its solver with
+the activation literal asserted, and enumerates the models there,
+blocking the fluent values of each.  decode_model reads every model
+through the encoding's rows.  validate_plan checks a trajectory law by
+law (semantics.py), with no completion, clause or solver.
 """
 
 from __future__ import annotations
@@ -192,12 +198,12 @@ class _Deepening:
         self.solver.extend(enc.var_count, enc.clauses[self.loaded:])
         self.loaded = len(enc.clauses)
 
-    def solve(self, **limits):
+    def solve(self, assumed=(), **limits):
         """Solve the current horizon: load, then assume the activation
-        literal.  A retired horizon's clauses stay loaded, satisfied at
-        level 0, and never propagate."""
+        literal and then assumed.  A retired horizon's clauses stay
+        loaded, satisfied at level 0, and never propagate."""
         self.load()
-        return self.solver.solve([self.enc.active], **limits)
+        return self.solver.solve([self.enc.active, *assumed], **limits)
 
 
 def check_consistency(domain: DomainDescription,
@@ -257,13 +263,16 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
     """Iterative-deepening plan search over problem.horizon, on one solver,
     for domain ground against registry.
 
-    Horizon h asserts the goal and the :at final constraints under h's
-    activation literal, solves assuming it, and on UNSAT retires it and
-    adds step h + 1.  With a cost deadline, a ChargeCounter evaluates the
-    cost model's charges before the search (so its errors surface even if
-    no plan would use the action) and sums them in the encoding, with
-    "over the deadline" forbidden under h's literal.  Whenever costs are
-    given, plan_cost prices the plan found; a price over the deadline
+    Horizon h solves assuming h's activation literal and the literals of
+    the goal and of each :at final constraint whose DNF is one
+    conjunction of literals, in increasing variable order; any other of
+    these conditions is asserted as clauses under h's activation
+    literal.  On UNSAT, h's literal is retired and step h + 1 added.
+    With a cost deadline, a ChargeCounter evaluates the cost model's
+    charges before the search (so its errors surface even if no plan
+    would use the action) and sums them in the encoding, and h's solve
+    also assumes that the sum stays within the deadline.  Whenever costs
+    are given, plan_cost prices the plan found; a price over the deadline
     would be an internal error.  Resource limits apply per solve call and
     surface as sat.ResourceLimit.
     """
@@ -290,11 +299,18 @@ def plan(domain: DomainDescription, problem: PlanningProblem,
     for h in range(lo, hi + 1):
         if h > lo:
             enc.extend()
+        assumed: list[int] = []
         for f in [goal, *finals]:
-            enc.assert_formula(f, h, guard=enc.active)
+            lits = enc.literals(f, h)
+            if lits is None:
+                enc.assert_formula(f, h, guard=enc.active)
+            else:
+                assumed += lits
         if counter is not None:
-            counter.update(enc)
-        res = search.solve(max_conflicts=max_conflicts, max_seconds=max_seconds)
+            bound = counter.update(enc)
+            if bound is not None:
+                assumed.append(bound)
+        res = search.solve(assumed, max_conflicts=max_conflicts, max_seconds=max_seconds)
         if not res.is_sat:
             continue
         found = decode_model(enc, res.model)

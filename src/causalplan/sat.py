@@ -5,7 +5,7 @@ learning with local minimization, activity-driven branching, saved
 phases, and Luby restarts.  The search is deterministic for a fixed
 seed (default 0); wall-clock time never influences a decision unless a
 time limit is set.  Every SAT answer is verified against the clause set
-before it is returned.
+and the assumptions before it is returned.
 
 Conflict analysis (see Solver._analyze) walks the trail back from the
 false clause to the first UIP, then minimizes locally (Sorensson &
@@ -32,13 +32,20 @@ search appends one step per horizon, and predict loads its one horizon
 before it enumerates.  Loading costs about one attach per clause: a
 unit is enqueued, but propagated at once only if some clause watches
 its complement; otherwise nothing can (see _load), and the unit waits
-on the trail for the next propagation.  Clauses that hold only for one
-horizon carry the negation of an activation literal that solve()
-assumes; once that literal is fixed false, they stay loaded but are
-satisfied at level 0, so they never propagate or conflict again.  No
-clause is ever deleted.
+on the trail for the next propagation.  A plan search assumes what
+holds only at one horizon: its activation literal, the literals of a
+goal or :at final constraint that is a conjunction of literals, and its
+cost bound.  Only a condition that is not such a conjunction is given
+as clauses that carry the negation of the activation literal; once
+that literal is fixed false, they stay loaded but are satisfied at
+level 0, so they never propagate or conflict again.  Assumptions are
+decisions, so every learnt clause follows from the given clauses alone
+and stays valid at every later horizon; one learnt from a guarded
+clause carries the negated activation literal and is satisfied once
+its horizon retires, while one learnt from an assumption keeps
+pruning.  No clause is ever deleted.
 Every SAT model is checked against every clause the solver was given,
-as given.
+as given, and against the assumptions of the call that found it.
 
 The solver's tables are indexed by the literal (see Solver).  Growing
 inserts new variables' entries in place after the last positive one, so
@@ -522,11 +529,15 @@ class Solver:
     def solve(self, assumptions=(), *, max_conflicts: int | None = None,
               max_seconds: float | None = None) -> SolveResult:
         """Search under assumptions, which are decided first, in order.
-        Raises ResourceLimit once this call has had max_conflicts
-        conflicts, or once max_seconds have passed.  The clock is read only
-        when max_seconds is set, every 256 steps of the call's search loop
-        (a step ends in a conflict, a decision or an assumption), so a
-        search with few conflicts still stops."""
+        Every assumption is range-checked before anything changes, and a
+        SAT model is verified against the assumptions as well as the
+        given clauses.  Raises ResourceLimit once this call has had
+        max_conflicts conflicts, or once max_seconds have passed.  The
+        clock is read only when max_seconds is set, every 256 steps of
+        the call's search loop (a step ends in a conflict, a decision or
+        an assumption), so a search with few conflicts still stops."""
+        assumptions = list(assumptions)
+        self._check_range(assumptions, self.nvars)
         t0 = time.perf_counter()
         deadline = t0 + max_seconds if max_seconds is not None else None
         stats = self.stats
@@ -549,7 +560,6 @@ class Solver:
             self.ok = False
             return done("UNSAT")
 
-        assumptions = list(assumptions)
         n_assumed = len(assumptions)
         conflicts_here = 0
         steps = 0  # counted only under a deadline
@@ -587,8 +597,6 @@ class Solver:
 
             if len(trail_lim) < n_assumed:
                 lit = assumptions[len(trail_lim)]
-                if not (1 <= abs(lit) <= self.nvars):
-                    raise ValueError(f"assumption literal {lit} out of range")
                 value = self.val[lit]
                 if value == -1:
                     return done("UNSAT")
@@ -600,15 +608,16 @@ class Solver:
             lit = pick_branch()
             if lit == 0:
                 model = tuple(a == 1 for a in self.val[:self.nvars + 1])
-                self._verify(model)
+                self._verify(model, assumptions)
                 return done("SAT", model)
             stats.decisions += 1
             trail_lim.append(len(trail))
             enqueue(lit)
 
-    def _verify(self, model: tuple[bool, ...]) -> None:
-        """Check model against every clause given to the solver, as given."""
-        bad = _falsified(model, self.given)
+    def _verify(self, model: tuple[bool, ...], assumptions=()) -> None:
+        """Check model against every clause given to the solver, as given,
+        and against the assumptions of the solve call that found it."""
+        bad = _falsified(model, chain(self.given, ((l,) for l in assumptions)))
         if bad is not None:
             raise AssertionError(f"internal error: model does not satisfy {tuple(bad)}")
 

@@ -120,7 +120,51 @@ def _sample_cases():
     return out
 
 
-@pytest.mark.parametrize("name,gd,problem,registry,costs", _toy_cases() + _sample_cases(),
+CONDITIONS = {
+    "conjunction": "atObj(B1)=L3 & ~holding(B1)",
+    "disjunction": "atObj(B1)=L1 | atObj(B2)=L1 & ~holding(B2)",
+    "negated conjunction": "~(atObj(B1)=L2 & atObj(B2)=L3)",
+    "true": "true",
+    "false": "false",
+}
+FINALS = {
+    "conjunction": "~holding(B1) & ~holding(B2)",
+    "disjunction": "atRobo=L3 | atRobo=L2",
+    "negated conjunction": "~(atRobo=L1 & ~holding(B1))",
+    "true": "true",
+    "false": "false",
+}
+
+
+BOXES_3X2 = build_robot_boxes(3, 2)
+
+
+def _condition_problem(goal, final=None, noconcurrency=False):
+    """A problem on BOXES_3X2 with the goal named in CONDITIONS and the
+    :at final constraint named in FINALS, if any."""
+    return parse_problem(":init atRobo=L1 & atObj(B1)=L2 & atObj(B2)=L3"
+                         " & ~holding(B1) & ~holding(B2);\n"
+                         f":goal {CONDITIONS[goal]};\n:horizon 0..8;\n"
+                         + (f":at final {FINALS[final]};\n" if final else "")
+                         + (":noconcurrency;\n" if noconcurrency else ""), BOXES_3X2.domain)
+
+
+def _condition_cases():
+    """Goals and :at final constraints of every form, conjunctions of
+    literals and others, alone and together, with and without
+    :noconcurrency."""
+    gd = ground(BOXES_3X2.domain)
+    pairs = [(goal, None) for goal in CONDITIONS]
+    pairs += [("conjunction", final) for final in FINALS]
+    pairs += [("disjunction", "conjunction"), ("true", "disjunction")]
+    return [(f"goal {goal}" + (f", final {final}" if final else "")
+             + (", noconcurrency" if noconcurrency else ""),
+             gd, _condition_problem(goal, final, noconcurrency), None, ())
+            for goal, final in pairs for noconcurrency in (False, True)]
+
+
+@pytest.mark.parametrize("name,gd,problem,registry,costs",
+                         _toy_cases() + _sample_cases() + _condition_cases(),
                          ids=lambda x: x if isinstance(x, str) else "")
 def test_growing_search_agrees_with_a_fresh_solver_per_horizon(name, gd, problem,
                                                               registry, costs):
@@ -132,6 +176,48 @@ def test_growing_search_agrees_with_a_fresh_solver_per_horizon(name, gd, problem
     assert isinstance(got, PlanFound) and got.horizon == want
     ok, issues = validate_plan(gd.domain, problem, got.plan, registry, costs=costs)
     assert ok, issues
+
+
+@pytest.mark.parametrize("goal,final,assumed,guarded", [
+    ("conjunction", "conjunction", (2, 2), False),
+    ("true", "true", (), False),
+    ("conjunction", "disjunction", (2,), True),
+    ("disjunction", "conjunction", (2,), True),
+    ("negated conjunction", None, (), True),
+    ("conjunction", "false", (2,), True),
+])
+def test_conjunctive_conditions_are_assumed_and_the_others_guarded(monkeypatch, goal, final,
+                                                                  assumed, guarded):
+    # Each horizon's solve assumes its activation literal, then the
+    # literals of each condition that is a conjunction of literals, in
+    # increasing variable order; a horizon's clauses that end in the
+    # negation of its activation literal come from the other conditions.
+    calls, made = [], []
+
+    class Recorded(Solver):
+        def solve(self, assumptions=(), **limits):
+            calls.append(list(assumptions))
+            return super().solve(assumptions, **limits)
+
+    class Kept(Encoder):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(planner, "Solver", Recorded)
+    monkeypatch.setattr(planner, "Encoder", Kept)
+    plan(BOXES_3X2.domain, _condition_problem(goal, final))
+    enc, = made
+    actives = [*enc.retired, enc.active]
+    assert [c[0] for c in calls] == actives
+    for lits in calls:
+        assert len(lits) == 1 + sum(assumed)
+        at = 1
+        for n in assumed:
+            assert sorted(lits[at:at + n], key=abs) == lits[at:at + n]
+            at += n
+    for a in actives:
+        assert any(len(c) > 1 and c[-1] == -a for c in enc.clauses) == guarded
 
 
 # every state with p has no successor
@@ -336,7 +422,7 @@ def test_search_counters_on_toh4_are_pinned(monkeypatch):
     assert isinstance(out, PlanFound) and out.horizon == 15
     assert len(made) == 1
     stats = made[0].stats
-    assert (stats.conflicts, stats.decisions, stats.propagations) == (278, 647, 18208)
+    assert (stats.conflicts, stats.decisions, stats.propagations) == (190, 413, 14410)
 
 
 def test_search_counters_on_mapp_5x5_are_pinned(monkeypatch):
@@ -356,7 +442,7 @@ def test_search_counters_on_mapp_5x5_are_pinned(monkeypatch):
     assert isinstance(out, PlanFound) and out.horizon == 8
     assert len(made) == 1
     stats = made[0].stats
-    assert (stats.conflicts, stats.decisions, stats.propagations) == (6, 14, 2609)
+    assert (stats.conflicts, stats.decisions, stats.propagations) == (6, 14, 2617)
 
 
 # --- loading a grown encoding ------------------------------------------------------

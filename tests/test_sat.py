@@ -319,7 +319,8 @@ def test_conflict_analysis_matches_resolution(monkeypatch):
     monkeypatch.setattr(planner, "Solver", CheckedAnalysis)
     for disks in (3, 4):
         toh = build_toh(disks)
-        assert isinstance(plan(toh.domain, toh.problem, seed=0), PlanFound)
+        for seed in (0, 1):
+            assert isinstance(plan(toh.domain, toh.problem, seed=seed), PlanFound)
     on_toh = len(checked)
     for seed, clauses in search_golden.random_formulas():
         CheckedAnalysis(search_golden.RANDOM_VARS, clauses, seed=seed).solve()
@@ -332,6 +333,30 @@ def test_verify_checks_clauses_added_after_solving():
     assert s.add_clause((-1, -2))
     with pytest.raises(AssertionError):
         s._verify((False, True, True, False))  # breaks only (-1, -2)
+
+
+def test_verify_checks_the_assumptions():
+    # a model of every given clause that falsifies an assumption is
+    # refused, as a goal that is assumed rather than given would be
+    s = Solver(3, [(1, 2, 3)])
+    s._verify((False, False, True, False), [2, -3])
+    with pytest.raises(AssertionError, match=r"\(3,\)"):
+        s._verify((False, False, True, False), [2, 3])
+
+
+@pytest.mark.parametrize("n,clauses", [(1, [(-1,)]), (2, ())])
+def test_solve_range_checks_every_assumption_before_it_changes_anything(n, clauses):
+    # an out-of-range assumption after one that fails (the first case)
+    # or after one that would be decided (the second) raises, on a fresh
+    # solver and after a solve, and leaves the trail as it was
+    s = Solver(n, clauses)
+    for _ in range(2):
+        trail, trail_lim = list(s.trail), list(s.trail_lim)
+        for bad in (5, -5, 0):
+            with pytest.raises(ValueError, match=f"literal {bad} out of range for {n} variables"):
+                s.solve([1, bad])
+            assert (s.trail, s.trail_lim) == (trail, trail_lim)
+        s.solve()
 
 
 def test_add_clause_drops_tautologies_and_repeats():

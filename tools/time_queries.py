@@ -32,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from time_setup import alternated, checkouts, quartiles, run_child
+from time_setup import alternated, at_least_one, checkouts, quartiles, run_child
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -75,7 +75,8 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=WORKLOADS, default="toh-deepen",
                     help="the benchmark workload whose queries to time (default toh-deepen)")
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    ap.add_argument("--runs", type=int, default=10, help="runs per checkout (default 10)")
+    ap.add_argument("--runs", type=at_least_one, default=10,
+                    help="runs per checkout (default 10)")
     ap.add_argument("--seconds", type=float, default=5.0,
                     help="timed passes per run last about this long (default 5)")
     ap.add_argument("--against", type=Path, help="another checkout to alternate with")
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
         root, workload, seed, seconds = a.child
         child(root, workload, int(seed), float(seconds))
         return 0
-    sides = checkouts(ap, a)
+    sides = checkouts(ap, a.against)
     runs = alternated(sides, a.runs,
                       lambda root: run_child(__file__, root, a.workload, a.seed, a.seconds))
 

@@ -159,17 +159,22 @@ def run_child(script: str, root: Path, *args) -> dict:
     return json.loads(out.stdout)
 
 
-def checkouts(ap: argparse.ArgumentParser, a: argparse.Namespace) -> dict[str, Path]:
-    """The checkouts to run, by side: "this" one and, with --against, the
-    "against" one.  Refuses --runs below 1 and an --against that holds no
-    package."""
-    if a.runs < 1:
-        ap.error("--runs must be at least 1")
+def at_least_one(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
+def checkouts(ap: argparse.ArgumentParser, against: Path | None) -> dict[str, Path]:
+    """The checkouts to run, by side: "this" one and, given against, the
+    "against" one.  Refuses an against that holds no package."""
     sides = {"this": ROOT}
-    if a.against is not None:
-        if not (a.against / "src" / "causalplan").is_dir():
-            ap.error(f"{a.against} holds no src/causalplan")
-        sides["against"] = a.against.resolve()
+    if against is not None:
+        if not (against / "src" / "causalplan").is_dir():
+            ap.error(f"{against} holds no src/causalplan")
+        sides["against"] = against.resolve()
     return sides
 
 
@@ -196,14 +201,15 @@ def main(argv=None) -> int:
     ap.add_argument("--texts", choices=sorted(WORKLOADS), default="mapp",
                     help="the workload whose texts to time (default mapp)")
     ap.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
-    ap.add_argument("--runs", type=int, default=10, help="runs per checkout (default 10)")
+    ap.add_argument("--runs", type=at_least_one, default=10,
+                    help="runs per checkout (default 10)")
     ap.add_argument("--against", type=Path, help="another checkout to alternate with")
     ap.add_argument("--child", nargs=2, metavar=("ROOT", "TEXTS"), help=argparse.SUPPRESS)
     a = ap.parse_args(argv)
     if a.child:
         child(*a.child)
         return 0
-    sides = checkouts(ap, a)
+    sides = checkouts(ap, a.against)
     pyc = {name: has_pyc(root) for name, root in sides.items()}
     with tempfile.TemporaryDirectory() as tmp:
         texts_file = str(Path(tmp, "texts.json"))
